@@ -16,7 +16,8 @@ coefficients uniformly from [-1, 1] with a fixed default seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -47,8 +48,6 @@ KEY_ZERO = np.zeros((2, 2))
 KEY_E11 = E11 / 2.0
 KEY_E22 = E22 / 2.0
 KEY_HALF_I = I2 / 2.0
-
-_KT_ONE = KTensor(I2, np.zeros((2, 2)))
 
 
 def _vec_herm(X):
@@ -85,7 +84,6 @@ class AlgebraSpec:
     name: str
     v_basis: tuple
     w_basis: tuple
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dims(self):
@@ -102,35 +100,26 @@ class AlgebraSpec:
         return ks
 
     # -- projectors (cached) ----------------------------------------
+    @cached_property
     def _proj(self):
-        P = self._cache.get("P")
-        if P is None:
-            P = _proj_from_columns([_kt_vec(k) for k in self.k_basis()], 10)
-            self._cache["P"] = P
-        return P
+        return _proj_from_columns([_kt_vec(k) for k in self.k_basis()], 10)
 
+    @cached_property
     def _proj_v(self):
-        P = self._cache.get("PV")
-        if P is None:
-            P = _proj_from_columns([_vec_herm(v) for v in self.v_basis], 4)
-            self._cache["PV"] = P
-        return P
+        return _proj_from_columns([_vec_herm(v) for v in self.v_basis], 4)
 
+    @cached_property
     def _proj_w(self):
-        P = self._cache.get("PW")
-        if P is None:
-            cols = []
-            for w in self.w_basis:
-                cols.append(_vec_sym(w))
-                cols.append(_vec_sym(1j * np.asarray(w)))
-            P = _proj_from_columns(cols, 6)
-            self._cache["PW"] = P
-        return P
+        cols = []
+        for w in self.w_basis:
+            cols.append(_vec_sym(w))
+            cols.append(_vec_sym(1j * np.asarray(w)))
+        return _proj_from_columns(cols, 6)
 
     # -- membership --------------------------------------------------
     def project(self, k):
         """Orthogonal projection onto the subspace (trace inner product)."""
-        v = self._proj() @ _kt_vec(k) / np.sqrt(2)
+        v = self._proj @ _kt_vec(k) / np.sqrt(2)
         X = np.array([[v[0], (v[2] + 1j * v[3]) / np.sqrt(2)],
                       [(v[2] - 1j * v[3]) / np.sqrt(2), v[1]]])
         w = v[4:]
@@ -141,18 +130,18 @@ class AlgebraSpec:
     def residual(self, k):
         """Distance to the subspace relative to 1 + |k|."""
         v = _kt_vec(k)
-        r = np.linalg.norm(v - self._proj() @ v)
+        r = np.linalg.norm(v - self._proj @ v)
         return float(r / (1.0 + np.linalg.norm(v)))
 
     def v_defect(self, X):
         """Absolute distance of a Hermitian matrix from V."""
         v = _vec_herm(X)
-        return float(np.linalg.norm(v - self._proj_v() @ v))
+        return float(np.linalg.norm(v - self._proj_v @ v))
 
     def w_defect(self, Y):
         """Absolute distance of a symmetric matrix from W."""
         v = _vec_sym(Y)
-        return float(np.linalg.norm(v - self._proj_w() @ v))
+        return float(np.linalg.norm(v - self._proj_w @ v))
 
     def contains(self, k, tol=1e-10):
         return self.residual(k) <= tol
@@ -275,21 +264,29 @@ class CheckReport:
                 "pass": self.passed}
 
 
+def _worst(rng, trials, trial_fn):
+    """Largest residual ``trial_fn(rng)`` returns over ``trials`` draws."""
+    worst = 0.0
+    for _ in range(trials):
+        worst = max(worst, trial_fn(rng))
+    return worst
+
+
 def check_closure(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Randomized closure audit of one catalog entry.
 
     Residuals are scaled by 1 + max entry squared, matching the quadratic
     growth of the products.
     """
-    rng = np.random.default_rng(seed + spec.ident)
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng):
         X = spec.sample_x(rng)
         Y = spec.sample_y(rng)
         s = 1.0 + max(np.abs(X).max(), np.abs(Y).max(), 1.0) ** 2
         wy = Y @ Y + X @ X.T
         vx = Y @ X + X @ Y.conj().T
-        worst = max(worst, spec.w_defect(wy) / s, spec.v_defect(vx) / s)
+        return max(spec.w_defect(wy) / s, spec.v_defect(vx) / s)
+
+    worst = _worst(np.random.default_rng(seed + spec.ident), trials, trial)
     return CheckReport(spec.ident, "closure", trials, worst, worst <= tol)
 
 
@@ -308,25 +305,26 @@ def is_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Randomized ideal test: ideal-by-algebra products land in the ideal."""
     if not is_subalgebra(ideal, spec, tol):
         return False
-    rng = np.random.default_rng(seed + 131 * spec.ident + ideal.ident)
-    for _ in range(trials):
+
+    def trial(rng):
         j = ideal.sample(rng)
         k = spec.sample(rng)
         a = sample_a0(rng)
-        if ideal.residual(jordan_star(j, a, k)) > tol:
-            return False
-    return True
+        return ideal.residual(jordan_star(j, a, k))
+
+    rng = np.random.default_rng(seed + 131 * spec.ident + ideal.ident)
+    return _worst(rng, trials, trial) <= tol
 
 
 def check_square(spec, target, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Steered products of ``spec`` elements land in ``target``."""
-    rng = np.random.default_rng(seed + 977 * spec.ident)
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng):
         k1 = spec.sample(rng)
         k2 = spec.sample(rng)
         a = sample_a0(rng)
-        worst = max(worst, target.residual(jordan_star(k1, a, k2)))
+        return target.residual(jordan_star(k1, a, k2))
+
+    worst = _worst(np.random.default_rng(seed + 977 * spec.ident), trials, trial)
     return CheckReport(spec.ident, f"square->{target.ident}", trials, worst,
                        worst <= tol)
 
@@ -348,13 +346,12 @@ def key_condition_residual(spec, key, trials=200, seed=DEFAULT_SEED):
     the middle factor vanish and holds trivially.
     """
     mid = KTensor(I2 - 2.0 * np.asarray(key, float), np.zeros((2, 2)))
-    rng = np.random.default_rng(seed + 7919 * spec.ident)
-    worst = 0.0
-    for _ in range(trials):
+
+    def trial(rng):
         k = spec.sample(rng)
-        prod = kt_mul(kt_mul(k, mid), k)
-        worst = max(worst, spec.residual(prod))
-    return worst
+        return spec.residual(kt_mul(kt_mul(k, mid), k))
+
+    return _worst(np.random.default_rng(seed + 7919 * spec.ident), trials, trial)
 
 
 def find_inversion_key(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
@@ -374,16 +371,9 @@ def key_name(key):
 
 # -- chain properties ----------------------------------------------------
 
-def _chain3(k1, a1, k2, a2, k3):
-    p = kt_mul(kt_mul(kt_mul(kt_mul(k1, a1), k2), a2), k3)
-    q = kt_mul(kt_mul(kt_mul(kt_mul(k3, a2), k2), a1), k1)
-    return p + q
-
-
-def _chain4(k1, a1, k2, a2, k3, a3, k4):
-    p = kt_mul(kt_mul(kt_mul(kt_mul(kt_mul(kt_mul(k1, a1), k2), a2), k3), a3), k4)
-    q = kt_mul(kt_mul(kt_mul(kt_mul(kt_mul(kt_mul(k4, a3), k3), a2), k2), a1), k1)
-    return p + q
+def _chain(*factors):
+    """Chain product f1 f2 ... fn + fn ... f2 f1, multiplied left to right."""
+    return reduce(kt_mul, factors) + reduce(kt_mul, reversed(factors))
 
 
 def check_chain(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10, target=None):
@@ -393,29 +383,31 @@ def check_chain(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10, target=None):
     the entry, which the caller passes as ``target``.
     """
     tgt = target if target is not None else spec
-    rng = np.random.default_rng(seed + 4513 * spec.ident)
-    worst = 0.0
-    for _ in range(trials):
+
+    def trial(rng):
         k = [spec.sample(rng) for _ in range(4)]
         a = [sample_a0(rng) for _ in range(3)]
-        c3 = _chain3(k[0], a[0], k[1], a[1], k[2])
-        c4 = _chain4(k[0], a[0], k[1], a[1], k[2], a[2], k[3])
-        worst = max(worst, tgt.residual(c3), tgt.residual(c4))
+        c3 = _chain(k[0], a[0], k[1], a[1], k[2])
+        c4 = _chain(k[0], a[0], k[1], a[1], k[2], a[2], k[3])
+        return max(tgt.residual(c3), tgt.residual(c4))
+
+    worst = _worst(np.random.default_rng(seed + 4513 * spec.ident), trials, trial)
     name = "chain" if target is None else f"chain->{tgt.ident}"
     return CheckReport(spec.ident, name, trials, worst, worst <= tol)
 
 
 def check_chain_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Ideal version: chains with one factor in the ideal stay in it."""
-    rng = np.random.default_rng(seed + 6007 * spec.ident + ideal.ident)
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng):
         j = ideal.sample(rng)
         k = [spec.sample(rng) for _ in range(3)]
         a = [sample_a0(rng) for _ in range(3)]
-        c3 = _chain3(j, a[0], k[0], a[1], k[1])
-        c4 = _chain4(j, a[0], k[0], a[1], k[1], a[2], k[2])
-        worst = max(worst, ideal.residual(c3), ideal.residual(c4))
+        c3 = _chain(j, a[0], k[0], a[1], k[1])
+        c4 = _chain(j, a[0], k[0], a[1], k[1], a[2], k[2])
+        return max(ideal.residual(c3), ideal.residual(c4))
+
+    rng = np.random.default_rng(seed + 6007 * spec.ident + ideal.ident)
+    worst = _worst(rng, trials, trial)
     return CheckReport(spec.ident, f"chain-ideal:{ideal.ident}", trials, worst,
                        worst <= tol)
 
@@ -508,12 +500,11 @@ def apply_automorphism(desc, k):
 
 def automorphism_defect(phi_map, spec, trials=200, seed=DEFAULT_SEED):
     """Worst defect of phi(K a K) - phi(K) a phi(K) over random draws."""
-    rng = np.random.default_rng(seed + 271 * spec.ident)
-    worst = 0.0
-    for _ in range(trials):
+    def trial(rng):
         k = spec.sample(rng)
         a = sample_a0(rng)
         lhs = phi_map(jordan_star(k, a, k))
         rhs = jordan_star(phi_map(k), a, phi_map(k))
-        worst = max(worst, (lhs - rhs).norm() / (1.0 + k.norm() ** 2))
-    return worst
+        return (lhs - rhs).norm() / (1.0 + k.norm() ** 2)
+
+    return _worst(np.random.default_rng(seed + 271 * spec.ident), trials, trial)

@@ -160,10 +160,9 @@ def _micro_from_json(obj, f=None, normal=None):
 def cmd_two_phase(args):
     data = _load(args.pair)
     try:
-        p1 = twophase.IsoPhase(np.asarray(data["phase1"]["sigma"], float),
-                               float(data["phase1"].get("r", 0.0)))
-        p2 = twophase.IsoPhase(np.asarray(data["phase2"]["sigma"], float),
-                               float(data["phase2"].get("r", 0.0)))
+        p1, p2 = (twophase.IsoPhase(np.asarray(data[k]["sigma"], float),
+                                    float(data[k].get("r", 0.0)))
+                  for k in ("phase1", "phase2"))
     except (KeyError, ValueError) as exc:
         raise SystemExit_(EXIT_DOMAIN if "violates" in str(exc) else EXIT_INPUT,
                           f"bad phase data: {exc}")
@@ -198,10 +197,9 @@ def cmd_polycrystal(args):
     try:
         if "X" in data:
             k0 = kt_from_json(data)
-            k0 = KTensor.symmetric(k0.X, k0.Y)
         else:
             k0 = kt_from_block(block_from_json(data))
-            k0 = KTensor.symmetric(k0.X, k0.Y)
+        k0 = KTensor.symmetric(k0.X, k0.Y)
     except (KeyError, ValueError) as exc:
         raise SystemExit_(EXIT_INPUT, f"bad crystallite file: {exc}")
     try:

@@ -19,16 +19,14 @@ import numpy as np
 
 from . import algebra
 from .tensor4 import (I2, I4, RPERP, T4, KTensor, block_is_pd, block_parts,
-                      cof2, det2, inv2, kt_from_block, kt_to_block,
-                      spd_sqrt_2x2)
+                      cof2, det2, inv2, kt_from_block, kt_to_block, pd2,
+                      resolvent, spd_sqrt_2x2)
 
 __all__ = [
-    "ER_IDS", "ERSpec", "er_spec", "er_specs", "gamma0", "w_transform",
+    "ER_IDS", "ERSpec", "er_spec", "gamma0", "w_transform",
     "w_inverse", "pullback", "er_member", "er_sample", "lm_par", "lm_unpar",
     "covariance", "MembershipResult", "PSI1", "JRP",
 ]
-
-ER_IDS = (7, 8, 9, 13, 17, 19, 20, 21, 22)
 
 PSI1 = np.array([[1.0, 0.0], [0.0, -1.0]])
 JRP = np.kron(PSI1, RPERP)           # psi(1) (x) Rperp
@@ -46,21 +44,14 @@ class ERSpec:
         return self.algebra.name
 
 
-_ER_KEYS = {
-    7: algebra.KEY_HALF_I, 8: algebra.KEY_ZERO, 9: algebra.KEY_HALF_I,
-    13: algebra.KEY_ZERO, 17: algebra.KEY_HALF_I, 19: algebra.KEY_HALF_I,
-    20: algebra.KEY_HALF_I, 21: algebra.KEY_HALF_I, 22: algebra.KEY_HALF_I,
-}
+def _relation(ident):
+    if ident not in _RELATIONS:
+        raise KeyError(f"no first-class exact relation with id {ident}")
+    return _RELATIONS[ident]
 
 
 def er_spec(ident):
-    if ident not in _ER_KEYS:
-        raise KeyError(f"no first-class exact relation with id {ident}")
-    return ERSpec(ident, algebra.algebra_by_id(ident), _ER_KEYS[ident])
-
-
-def er_specs():
-    return tuple(er_spec(i) for i in ER_IDS)
+    return ERSpec(ident, algebra.algebra_by_id(ident), _relation(ident)[0])
 
 
 def gamma0(n, iso=None):
@@ -86,18 +77,14 @@ def w_transform(L, key, L0=None):
     """
     L = np.asarray(L, dtype=float)
     L0 = I4 if L0 is None else np.asarray(L0, dtype=float)
-    D = L - L0
-    M = _key_block(key)
-    W = D @ np.linalg.inv(I4 + M @ D)
-    return kt_from_block(W)
+    return kt_from_block(resolvent(L - L0, _key_block(key)))
 
 
 def w_inverse(k, key, L0=None):
     """Inverse of :func:`w_transform`: L = L0 + W (I - M W)^-1."""
     L0 = I4 if L0 is None else np.asarray(L0, dtype=float)
     W = kt_to_block(k) if isinstance(k, KTensor) else np.asarray(k, float)
-    M = _key_block(key)
-    return L0 + W @ np.linalg.inv(I4 - M @ W)
+    return L0 + resolvent(W, -_key_block(key))
 
 
 def pullback(ident, L):
@@ -119,15 +106,6 @@ class MembershipResult:
                                 for n, v in self.constraints]}
 
 
-def _spd_2x2(m, tol=1e-12):
-    s = 1.0 + np.abs(m).max()
-    return m[0, 0] > tol * s and det2(m) > tol * s ** 2
-
-
-def _neg_def_2x2(m, tol=0.0):
-    return _spd_2x2(-np.asarray(m), tol)
-
-
 def lm_par(L, M):
     """Tensor [[L, L M], [M^T L, M^T L M]] + T from a 2x2 pair."""
     L = np.asarray(L, dtype=float)
@@ -141,11 +119,72 @@ def lm_unpar(Lt):
     return L11, inv2(L11) @ (L12 + RPERP)
 
 
-def _sandwich_residual(L, mid):
-    """Frobenius norm of L mid L - mid, scaled by (1 + |L|)^2."""
-    L = np.asarray(L, float)
-    r = L @ mid @ L - mid
-    return float(np.linalg.norm(r) / (1.0 + np.linalg.norm(L)) ** 2)
+# Per-relation residual of the defining equations, scaled by sc = (1 + |L|)^2,
+# and the side constraints beyond positive definiteness.  Each takes
+# (L, L11, L12, L22, sc) and returns (residual, constraints).
+
+def _res7(L, L11, L12, L22, sc):
+    th = L12[1, 0]
+    res = (np.linalg.norm(L11 - L22) + np.linalg.norm(L12 - th * RPERP)
+           + abs(det2(L11) - (1.0 + th) ** 2))
+    return res / sc, (("theta>-1/2", th > -0.5),)
+
+
+def _res8(L, L11, L12, L22, sc):
+    t = L12[0, 1]
+    res = np.linalg.norm(L11 - L22) + np.linalg.norm(L12 + t * RPERP)
+    return res / sc, (("det>t^2", det2(L11) > t ** 2),)
+
+
+def _res9(L, L11, L12, L22, sc):
+    P = L11
+    pn = (P * P).sum()
+    lam = (L12 * P).sum() / pn
+    eta = (L22 * P).sum() / pn
+    res = (np.linalg.norm(L12 - lam * P) + np.linalg.norm(L22 - eta * P)
+           + abs((eta - lam * lam) * det2(P) - 1.0))
+    return res / sc, ()
+
+
+def _res13(L, L11, L12, L22, sc):
+    res = (np.linalg.norm(L12 - (L11 - I2) @ RPERP)
+           + np.linalg.norm(L22 - cof2(L11)))
+    m = L11 - I2 / 2
+    return res / sc, (("L11>I/2", pd2(m, 1e-12, 1.0 + np.abs(m).max())),)
+
+
+def _sandwich(mid):
+    """Residual of L mid L = mid (relations 17 and 22)."""
+    def res(L, L11, L12, L22, sc):
+        return float(np.linalg.norm(L @ mid @ L - mid) / sc), ()
+    return res
+
+
+def _res21(L, L11, L12, L22, sc):
+    S = L12 + RPERP
+    return np.linalg.norm(L11 - S @ inv2(L22) @ S.T) / sc, ()
+
+
+def _res20(L, L11, L12, L22, sc):
+    res = _res21(L, L11, L12, L22, sc)[0]
+    return res + abs(det2(L22) - det2(L12 + RPERP)) / sc, ()
+
+
+def _res19(L, L11, L12, L22, sc):
+    res = _res20(L, L11, L12, L22, sc)[0]
+    # third scalar equation: det(L22 + L12) = det L22 + det L12
+    return res + abs((L22 * cof2(L12)).sum()) / sc, ()
+
+
+# per relation: the inversion key of its subspace and its residual
+_RELATIONS = {
+    7: (algebra.KEY_HALF_I, _res7), 8: (algebra.KEY_ZERO, _res8),
+    9: (algebra.KEY_HALF_I, _res9), 13: (algebra.KEY_ZERO, _res13),
+    17: (algebra.KEY_HALF_I, _sandwich(JRP)), 19: (algebra.KEY_HALF_I, _res19),
+    20: (algebra.KEY_HALF_I, _res20), 21: (algebra.KEY_HALF_I, _res21),
+    22: (algebra.KEY_HALF_I, _sandwich(IRP4)),
+}
+ER_IDS = tuple(_RELATIONS)
 
 
 def er_member(ident, L, tol=1e-9):
@@ -156,68 +195,14 @@ def er_member(ident, L, tol=1e-9):
     tensor must be symmetric; non-PD input is reported as a failed
     constraint rather than an error.
     """
+    residual_fn = _relation(ident)[1]
     L = np.asarray(L, dtype=float)
     L11, L12, L22 = block_parts(L)
-    nrm = 1.0 + np.linalg.norm(L)
-    sc = nrm ** 2
-    cons = [("positive_definite", block_is_pd(L))]
-
-    if ident == 7:
-        th = L12[1, 0]
-        res = (np.linalg.norm(L11 - L22) + np.linalg.norm(L12 - th * RPERP)
-               + abs(det2(L11) - (1.0 + th) ** 2))
-        cons.append(("theta>-1/2", th > -0.5))
-        return MembershipResult(7, res / sc <= tol and all(v for _, v in cons),
-                                res / sc, tuple(cons))
-    if ident == 8:
-        t = L12[0, 1]
-        res = np.linalg.norm(L11 - L22) + np.linalg.norm(L12 + t * RPERP)
-        cons.append(("det>t^2", det2(L11) > t ** 2))
-        return MembershipResult(8, res / sc <= tol and all(v for _, v in cons),
-                                res / sc, tuple(cons))
-    if ident == 9:
-        P = L11
-        pn = (P * P).sum()
-        lam = (L12 * P).sum() / pn
-        eta = (L22 * P).sum() / pn
-        res = (np.linalg.norm(L12 - lam * P) + np.linalg.norm(L22 - eta * P)
-               + abs((eta - lam * lam) * det2(P) - 1.0))
-        return MembershipResult(9, res / sc <= tol and all(v for _, v in cons),
-                                res / sc, tuple(cons))
-    if ident == 13:
-        res = (np.linalg.norm(L12 - (L11 - I2) @ RPERP)
-               + np.linalg.norm(L22 - cof2(L11)))
-        cons.append(("L11>I/2", _spd_2x2(L11 - I2 / 2)))
-        return MembershipResult(13, res / sc <= tol and all(v for _, v in cons),
-                                res / sc, tuple(cons))
-    if ident == 17:
-        res = _sandwich_residual(L, JRP)
-        return MembershipResult(17, res <= tol and all(v for _, v in cons),
-                                res, tuple(cons))
-    if ident == 19:
-        S = L12 + RPERP
-        # third scalar equation: det(L22 + L12) = det L22 + det L12
-        res = (np.linalg.norm(L11 - S @ inv2(L22) @ S.T) / sc
-               + abs(det2(L22) - det2(S)) / sc
-               + abs((L22 * cof2(L12)).sum()) / sc)
-        return MembershipResult(19, res <= tol and all(v for _, v in cons),
-                                res, tuple(cons))
-    if ident == 20:
-        S = L12 + RPERP
-        res = (np.linalg.norm(L11 - S @ inv2(L22) @ S.T) / sc
-               + abs(det2(L22) - det2(S)) / sc)
-        return MembershipResult(20, res <= tol and all(v for _, v in cons),
-                                res, tuple(cons))
-    if ident == 21:
-        S = L12 + RPERP
-        res = np.linalg.norm(L11 - S @ inv2(L22) @ S.T) / sc
-        return MembershipResult(21, res <= tol and all(v for _, v in cons),
-                                res, tuple(cons))
-    if ident == 22:
-        res = _sandwich_residual(L, IRP4)
-        return MembershipResult(22, res <= tol and all(v for _, v in cons),
-                                res, tuple(cons))
-    raise KeyError(f"no first-class exact relation with id {ident}")
+    sc = (1.0 + np.linalg.norm(L)) ** 2
+    res, extra = residual_fn(L, L11, L12, L22, sc)
+    cons = (("positive_definite", block_is_pd(L)),) + extra
+    return MembershipResult(ident, res <= tol and all(v for _, v in cons),
+                            res, cons)
 
 
 def er_sample(ident, seed=algebra.DEFAULT_SEED, scale=1.0, rng=None):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import I2, I4, T4, block_from_json, block_to_json, rotate_block
+from .tensor4 import (I2, I4, T4, block_from_json, block_to_json,
+                      kt_from_block, resolvent, rotate_block)
 from .exactrel import gamma0
 
 __all__ = [
@@ -49,22 +50,10 @@ class Mix:
             raise ValueError("volume fraction must lie in [0, 1]")
 
 
-def _w_fwd(L, G, L0):
-    D = L - L0
-    return D @ np.linalg.inv(I4 + G @ D)
-
-
-def _w_bwd(W, G, L0):
-    return L0 + W @ np.linalg.inv(I4 - G @ W)
-
-
 def _iso_parts(L0):
     """Split an isotropic reference into (lam, nu); reject anisotropic."""
     L0 = np.asarray(L0, dtype=float)
-    lam = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            lam[i, j] = np.trace(L0[2 * i:2 * i + 2, 2 * j:2 * j + 2]) / 2.0
+    lam = kt_from_block(L0).X.real
     nu = float((L0 * T4).sum()) / 4.0
     rebuilt = np.kron(lam, np.eye(2)) + nu * T4
     if np.abs(rebuilt - L0).max() > 1e-10 * (1.0 + np.abs(L0).max()):
@@ -91,8 +80,8 @@ def laminate2(L1, L2, f, n, L0=None):
     def attempt(ref):
         lam, _ = _iso_parts(ref)
         G = gamma0(n, lam)
-        W = f * _w_fwd(L1, G, ref) + (1.0 - f) * _w_fwd(L2, G, ref)
-        out = _w_bwd(W, G, ref)
+        W = f * resolvent(L1 - ref, G) + (1.0 - f) * resolvent(L2 - ref, G)
+        out = ref + resolvent(W, -G)
         return (out + out.T) / 2.0
 
     try:
@@ -127,13 +116,9 @@ def conduct2(s1, s2, f, n, ref=1.0):
     G = np.outer(n, n) / ref
     s0 = ref * I2
 
-    def fwd(s):
-        D = s - s0
-        return D @ np.linalg.inv(I2 + G @ D)
-
     try:
-        W = f * fwd(s1) + (1.0 - f) * fwd(s2)
-        out = s0 + W @ np.linalg.inv(I2 - G @ W)
+        W = f * resolvent(s1 - s0, G) + (1.0 - f) * resolvent(s2 - s0, G)
+        out = s0 + resolvent(W, -G)
     except np.linalg.LinAlgError:
         return conduct2(s1, s2, f, n, ref=ref * (1.0 + 1e-6) + 1e-6)
     return (out + out.T) / 2.0
@@ -167,9 +152,6 @@ class RankOneModel:
         """Effective conductivity with phases I and h I."""
         return sigma_star_rank1(h, self.f, self.n)
 
-    def conductivity(self, s1, s2):
-        return conduct2(s1, s2, self.f, self.n)
-
     def tensor(self, L1, L2):
         return laminate2(L1, L2, self.f, self.n)
 
@@ -198,10 +180,6 @@ class IteratedRank2Model:
     def sigma_star(self, h):
         s_in = self.inner.sigma_star(h)
         return conduct2(s_in, h * I2, self.f_outer, self.n_outer)
-
-    def conductivity(self, s1, s2):
-        return conduct2(self.inner.conductivity(s1, s2), s2,
-                        self.f_outer, self.n_outer)
 
     def tensor(self, L1, L2):
         return laminate2(self.inner.tensor(L1, L2), L2,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import I2, RPERP, T4, det2, inv2, spd_sqrt_2x2
+from .tensor4 import I2, RPERP, det2, inv2, mobius, pd2, spd_sqrt_2x2
 from .exactrel import lm_par, lm_unpar, er_member
 
 __all__ = [
@@ -56,10 +56,8 @@ class LinkMap:
 
     def __post_init__(self):
         b = np.asarray(self.b, dtype=float)
-        d = abs(det2(b))
-        if d < 1e-300:
-            raise ValueError("link matrices must be invertible")
-        a = np.diag([d, 1.0]) @ np.asarray(self.a, dtype=float)
+        # a singular b makes a singular too; _canonical rejects both
+        a = np.diag([abs(det2(b)), 1.0]) @ np.asarray(self.a, dtype=float)
         object.__setattr__(self, "a", _canonical(a))
         object.__setattr__(self, "b", _canonical(b))
 
@@ -92,12 +90,8 @@ def basis_change(B):
 
 
 def psi_apply(m, L):
-    a0, b0 = m.a[0]
-    a1, b1 = m.a[1]
-    L = np.asarray(L, dtype=float)
     BI = np.kron(m.b, I2)
-    pencil = a1 * L + b1 * T4
-    out = BI @ T4 @ np.linalg.solve(pencil, a0 * L + b0 * T4) @ BI.T
+    out = BI @ mobius(m.a, np.asarray(L, dtype=float)) @ BI.T
     return (out + out.T) / 2.0
 
 
@@ -123,10 +117,7 @@ def psi_normalizer(lam, nu=0.0):
     Built from the unique SPD square root: B = lam^-1/2 and a T-shift by
     -nu applied first.
     """
-    lam = np.asarray(lam, dtype=float)
-    if hasattr(lam, "lam"):
-        lam, nu = lam.lam, lam.nu
-    B = inv2(spd_sqrt_2x2(lam))
+    B = inv2(spd_sqrt_2x2(np.asarray(lam, dtype=float)))
     return LinkMap(np.array([[1.0, -float(nu)], [0.0, 1.0]]), B)
 
 
@@ -167,11 +158,11 @@ def link19_family(gamma0, L):
     BLi = inv2(BL)
     P = gamma0 * M @ BLi @ M.T + (1.0 + gamma0) * BLi + 2.0 * gamma0 * M @ RPERP
     P = (P + P.T) / 2.0
-    if not (P[0, 0] > 0 and det2(P) > 0):
+    if not pd2(P):
         raise ValueError("gamma0 outside the admissible interval: P not PD")
     Q = P + 2.0 * M @ RPERP
     Q = (Q + Q.T) / 2.0
-    if not (-Q[0, 0] > 0 and det2(Q) > 0):
+    if not pd2(-Q):
         raise ValueError("gamma0 outside the admissible interval: "
                          "P + 2 M Rperp not negative definite")
     return lm_par(inv2(P), M)

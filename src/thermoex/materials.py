@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import (I2, T4, block_from_parts, block_parts, check_block,
-                      det2, inv2, block_is_pd)
+from .tensor4 import (I2, RPERP, T4, block_from_parts, block_parts,
+                      check_block, det2, inv2, block_is_pd, pd2)
 
 __all__ = [
     "Material", "IsoMaterial", "canon_from_physical", "physical_from_canon",
@@ -31,7 +31,7 @@ def _sym_pd(m, name):
     if m.shape != (2, 2) or np.abs(m - m.T).max() > 1e-10 * (1 + np.abs(m).max()):
         raise ValueError(f"{name} must be a symmetric 2x2 matrix")
     m = (m + m.T) / 2.0
-    if m[0, 0] <= 0 or det2(m) <= 0:
+    if not pd2(m):
         raise ValueError(f"{name} must be positive definite")
     return m
 
@@ -63,7 +63,8 @@ class IsoMaterial:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _sym_pd(self.lam, "lam"))
-        if det2(self.lam) <= self.nu ** 2:
+        # X part of lam (x) I + nu T; its determinant is det(lam) - nu^2
+        if not pd2(self.lam + 1j * self.nu * RPERP):
             raise ValueError("isotropy parameters violate det(lam) > nu^2")
 
     def tensor(self):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import KTensor, RPERP, det2, inv2, is_positive_definite, spd_sqrt_2x2
+from .tensor4 import (KTensor, RPERP, cof2, det2, inv2, is_positive_definite,
+                      pd2, spd_sqrt_2x2)
 
 __all__ = [
     "HERM_BASIS", "hvec", "hunvec", "b_op", "b_charpoly", "PolyResult",
@@ -44,14 +45,10 @@ def hunvec(v):
     return np.array([[v[0], v[2] + 1j * v[3]], [v[2] - 1j * v[3], v[1]]])
 
 
-def _adj(M):
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
-
-
 def b_op(Y):
     """Matrix of Z -> Y cof(Z)^T Y^H on Hermitian 2x2, in HERM_BASIS."""
     Y = np.asarray(Y, dtype=complex)
-    cols = [hvec(Y @ _adj(E) @ Y.conj().T) for E in HERM_BASIS]
+    cols = [hvec(Y @ cof2(E).T @ Y.conj().T) for E in HERM_BASIS]
     return np.stack(cols, axis=1)
 
 
@@ -63,7 +60,7 @@ def b_charpoly(Y):
     """
     Y = np.asarray(Y, dtype=complex)
     d = abs(det2(Y))
-    g = np.trace(Y @ _adj(Y).conj()).real     # Tr(Y cof(Y)^H)
+    g = np.trace(Y @ cof2(Y).T.conj()).real     # Tr(Y cof(Y)^H)
     return np.polymul([1.0, 0.0, -d ** 2], [1.0, g, d ** 2])
 
 
@@ -88,11 +85,7 @@ class PolyResult:
         }
 
 
-def _herm_pd(H, tol=0.0):
-    return H[0, 0].real > tol and det2(H).real > tol
-
-
-def solve_isotropic(k0, grid=256, all_roots=False):
+def solve_isotropic(k0, grid=256):
     """Isotropy-forced effective tensor of the crystallite ``k0``.
 
     Parameters
@@ -102,9 +95,6 @@ def solve_isotropic(k0, grid=256, all_roots=False):
     grid : int
         Points of the logarithmic scan bracketing the sign changes of
         theta * det Z(theta) - 1.
-    all_roots : bool
-        Kept for symmetry with the CLI; all feasible roots are always
-        reported in the result.
     """
     if not isinstance(k0, KTensor):
         raise TypeError("crystallite must be a KTensor")
@@ -167,7 +157,7 @@ def solve_isotropic(k0, grid=256, all_roots=False):
         Z = zhat(th)
         Z = (Z + Z.conj().T) / 2.0
         Lh = Z - X.conj()
-        feasible = _herm_pd(Lh) and _herm_pd(Z)
+        feasible = pd2(Lh) and pd2(Z)
         flagged.append((float(th), feasible))
         if feasible and best is None:
             best = (float(th), Z, Lh)

@@ -22,13 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "I2", "I4", "RPERP", "T4", "Z0", "Z0H", "Z0SYM", "E11", "E22",
-    "KTensor", "phi", "psi", "cof2", "inv2", "det2", "spd_sqrt_2x2",
+    "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "E11", "E22",
+    "KTensor", "phi", "psi", "cof2", "inv2", "det2", "pd2", "spd_sqrt_2x2",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "block_parts", "block_from_parts", "check_block",
-    "is_positive_definite", "block_is_pd", "rotate", "rotate_block",
-    "jordan_star", "kt_to_json", "kt_from_json", "block_to_json",
-    "block_from_json",
+    "is_positive_definite", "block_is_pd", "resolvent", "mobius", "rotate",
+    "rotate_block", "jordan_star", "kt_to_json", "kt_from_json",
+    "block_to_json", "block_from_json",
 ]
 
 I2 = np.eye(2)
@@ -40,7 +40,6 @@ E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
 # square-free vector z0 = (1, -i) and its rank-one companions
 Z0_VEC = np.array([1.0, -1.0j])
 Z0 = np.outer(Z0_VEC, Z0_VEC.conj())      # Hermitian, Z0^2 = 2 Z0
-Z0H = Z0
 Z0SYM = np.outer(Z0_VEC, Z0_VEC)          # complex symmetric, Z0SYM^2 = 0
 
 DEFAULT_TOL = 1e-10
@@ -72,30 +71,29 @@ def inv2(m):
     d = det2(m)
     if d == 0:
         raise np.linalg.LinAlgError("singular 2x2 matrix")
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / d
+    return cof2(m).T / d
+
+
+def pd2(m, tol=0.0, scale=1.0):
+    """Positive definiteness of a symmetric or Hermitian 2x2 via leading minors.
+
+    The cutoffs respect the homogeneity of each minor: tol*scale for the
+    corner entry, tol*scale^2 for the determinant.  Both comparisons are
+    strict, so NaN entries fail the test.
+    """
+    return m[0, 0].real > tol * scale and det2(m).real > tol * scale ** 2
 
 
 def spd_sqrt_2x2(s):
     """Unique SPD square root of an SPD 2x2 matrix, closed form."""
-    d = det2(s)
-    t = s[0, 0] + s[1, 1]
-    if d <= 0 or t <= 0:
+    if not pd2(s):
         raise ValueError("matrix is not symmetric positive definite")
-    r = np.sqrt(d)
-    return (s + r * I2) / np.sqrt(t + 2.0 * r)
+    r = np.sqrt(det2(s))
+    return (s + r * I2) / np.sqrt(s[0, 0] + s[1, 1] + 2.0 * r)
 
 
 def _scale(*mats):
     return 1.0 + max(np.abs(m).max() if m.size else 0.0 for m in mats)
-
-
-def _herm_pd(h, tol=0.0, scale=1.0):
-    """Positive definiteness of a Hermitian 2x2 via leading minors.
-
-    The cutoffs respect the homogeneity of each minor: tol*scale for the
-    corner entry, tol*scale^2 for the determinant.
-    """
-    return h[0, 0].real > tol * scale and det2(h).real > tol * scale ** 2
 
 
 class KTensor:
@@ -128,11 +126,6 @@ class KTensor:
             )
         return cls((X + X.conj().T) / 2.0, (Y + Y.T) / 2.0)
 
-    def is_symmetric_operator(self, tol=DEFAULT_TOL):
-        s = _scale(self.X, self.Y)
-        return (np.abs(self.X - self.X.conj().T).max() <= tol * s
-                and np.abs(self.Y - self.Y.T).max() <= tol * s)
-
     # -- linear structure ------------------------------------------------
     def __add__(self, other):
         return KTensor(self.X + other.X, self.Y + other.Y)
@@ -162,27 +155,25 @@ KT_IDENT = KTensor(I2, np.zeros((2, 2)))
 KT_T = KTensor(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.zeros((2, 2)))  # equals T4
 
 
+# The block form as one linear map on the interleaved (re, im) coordinates
+# of (X, Y): entries 0 or +-1, two nonzeros per row and per column, columns
+# orthogonal with squared norm 2, so the inverse map is _TO_BLOCK.T / 2.
+_TO_BLOCK = np.stack([np.kron(E, f(z)).ravel() for f in (phi, psi)
+                      for E in np.eye(4).reshape(4, 2, 2) for z in (1.0, 1j)],
+                     axis=1)
+
+
 def kt_to_block(k):
     """4x4 real block form of an operator in (X, Y) coordinates."""
-    B = np.empty((4, 4))
-    X, Y = k.X, k.Y
-    for i in range(2):
-        for j in range(2):
-            B[2 * i:2 * i + 2, 2 * j:2 * j + 2] = phi(X[i, j]) + psi(Y[i, j])
-    return B
+    v = np.concatenate((k.X.ravel(), k.Y.ravel())).view(float)
+    return (_TO_BLOCK @ v).reshape(4, 4)
 
 
 def kt_from_block(B):
     """Inverse of :func:`kt_to_block`; exact for any real 4x4 matrix."""
-    B = np.asarray(B, dtype=float)
-    X = np.empty((2, 2), complex)
-    Y = np.empty((2, 2), complex)
-    for i in range(2):
-        for j in range(2):
-            blk = B[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-            X[i, j] = ((blk[0, 0] + blk[1, 1]) + 1j * (blk[1, 0] - blk[0, 1])) / 2.0
-            Y[i, j] = ((blk[0, 0] - blk[1, 1]) + 1j * (blk[0, 1] + blk[1, 0])) / 2.0
-    return KTensor(X, Y)
+    v = (_TO_BLOCK.T @ np.asarray(B, dtype=float).ravel()) / 2.0
+    z = v.view(complex)
+    return KTensor(z[:4], z[4:])
 
 
 T4 = kt_to_block(KT_T)        # Rperp (x) Rperp, satisfies T4 @ T4 = I4
@@ -241,6 +232,8 @@ def check_block(B, tol=DEFAULT_TOL):
     B = np.asarray(B, dtype=float)
     if B.shape != (4, 4):
         raise ValueError("block tensor must be 4x4")
+    if not np.isfinite(B).all():
+        raise ValueError("block tensor entries must be finite")
     d = np.abs(B - B.T).max()
     if d > tol * _scale(B):
         raise ValueError(f"block tensor asymmetry {d:.3e} exceeds tolerance")
@@ -284,35 +277,35 @@ def block_inverse(B):
     return np.linalg.inv(B)
 
 
-def block_inverse_alt(B):
-    """Second symmetric Schur form; agrees with :func:`block_inverse`."""
-    B = np.asarray(B, dtype=float)
-    F11, F12, F21, F22 = B[:2, :2], B[:2, 2:], B[2:, :2], B[2:, 2:]
-    F11i, F22i = inv2(F11), inv2(F22)
-    S11 = F11 - F12 @ F22i @ F21
-    S22 = F22 - F21 @ F11i @ F12
-    return np.block([[inv2(S11), -F11i @ F12 @ inv2(S22)],
-                     [-F22i @ F21 @ inv2(S11), inv2(S22)]])
-
-
 def is_positive_definite(k, tol=1e-12):
     """Positive definiteness test: X > 0 and X - Y conj(X)^-1 conj(Y) > 0.
 
     Returns False on (and slightly inside) the boundary; the cutoff is
     ``tol`` times the overall scale.
     """
-    if isinstance(k, np.ndarray):
-        k = kt_from_block(k)
     X, Y = k.X, k.Y
     s = _scale(X, Y)
-    if not _herm_pd(X, tol, s):
+    if not pd2(X, tol, s):
         return False
     SX = X - Y @ inv2(X.conj()) @ Y.conj()
-    return _herm_pd(SX, tol, s)
+    return pd2(SX, tol, s)
 
 
 def block_is_pd(B, tol=1e-12):
     return is_positive_definite(kt_from_block(B), tol=tol)
+
+
+def resolvent(D, M):
+    """[D^-1 + M]^-1 in the pole-free form D (I + M D)^-1, finite for singular D.
+
+    L0 + resolvent(W, -M) inverts W = resolvent(L - L0, M).
+    """
+    return D @ np.linalg.inv(np.eye(len(D)) + M @ D)
+
+
+def mobius(A, L):
+    """T (a1 L + b1 T)^-1 (a0 L + b0 T) for A = [[a0, b0], [a1, b1]], unsymmetrized."""
+    return T4 @ np.linalg.solve(A[1, 0] * L + A[1, 1] * T4, A[0, 0] * L + A[0, 1] * T4)
 
 
 def rotate(theta, k):

@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, T4, block_parts, cof2, det2, inv2,
-                      spd_sqrt_2x2)
+from .tensor4 import (I2, RPERP, T4, block_parts, cof2, det2, inv2, mobius,
+                      pd2, spd_sqrt_2x2)
 
 __all__ = [
     "IsoPhase", "IsoPhasePair", "Reduced", "CaseTag", "EffectiveResult",
     "reduce_pair", "classify", "a0_roots", "strong_ab", "effective",
-    "phase_tensor", "s_matrices", "formula_1aii", "BranchWarning",
+    "s_matrices", "formula_1aii", "BranchWarning",
 ]
 
 
@@ -47,15 +47,12 @@ class IsoPhase:
         s = np.asarray(self.sig, dtype=float).reshape(2, 2)
         s = (s + s.T) / 2.0
         object.__setattr__(self, "sig", s)
-        if s[0, 0] <= 0 or det2(s) <= self.r ** 2:
+        # X part of sig (x) I + r T; its determinant is det(sig) - r^2
+        if not pd2(s + 1j * self.r * RPERP):
             raise ValueError("phase violates r^2 < det(sig) with sig PD")
 
     def tensor(self):
         return np.kron(self.sig, I2) + self.r * T4
-
-
-def phase_tensor(phase):
-    return phase.tensor()
 
 
 @dataclass(frozen=True)
@@ -289,7 +286,8 @@ def effective(pair, tol=1e-10):
         S11 = micro.sigma_star(ell1)
         S22 = micro.sigma_star(ell2)
         L0s = np.block([[S11, np.zeros((2, 2))], [np.zeros((2, 2)), S22]])
-        back = _mobius(np.array([[-a0, 1.0], [1.0, -a0]]), L0s)
+        back = mobius(np.array([[-a0, 1.0], [1.0, -a0]]), L0s)
+        back = (back + back.T) / 2.0
         back = np.kron(red.frame, I2) @ back @ np.kron(red.frame.T, I2)
         L = np.kron(red.s1_half, I2) @ back @ np.kron(red.s1_half, I2) + r1 * T4
         meta.update(a0=a0, conductivities=(ell1, ell2),
@@ -406,9 +404,3 @@ def formula_1aii(r1, s1, S1, S2, a0, sig_star):
             + np.kron(S2, ds * I2 - a0 ** 2 * sig_star)
             + a0 * sd1 * T4 @ np.kron(inv2(s1) @ (S1 - S2),
                                       sig_star - xs * I2))
-
-
-def _mobius(A, L):
-    pencil = A[1, 0] * L + A[1, 1] * T4
-    out = T4 @ np.linalg.solve(pencil, A[0, 0] * L + A[0, 1] * T4)
-    return (out + out.T) / 2.0

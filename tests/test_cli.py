@@ -65,6 +65,18 @@ def test_er_membership_semantics():
     assert obj["member"] is False and obj["residual"] > 0
 
 
+def _with_value(tmp_path, name, path, value):
+    """Copy of the data file ``name`` with the entry at ``path`` replaced."""
+    obj = json.loads((DATA / name).read_text())
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    out = tmp_path / name
+    out.write_text(json.dumps(obj))
+    return str(out)
+
+
 def test_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert cli.main(["er", "--er", "22", missing]) == cli.EXIT_INPUT
@@ -76,6 +88,22 @@ def test_exit_codes(tmp_path, capsys):
     assert cli.main(["laminate", str(DATA / "tree_bad.json")]) == cli.EXIT_INPUT
     assert cli.main(["two-phase", str(DATA / "pair_bad.json")]) == cli.EXIT_DOMAIN
     assert cli.main(["zt", str(DATA / "material_bad.json")]) == cli.EXIT_DOMAIN
+    # non-finite JSON numbers: NaN fails the strict positivity tests of the
+    # material and phase data; NaN or Infinity in a tensor is an input error
+    nan, inf = float("nan"), float("inf")
+    cases = [
+        (["zt"], "material_iso.json", ("sigma", 0, 0), nan, cli.EXIT_DOMAIN),
+        (["two-phase"], "pair_2c.json", ("phase1", "sigma", 0, 0), nan,
+         cli.EXIT_DOMAIN),
+        (["laminate"], "tree_leaf.json", ("leaf", "tensor", "L", 0, 0), nan,
+         cli.EXIT_INPUT),
+        (["er", "--er", "22"], "tensor_identity.json", ("L", 1, 1), inf,
+         cli.EXIT_INPUT),
+    ]
+    for argv, name, path, value, code in cases:
+        capsys.readouterr()
+        assert cli.main(argv + [_with_value(tmp_path, name, path, value)]) == code
+        assert capsys.readouterr().out == ""
     capsys.readouterr()
 
 
