@@ -147,6 +147,9 @@ def _micro_from_json(obj, f=None, normal=None):
         obj = dict(obj, f=f)
     if normal is not None:
         obj = dict(obj, normal=list(normal))
+    used = ("f", "normal", "f_inner", "n_inner", "f_outer", "n_outer")
+    if not all(np.isfinite(np.asarray(obj[k], float)).all() for k in used if k in obj):
+        raise SystemExit_(EXIT_INPUT, "microstructure entries must be finite")
     if kind == "rank1":
         return laminate.RankOneModel(obj.get("f", 0.5),
                                      obj.get("normal", [1.0, 0.0]))
@@ -221,7 +224,10 @@ def cmd_zt(args):
         raise SystemExit_(EXIT_DOMAIN if "positive" in str(exc) else EXIT_INPUT,
                           f"bad material file: {exc}")
     L = materials.canon_from_physical(m)
-    zt = materials.figure_of_merit(L)
+    try:
+        zt = materials.figure_of_merit(L)
+    except ValueError as exc:
+        raise SystemExit_(EXIT_DOMAIN, f"figure of merit failed: {exc}")
     _emit({"ZT": zt, "L": block_to_json(L)["L"]}, args.output)
     return EXIT_OK
 

@@ -236,10 +236,15 @@ def tree_to_json(node):
 def tree_from_json(obj):
     if "leaf" in obj:
         leaf = obj["leaf"]
-        return Leaf(block_from_json(leaf["tensor"]),
-                    float(leaf.get("rotation", 0.0)))
+        rotation = float(leaf.get("rotation", 0.0))
+        if not np.isfinite(rotation):
+            raise ValueError("leaf rotation must be finite")
+        return Leaf(block_from_json(leaf["tensor"]), rotation)
     if "mix" in obj:
         mix = obj["mix"]
+        n = tuple(float(v) for v in mix["n"])
+        if not np.isfinite(n).all():
+            raise ValueError("layer normal must be finite")
         return Mix(tree_from_json(mix["c1"]), tree_from_json(mix["c2"]),
-                   float(mix["f"]), tuple(float(v) for v in mix["n"]))
+                   float(mix["f"]), n)
     raise ValueError("laminate node must contain 'leaf' or 'mix'")

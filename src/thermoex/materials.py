@@ -48,8 +48,10 @@ class Material:
     def __post_init__(self):
         object.__setattr__(self, "sigma", _sym_pd(self.sigma, "sigma"))
         object.__setattr__(self, "kappa", _sym_pd(self.kappa, "kappa"))
-        object.__setattr__(self, "seebeck",
-                           np.asarray(self.seebeck, dtype=float).reshape(2, 2))
+        seebeck = np.asarray(self.seebeck, dtype=float).reshape(2, 2)
+        if not (np.isfinite(seebeck).all() and np.isfinite(self.T0)):
+            raise ValueError("seebeck and T0 must be finite")
+        object.__setattr__(self, "seebeck", seebeck)
         if self.T0 <= 0:
             raise ValueError("T0 must be positive")
 

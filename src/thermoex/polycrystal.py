@@ -12,6 +12,13 @@ pick positive roots of theta * det Z(theta) = 1 whose Lh is positive
 definite.  The smallest positive feasible root is returned as the
 default; all feasible roots are reported because the smallest-root rule
 is verified only at small coupling.
+
+The roots are enumerated, not scanned for: Cayley-Hamilton on the closed-form
+characteristic polynomial of B_Y gives Z(theta) = W(theta) / p(theta) with
+p = det(I + theta B_Y) quartic and W cubic, so theta det Z = 1 becomes
+F(theta) = theta det W - p^2 = 0 of degree <= 8, solved from the companion
+matrices of F and of its reversal and polished by Newton on the original
+residual.
 """
 
 from __future__ import annotations
@@ -36,6 +43,10 @@ HERM_BASIS = (
 )
 
 
+# adj(E) = cof(E)^T of each basis element, stacked for one batched product
+_ADJ_BASIS = np.array([cof2(E).T for E in HERM_BASIS])
+
+
 def hvec(H):
     """Coordinates of a Hermitian 2x2 in HERM_BASIS."""
     return np.array([H[0, 0].real, H[1, 1].real, H[0, 1].real, H[0, 1].imag])
@@ -48,8 +59,7 @@ def hunvec(v):
 def b_op(Y):
     """Matrix of Z -> Y cof(Z)^T Y^H on Hermitian 2x2, in HERM_BASIS."""
     Y = np.asarray(Y, dtype=complex)
-    cols = [hvec(Y @ cof2(E).T @ Y.conj().T) for E in HERM_BASIS]
-    return np.stack(cols, axis=1)
+    return hvec(np.moveaxis(Y @ _ADJ_BASIS @ Y.conj().T, 0, -1))
 
 
 def b_charpoly(Y):
@@ -59,9 +69,9 @@ def b_charpoly(Y):
     with g the real pairing of Y with its cofactor matrix.
     """
     Y = np.asarray(Y, dtype=complex)
-    d = abs(det2(Y))
+    d2 = abs(det2(Y)) ** 2
     g = np.trace(Y @ cof2(Y).T.conj()).real     # Tr(Y cof(Y)^H)
-    return np.polymul([1.0, 0.0, -d ** 2], [1.0, g, d ** 2])
+    return np.array([1.0, g, 0.0, -g * d2, -d2 * d2])
 
 
 @dataclass(frozen=True)
@@ -85,82 +95,105 @@ class PolyResult:
         }
 
 
-def solve_isotropic(k0, grid=256):
+def _polish(th, Bm, rhs):
+    """Newton on g(theta) = theta det Z(theta) - 1 from each start in ``th``.
+
+    The derivative uses Z' = -(I + theta B)^-1 B z.  Iterates are kept while
+    |g| does not grow and stepped from while it shrinks, so one step at its
+    noise floor is still taken; no step leaves theta > 0.  Returns the kept
+    thetas, their hvec(Z) and |g| relative to the size of the terms that
+    cancel in it, 1 + theta (|Z11 Z22| + |Z12|^2) (inf where none was kept).
+    """
+    th = np.array(th, float)
+    res, zs = np.full(th.size, np.inf), np.zeros((th.size, 4))
+    act, t = np.arange(th.size), th.copy()
+    for _ in range(8):
+        M = np.eye(4) + t[:, None, None] * Bm
+        try:
+            z = np.linalg.solve(M, rhs[:, None])[..., 0]
+            dz = -np.linalg.solve(M, (z @ Bm.T)[..., None])[..., 0]
+        except np.linalg.LinAlgError:       # an iterate sits exactly on a pole
+            keep = np.linalg.slogdet(M)[0] != 0.0
+            act, t = act[keep], t[keep]
+            continue
+        det = det2(hunvec(z.T)).real
+        g = t * det - 1.0
+        ag = np.abs(g)
+        dg = det + t * (dz[:, 0] * z[:, 1] + z[:, 0] * dz[:, 1]
+                        - 2.0 * (z[:, 2] * dz[:, 2] + z[:, 3] * dz[:, 3]))
+        ok, shrinks = ag <= res[act], ag < res[act]
+        res[act[ok]], th[act[ok]], zs[act[ok]] = ag[ok], t[ok], z[ok]
+        t = t - g / np.where(dg == 0.0, np.nan, dg)
+        move = shrinks & (t > 0.0) & np.isfinite(t)
+        act, t = act[move], t[move]
+        if not act.size:
+            break
+    size = 1.0 + th * (np.abs(zs[:, 0] * zs[:, 1]) + zs[:, 2] ** 2 + zs[:, 3] ** 2)
+    return th, zs, res / size
+
+
+def solve_isotropic(k0):
     """Isotropy-forced effective tensor of the crystallite ``k0``.
 
     Parameters
     ----------
     k0 : KTensor
         Positive definite crystallite tensor K(X, Y).
-    grid : int
-        Points of the logarithmic scan bracketing the sign changes of
-        theta * det Z(theta) - 1.
     """
     if not isinstance(k0, KTensor):
         raise TypeError("crystallite must be a KTensor")
     if not is_positive_definite(k0):
         raise ValueError("crystallite tensor must be positive definite")
-    X, Y = k0.X, k0.Y
+    X = k0.X
+    # theta scales as 1/s^2 and Z as s under (X, Y) -> s (X, Y); solving for
+    # (X, Y) / s keeps the coefficients of F in floating-point range, and a
+    # power of two s scales exactly
+    s = 2.0 ** np.round(np.log2(np.abs(X).max()))
+    Y = k0.Y / s
     Bm = b_op(Y)
-    rhs = hvec(X + X.conj())
+    rhs = hvec(X + X.conj()) / s
 
-    def zhat(th):
-        return hunvec(np.linalg.solve(np.eye(4) + th * Bm, rhs))
-
-    def g(th):
-        return th * det2(zhat(th)).real - 1.0
-
-    d_rhs = det2(X + X.conj()).real
-    ref = 1.0 / d_rhs if d_rhs > 0 else 1.0
-    ths = ref * np.logspace(-8.0, 8.0, grid)
-    # poles of the resolvent sit at -1/lambda for negative eigenvalues of
-    # the cofactor operator; refine the scan there and never bisect across
-    poles = []
-    for lam in np.linalg.eigvals(Bm):
-        if abs(lam.imag) < 1e-9 * (1.0 + abs(lam)) and lam.real < -1e-300:
-            poles.append(-1.0 / lam.real)
-    for p in poles:
-        ths = np.concatenate([ths, p * np.linspace(0.5, 1.5, 64) + 1e-30])
-    ths = np.sort(ths)
-
-    def crosses_pole(a, b):
-        return any(a < p < b for p in poles)
-
-    roots = []
-    prev_t = prev_v = None
-    for th in ths:
-        try:
-            val = g(th)
-        except np.linalg.LinAlgError:
-            prev_t = prev_v = None
-            continue
-        if not np.isfinite(val):
-            prev_t = prev_v = None
-            continue
-        if prev_v is not None and prev_v * val < 0 and not crosses_pole(prev_t, th):
-            a, b = prev_t, th
-            fa = g(a)
-            for _ in range(200):
-                m = 0.5 * (a + b)
-                fm = g(m)
-                if fa * fm <= 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-        prev_t, prev_v = th, val
-    roots = sorted(set(roots))
-
+    # p = det(I + theta B) = 1 - c1 theta + c2 theta^2 - c3 theta^3 + c4 theta^4,
+    # adj(I + theta B) rhs = sum_k (-theta)^k v_k with v_k = B v_k-1 + c_k rhs
+    _, c1, c2, c3, c4 = b_charpoly(Y)
+    v = [rhs]
+    for c in (c1, c2, c3):
+        v.append(Bm @ v[-1] + c * rhs)
+    w = np.stack([-v[3], v[2], -v[1], v[0]], axis=1)     # descending powers
+    p = np.array([c4, -c3, c2, -c1, 1.0])
+    q = np.convolve(w[0], w[1]) - np.convolve(w[2], w[2]) - np.convolve(w[3], w[3])
+    F = np.concatenate(([0.0], q, [0.0])) - np.convolve(p, p)
+    # leading coefficients below 1e-300 of the largest only add roots far
+    # beyond any pole, and would overflow the companion matrix
+    F = F[np.argmax(np.abs(F) > 1e-300 * np.abs(F).max()):]
+    # roots from the companion matrices of F and of its reversal: noise or
+    # tiny values in the leading coefficients of F (det Y ~ 0, weak coupling)
+    # spoil its small roots, which the reversal (leading coefficient F(0) =
+    # -1) resolves, while F resolves its large ones
+    n = len(F) - 1
+    C = np.zeros((2, n, n))
+    C[:, 1:, :-1] = np.eye(n - 1)
+    C[0, 0], C[1, 0] = -F[1:] / F[0], -F[-2::-1] / F[-1]
+    ev = np.linalg.eigvals(C)
+    r = np.concatenate((ev[0], 1.0 / ev[1][ev[1] != 0]))
+    # close or double roots can stray ~sqrt(eps) off the real axis; a root
+    # both polynomials give alike is polished once
+    start = np.sort(r.real[(r.real > 0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))])
+    start = start[np.diff(start, prepend=-np.inf) > 1e-9 * start]
+    ths, zs, res = _polish(start, Bm, rhs)
+    ths, zs = ths / s ** 2, zs * s
     flagged = []
     best = None
-    for th in roots:
-        Z = zhat(th)
-        Z = (Z + Z.conj().T) / 2.0
+    for i in np.argsort(ths):
+        th = float(ths[i])
+        if res[i] > 1e-8 or (flagged and th - flagged[-1][0] <= 1e-9 * th):
+            continue
+        Z = hunvec(zs[i])
         Lh = Z - X.conj()
         feasible = pd2(Lh) and pd2(Z)
-        flagged.append((float(th), feasible))
+        flagged.append((th, feasible))
         if feasible and best is None:
-            best = (float(th), Z, Lh)
+            best = (th, Z, Lh)
     if best is None:
         raise ArithmeticError(
             "no feasible root found for a PD crystallite; this contradicts "

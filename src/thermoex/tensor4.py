@@ -194,22 +194,23 @@ def kt_inverse(a, check=True):
     """Inverse via the 2x2 Schur complements of X and of Y.
 
     Uses S_X = X - Y conj(X)^-1 conj(Y); falls back to the Y-sided
-    complement when X is singular.  With ``check`` the residual of
-    a @ a^-1 - I is bounded against a conditioning-scaled tolerance.
+    complement when |det Y| > |det X|, and to the dense inverse of the
+    block form when both X and Y are singular (the operator can still be
+    regular).  With ``check`` the residual of a @ a^-1 - I is bounded
+    against a conditioning-scaled tolerance.
     """
     X, Y = a.X, a.Y
-    dX = det2(X)
-    dY = det2(Y)
-    if abs(dX) >= abs(dY):
-        if dX == 0:
-            raise np.linalg.LinAlgError("singular operator")
-        Xci = inv2(X.conj())
-        SX = X - Y @ Xci @ Y.conj()
-        inv = KTensor(inv2(SX), -inv2(SX) @ Y @ Xci)
-    else:
-        Yi = inv2(Y)
-        SY = Y.conj() - X.conj() @ Yi @ X
-        inv = KTensor(-inv2(SY) @ X.conj() @ Yi, inv2(SY))
+    try:
+        if abs(det2(X)) >= abs(det2(Y)):
+            Xci = inv2(X.conj())
+            SX = X - Y @ Xci @ Y.conj()
+            inv = KTensor(inv2(SX), -inv2(SX) @ Y @ Xci)
+        else:
+            Yi = inv2(Y)
+            SY = Y.conj() - X.conj() @ Yi @ X
+            inv = KTensor(-inv2(SY) @ X.conj() @ Yi, inv2(SY))
+    except np.linalg.LinAlgError:
+        inv = kt_from_block(np.linalg.inv(kt_to_block(a)))
     if check:
         r = kt_mul(a, inv) - KT_IDENT
         if max(np.abs(r.X).max(), np.abs(r.Y).max()) > 1e-8 * _scale(X, Y):

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,12 @@ class IsoPhasePair:
         if not 0.0 <= self.f <= 1.0:
             raise ValueError("volume fraction must lie in [0, 1]")
 
+    @cached_property
+    def _reduced(self):
+        """:func:`reduce_pair` of this pair, computed once and shared by
+        :func:`classify`, :func:`effective` and :func:`s_matrices`."""
+        return reduce_pair(self)
+
 
 @dataclass(frozen=True)
 class Reduced:
@@ -99,7 +106,7 @@ def reduce_pair(pair):
 def s_matrices(pair):
     """Spectral split of the pair: S1 + S2 = sig1, with the property
     sig2 = lam1 S1 + lam2 S2; undefined for proportional pairs."""
-    red = reduce_pair(pair)
+    red = pair._reduced
     s1, s2 = pair.phase1.sig, pair.phase2.sig
     if abs(red.lam1 - red.lam2) < 1e-12 * (1.0 + red.lam1):
         raise ValueError("S matrices are undefined for proportional pairs")
@@ -144,7 +151,7 @@ def classify(pair, tol=1e-10):
     """Resolve the case tree; boundary equalities use a relative band."""
     s1, s2 = pair.phase1.sig, pair.phase2.sig
     r1, r2 = pair.phase1.r, pair.phase2.r
-    red = reduce_pair(pair)
+    red = pair._reduced
     scale = _boundary_scale(pair)
     d1, d2 = det2(s1), det2(s2)
     dr = abs(r1 - r2)
@@ -238,7 +245,7 @@ def effective(pair, tol=1e-10):
     determinant constraints that any effective tensor must satisfy.
     """
     tag = classify(pair, tol)
-    red = reduce_pair(pair)
+    red = pair._reduced
     s1, s2 = pair.phase1.sig, pair.phase2.sig
     r1, r2 = pair.phase1.r, pair.phase2.r
     f = pair.f

@@ -3,12 +3,16 @@ span tracer of ``bench/tracing.py`` wraps by name.
 
 A deletion that breaks the tracer would otherwise only show as a crash of
 the benchmark, so its table is read here with ``ast`` (importing it would
-import the bench workloads too).
+import the bench workloads too).  A last guard keeps ``numpy.polynomial``
+off the CLI import path.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,20 @@ def test_traced_functions_exist():
     from thermoex import algebra, polycrystal, tensor4
     assert polycrystal.det2 is tensor4.det2
     assert callable(algebra.AlgebraSpec.residual)
+
+
+def test_cli_path_does_not_load_numpy_polynomial():
+    """The polycrystal solver builds its polynomial with np.convolve and
+    np.roots; ``numpy.polynomial`` would add import time to every CLI call."""
+    code = ("import sys, numpy as np\n"
+            "import thermoex.cli\n"
+            "from thermoex.polycrystal import solve_isotropic\n"
+            "from thermoex.tensor4 import KTensor\n"
+            "solve_isotropic(KTensor(2 * np.eye(2), np.eye(2)))\n"
+            "print('numpy.polynomial' in sys.modules)\n")
+    src = str(Path(thermoex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

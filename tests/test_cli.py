@@ -99,6 +99,14 @@ def test_exit_codes(tmp_path, capsys):
          cli.EXIT_INPUT),
         (["er", "--er", "22"], "tensor_identity.json", ("L", 1, 1), inf,
          cli.EXIT_INPUT),
+        # entries without a positivity requirement: non-finite is an input error
+        (["zt"], "material_iso.json", ("seebeck", 0, 0), nan, cli.EXIT_INPUT),
+        (["zt"], "material_iso.json", ("T0",), nan, cli.EXIT_INPUT),
+        (["laminate"], "tree_leaf.json", ("leaf", "rotation"), nan,
+         cli.EXIT_INPUT),
+        (["laminate"], "tree_rank1.json", ("mix", "n", 0), nan, cli.EXIT_INPUT),
+        (["two-phase"], "pair_2a.json", ("micro", "normal", 0), nan,
+         cli.EXIT_INPUT),
     ]
     for argv, name, path, value, code in cases:
         capsys.readouterr()

@@ -1,3 +1,7 @@
+import json
+from decimal import Decimal, localcontext
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,8 +10,10 @@ from thermoex import exactrel as er
 from thermoex import linkgroup as lg
 from thermoex import polycrystal as pc
 from thermoex.tensor4 import (I2, RPERP, KTensor, det2, kt_to_block, rotate,
-                              is_positive_definite)
+                              is_positive_definite, spd_sqrt_2x2)
 from conftest import rand_herm, rand_sym_c
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def rand_pd_crystallite(rng, coupling=0.7):
@@ -96,6 +102,95 @@ def test_equal_singular_values_closed_form():
     feas = [fz for _, fz in res.roots]
     assert feas == [True, False]
     assert not res.smallest_root_conjectural
+
+
+def test_close_root_pair_found():
+    """A close pair near theta = 2.36 that a sign-change scan steps over."""
+    rng = np.random.default_rng(7)
+    k = [rand_pd_crystallite(rng) for _ in range(19)][18]
+    res = pc.solve_isotropic(k)
+    thetas = [t for t, _ in res.roots]
+    assert np.allclose(thetas, [0.027794, 2.349074, 2.372572, 200.522088],
+                       rtol=0, atol=1e-6)
+    assert [bool(fz) for _, fz in res.roots] == [True, False, False, False]
+    for t in thetas:
+        Z = pc.hunvec(np.linalg.solve(np.eye(4) + t * pc.b_op(k.Y),
+                                      pc.hvec(k.X + k.X.conj())))
+        assert abs(t * det2(Z).real - 1.0) < 1e-10
+
+
+def test_roots_match_special_quartic(rng):
+    """Real Y: t = theta |det Y| runs over the real roots of the quartic in
+    s1, s2, the eigenvalues of Re(X)^1/2 Y^-1 Re(X)^1/2.  At weak coupling
+    the roots spread over ~1e-10..1e10; the quartic's own np.roots then
+    keeps only about 7 digits."""
+    for coupling, rtol, count in ((1.0, 1e-9, 50), (1e-4, 1e-6, 25)):
+        checked = 0
+        while checked < count:
+            A = rng.standard_normal((2, 2))
+            ReX = A @ A.T + rng.uniform(0.5, 3.0) * I2
+            X = ReX + 1j * rng.uniform(-0.5, 0.5) * np.array([[0.0, 1.0], [-1.0, 0.0]])
+            Y = rng.standard_normal((2, 2))
+            Y = coupling * (Y + Y.T) / 2.0
+            if not is_positive_definite(KTensor(X, Y)):
+                continue
+            h = spd_sqrt_2x2(ReX)
+            q = pc.special_quartic(*np.linalg.eigvalsh(h @ np.linalg.inv(Y) @ h))
+            res = pc.solve_isotropic(KTensor(X, Y))
+            t = sorted(th * abs(det2(Y)) for th, _ in res.roots)
+            assert len(t) == len(q.roots) == 4
+            assert np.allclose(t, q.roots, rtol=rtol, atol=0)
+            checked += 1
+
+
+def test_rank_one_coupling():
+    """det Y = 0 up to rounding: the leading coefficients of the polynomial
+    are noise (roots from an 80-digit evaluation of the same problem)."""
+    u = np.array([0.3 + 0.2j, -0.5 + 0.1j])
+    X = np.array([[3.0, 0.2 + 0.1j], [0.2 - 0.1j, 2.5]])
+    res = pc.solve_isotropic(KTensor(X, 2.0 * np.outer(u, u)))
+    assert np.allclose([t for t, _ in res.roots], [0.0343512491087728, 2.180658465005038],
+                       rtol=1e-12, atol=0)
+
+
+def test_weak_coupling(rng):
+    """|Y| ~ 1e-9 |X|: the feasible root is the uncoupled 1 / det(X + conj X)
+    to O(|Y|^2), although the other roots sit ~1e17 times further out."""
+    for _ in range(100):
+        k = KTensor(rand_herm(rng) + 3 * I2, 1e-9 * rand_sym_c(rng))
+        if not is_positive_definite(k):
+            continue
+        theta0 = 1.0 / det2(k.X + k.X.conj()).real
+        assert abs(pc.solve_isotropic(k).theta - theta0) <= 1e-12 * theta0
+
+
+def test_iterates_on_a_pole_are_dropped():
+    """Newton iterates where I + theta B is exactly singular."""
+    # Y = I: the pole theta = 1 is exactly representable
+    th, _, res = pc._polish([1.0, 0.07], pc.b_op(I2), pc.hvec(4.0 * I2))
+    assert res[0] == np.inf
+    assert abs(th[1] - (7 - 4 * np.sqrt(3))) < 1e-15 and res[1] < 1e-15
+    # Y = diag(-3, 3): pole at 1/9 with 9 * fl(1/9) == 1; the roots are
+    # t = theta |det Y| = 1/9 and 9 of the quartic with s1 = s2 = 5/3
+    res = pc.solve_isotropic(KTensor(5 * I2, np.diag([-3.0, 3.0])))
+    assert np.allclose([t for t, _ in res.roots], [1 / 81, 1.0], rtol=1e-14, atol=0)
+
+
+def test_golden_thetas_within_one_ulp():
+    """The polycrystal goldens print the exact closed-form roots to 1 ulp."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        s3, s15 = Decimal(3).sqrt(), Decimal(15).sqrt()
+        exact = {
+            "poly_iso.json": [Decimal(1) / 24],                 # 1 / det(2X)
+            "poly_s2.json": [7 - 4 * s3, 7 + 4 * s3],
+            "poly_conduction.json": [(4 - s15) / 2],
+        }
+        for name, roots in exact.items():
+            obj = json.loads((GOLDEN / name).read_text())
+            got = [obj["theta"]] + [r["theta"] for r in obj["roots"]]
+            for g, want in zip(got, roots[:1] + roots):
+                assert abs(Decimal(g) - want) <= Decimal(float(np.spacing(g))), name
 
 
 def test_special_quartic():

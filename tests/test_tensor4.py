@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, KTensor, phi, psi,
-                              cof2, det2, inv2, spd_sqrt_2x2, kt_to_block,
+from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, E11, E22, KTensor,
+                              phi, psi, cof2, det2, inv2, spd_sqrt_2x2, kt_to_block,
                               kt_from_block, kt_mul, kt_transpose, kt_inverse,
                               block_inverse,
                               is_positive_definite, rotate, rotate_block,
@@ -111,6 +111,17 @@ def test_inverse_oracle_and_forms(rng):
 def test_inverse_singular():
     with pytest.raises(np.linalg.LinAlgError):
         kt_inverse(KTensor(np.zeros((2, 2)), np.zeros((2, 2))))
+    # X and Y singular, operator u -> 2 Re(u1) e1 singular too
+    with pytest.raises(np.linalg.LinAlgError):
+        kt_inverse(KTensor(E11, E11))
+
+
+def test_inverse_regular_with_singular_parts():
+    """X and Y both singular, yet the block form is orthogonal."""
+    k = KTensor(E11, E22)
+    B = kt_to_block(k)
+    assert np.linalg.cond(B) < 1.0 + 1e-12
+    assert np.abs(kt_to_block(kt_inverse(k)) - np.linalg.inv(B)).max() < 1e-14
 
 
 def test_block_inverse(rng):

@@ -98,6 +98,21 @@ def test_classify_pinned():
         assert tp.classify(pair_for(tag)).tag == tag
 
 
+def test_reduce_pair_once_per_solve(monkeypatch):
+    calls = []
+
+    def counted(pair):
+        calls.append(pair)
+        return reduce_pair(pair)
+
+    reduce_pair = tp.reduce_pair
+    monkeypatch.setattr(tp, "reduce_pair", counted)
+    for tag in ALL_TAGS:
+        calls.clear()
+        assert tp.effective(pair_for(tag)).case.tag == tag
+        assert len(calls) == 1, tag
+
+
 def test_a0_roots():
     r = tp.a0_roots(4.0, 1.0)
     assert abs(r[0] - 1.0) < 1e-12 and abs(r[1] - 1.0) < 1e-12
