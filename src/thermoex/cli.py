@@ -131,12 +131,22 @@ def cmd_laminate(args):
         tree = laminate.tree_from_json(data)
     except (KeyError, ValueError, TypeError) as exc:
         raise SystemExit_(EXIT_INPUT, f"bad laminate file: {exc}")
+    if not all(block_is_pd(leaf.tensor) for leaf in _leaves(tree)):
+        raise SystemExit_(EXIT_DOMAIN, "laminate leaf is not positive definite")
     try:
         L = laminate.laminate_tree(tree)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SystemExit_(EXIT_DOMAIN, f"lamination failed: {exc}")
     _emit(block_to_json(L), args.output)
     return EXIT_OK
+
+
+def _leaves(node):
+    if isinstance(node, laminate.Mix):
+        yield from _leaves(node.child1)
+        yield from _leaves(node.child2)
+    else:
+        yield node
 
 
 def _micro_from_json(obj, f=None, normal=None):
@@ -169,9 +179,13 @@ def cmd_two_phase(args):
     except (KeyError, ValueError) as exc:
         raise SystemExit_(EXIT_DOMAIN if "violates" in str(exc) else EXIT_INPUT,
                           f"bad phase data: {exc}")
-    f = args.f if args.f is not None else float(data.get("f", 0.5))
-    micro = _micro_from_json(data.get("micro"), f=f, normal=args.normal)
-    pair = twophase.IsoPhasePair(p1, p2, f, micro)
+    try:
+        f = args.f if args.f is not None else float(data.get("f", 0.5))
+        micro = _micro_from_json(data.get("micro"), f=f, normal=args.normal)
+        pair = twophase.IsoPhasePair(p1, p2, f, micro)
+    except (TypeError, ValueError) as exc:
+        raise SystemExit_(EXIT_INPUT,
+                          f"bad volume fraction or microstructure: {exc}")
     res = twophase.effective(pair, tol=args.tol)
     out = {"case": res.case.tag, "kind": res.kind,
            "scalars": {k: v for k, v in res.case.scalars.items()

@@ -23,7 +23,7 @@ from .tensor4 import (I2, I4, RPERP, T4, KTensor, block_is_pd, block_parts,
                       resolvent, spd_sqrt_2x2)
 
 __all__ = [
-    "ER_IDS", "ERSpec", "er_spec", "gamma0", "w_transform",
+    "ER_IDS", "ERSpec", "er_spec", "unit_normal", "gamma0", "w_transform",
     "w_inverse", "pullback", "er_member", "er_sample", "lm_par", "lm_unpar",
     "covariance", "MembershipResult", "PSI1", "JRP",
 ]
@@ -54,13 +54,18 @@ def er_spec(ident):
     return ERSpec(ident, algebra.algebra_by_id(ident), _relation(ident)[0])
 
 
-def gamma0(n, iso=None):
-    """Reference operator Lambda^-1 (x) (n (x) n) for layer normal n."""
+def unit_normal(n):
+    """Layer normal ``n`` scaled to unit length; a zero normal is rejected."""
     n = np.asarray(n, dtype=float)
     norm = np.linalg.norm(n)
     if norm == 0:
         raise ValueError("layer normal must be nonzero")
-    n = n / norm
+    return n / norm
+
+
+def gamma0(n, iso=None):
+    """Reference operator Lambda^-1 (x) (n (x) n) for layer normal n."""
+    n = unit_normal(n)
     lam = I2 if iso is None else np.asarray(iso.lam if hasattr(iso, "lam") else iso, float)
     return np.kron(inv2(lam), np.outer(n, n))
 
@@ -69,22 +74,20 @@ def _key_block(key):
     return kt_to_block(KTensor(np.asarray(key, float), np.zeros((2, 2))))
 
 
-def w_transform(L, key, L0=None):
-    """Fractional-linear transform [(L - L0)^-1 + K(key,0)]^-1 as operator.
+def w_transform(L, key):
+    """Fractional-linear transform [(L - I)^-1 + K(key,0)]^-1 as operator.
 
     Evaluated in the pole-free product form D (I + M D)^-1, which is well
-    defined even when L - L0 is singular.
+    defined even when L - I is singular.
     """
     L = np.asarray(L, dtype=float)
-    L0 = I4 if L0 is None else np.asarray(L0, dtype=float)
-    return kt_from_block(resolvent(L - L0, _key_block(key)))
+    return kt_from_block(resolvent(L - I4, _key_block(key)))
 
 
-def w_inverse(k, key, L0=None):
-    """Inverse of :func:`w_transform`: L = L0 + W (I - M W)^-1."""
-    L0 = I4 if L0 is None else np.asarray(L0, dtype=float)
+def w_inverse(k, key):
+    """Inverse of :func:`w_transform`: L = I + W (I - M W)^-1."""
     W = kt_to_block(k) if isinstance(k, KTensor) else np.asarray(k, float)
-    return L0 + resolvent(W, -_key_block(key))
+    return I4 + resolvent(W, -_key_block(key))
 
 
 def pullback(ident, L):

@@ -2,17 +2,18 @@
 
 For a simple laminate with layer normal n the transform
 
-    W_n(L) = [(L - L0)^-1 + Gamma0(n)]^-1
+    W_n(L) = [(L - I)^-1 + Gamma0(n)]^-1
 
 is additive in the volume fractions: W_n(L*) = <W_n(L)>.  That single
 fact evaluates every layered microstructure exactly and serves as the
 independent oracle for all exact-relation and link claims.  The result
-does not depend on the positive definite isotropic reference L0; the
-default is the identity, and bracket poles are escaped by an epsilon
-shift of the reference with one Richardson step.
+is the same for every isotropic reference, so the transform is anchored
+at the identity, like the exact relations.
 
 The transforms are evaluated in the product form D (I + Gamma D)^-1,
-which stays finite when L - L0 is singular.
+which stays finite when L - I is singular.  For positive definite
+phases neither inverse taken is singular: their n-n blocks are L_nn and
+<L_nn^-1>.  Non-positive-definite phases may raise LinAlgError.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import (I2, I4, T4, block_from_json, block_to_json,
-                      kt_from_block, resolvent, rotate_block)
-from .exactrel import gamma0
+from .tensor4 import I2, block_from_json, block_to_json, resolvent, rotate_block
+from .exactrel import gamma0, unit_normal
 
 __all__ = [
     "Leaf", "Mix", "laminate2", "laminate_tree", "conduct2",
@@ -50,50 +50,27 @@ class Mix:
             raise ValueError("volume fraction must lie in [0, 1]")
 
 
-def _iso_parts(L0):
-    """Split an isotropic reference into (lam, nu); reject anisotropic."""
-    L0 = np.asarray(L0, dtype=float)
-    lam = kt_from_block(L0).X.real
-    nu = float((L0 * T4).sum()) / 4.0
-    rebuilt = np.kron(lam, np.eye(2)) + nu * T4
-    if np.abs(rebuilt - L0).max() > 1e-10 * (1.0 + np.abs(L0).max()):
-        raise ValueError("laminate reference must be isotropic")
-    return (lam + lam.T) / 2.0, nu
+def _mix(A, B, f, G):
+    """Mix fraction ``f`` of A with B: the average W = <resolvent(L - I, G)>
+    mapped back by I + resolvent(W, -G), symmetrized."""
+    eye = np.eye(len(A))
+    W = f * resolvent(A - eye, G) + (1.0 - f) * resolvent(B - eye, G)
+    out = eye + resolvent(W, -G)
+    return (out + out.T) / 2.0
 
 
-def laminate2(L1, L2, f, n, L0=None):
+def laminate2(L1, L2, f, n):
     """Effective tensor of the rank-one laminate of two phases.
 
     ``f`` is the volume fraction of phase 1 and ``n`` the layer normal.
-    The isotropic reference L0 (identity by default) sets both the shift
-    and the projection operator of the transform; the result does not
-    depend on it.  A bracket pole at the chosen reference is treated as a
-    coordinate artifact: the reference is shifted by eps and 2*eps and
-    the two results are Richardson-combined.
     """
-    L1 = np.asarray(L1, dtype=float)
-    L2 = np.asarray(L2, dtype=float)
     if not 0.0 <= f <= 1.0:
         raise ValueError("volume fraction must lie in [0, 1]")
-    base = I4 if L0 is None else np.asarray(L0, dtype=float)
-
-    def attempt(ref):
-        lam, _ = _iso_parts(ref)
-        G = gamma0(n, lam)
-        W = f * resolvent(L1 - ref, G) + (1.0 - f) * resolvent(L2 - ref, G)
-        out = ref + resolvent(W, -G)
-        return (out + out.T) / 2.0
-
-    try:
-        return attempt(base)
-    except np.linalg.LinAlgError:
-        eps = 1e-6 * (1.0 + max(np.abs(L1).max(), np.abs(L2).max()))
-        r1 = attempt(base - eps * I4)
-        r2 = attempt(base - 2.0 * eps * I4)
-        return 2.0 * r1 - r2
+    return _mix(np.asarray(L1, dtype=float), np.asarray(L2, dtype=float), f,
+                gamma0(n))
 
 
-def laminate_tree(node, L0=None):
+def laminate_tree(node):
     """Bottom-up evaluation of a laminate hierarchy."""
     if isinstance(node, Leaf):
         L = np.asarray(node.tensor, dtype=float)
@@ -101,33 +78,21 @@ def laminate_tree(node, L0=None):
             L = rotate_block(node.rotation, L)
         return L
     if isinstance(node, Mix):
-        a = laminate_tree(node.child1, L0)
-        b = laminate_tree(node.child2, L0)
-        return laminate2(a, b, node.f, node.n, L0)
+        return laminate2(laminate_tree(node.child1), laminate_tree(node.child2),
+                         node.f, node.n)
     raise TypeError(f"not a laminate node: {node!r}")
 
 
-def conduct2(s1, s2, f, n, ref=1.0):
+def conduct2(s1, s2, f, n):
     """Rank-one laminate of two 2x2 conductivities (same W-additivity)."""
-    s1 = np.asarray(s1, dtype=float)
-    s2 = np.asarray(s2, dtype=float)
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    G = np.outer(n, n) / ref
-    s0 = ref * I2
-
-    try:
-        W = f * resolvent(s1 - s0, G) + (1.0 - f) * resolvent(s2 - s0, G)
-        out = s0 + resolvent(W, -G)
-    except np.linalg.LinAlgError:
-        return conduct2(s1, s2, f, n, ref=ref * (1.0 + 1e-6) + 1e-6)
-    return (out + out.T) / 2.0
+    n = unit_normal(n)
+    return _mix(np.asarray(s1, dtype=float), np.asarray(s2, dtype=float), f,
+                np.outer(n, n))
 
 
 def sigma_star_rank1(h, f, n):
     """Closed-form conductivity of the rank-one mix of 1 and h."""
-    n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
+    n = unit_normal(n)
     m = np.array([-n[1], n[0]])
     if h <= 0:
         raise ValueError("phase contrast must be positive")
@@ -141,8 +106,7 @@ class RankOneModel:
 
     def __init__(self, f, n=(1.0, 0.0)):
         self.f = float(f)
-        n = np.asarray(n, dtype=float)
-        self.n = n / np.linalg.norm(n)
+        self.n = unit_normal(n)
 
     @property
     def phase1_fraction(self):
@@ -170,8 +134,7 @@ class IteratedRank2Model:
     def __init__(self, f_inner, n_inner, f_outer, n_outer):
         self.inner = RankOneModel(f_inner, n_inner)
         self.f_outer = float(f_outer)
-        n = np.asarray(n_outer, dtype=float)
-        self.n_outer = n / np.linalg.norm(n)
+        self.n_outer = unit_normal(n_outer)
 
     @property
     def phase1_fraction(self):

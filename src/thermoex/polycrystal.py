@@ -264,9 +264,16 @@ def special_quartic(s1, s2):
         raise ValueError("positive definiteness requires |s_j| > 1")
     coeffs = (-0.25, s1 * s2, 2.0 * s1 * s2 - (s1 + s2) ** 2 + 0.5,
               s1 * s2, -0.25)
-    roots = np.roots(coeffs)
-    # double real roots stray ~sqrt(eps) off the axis; keep them real
-    real = sorted(r.real for r in roots if abs(r.imag) < 1e-6 * (1 + abs(r)))
+    # palindromic: u = t + 1/t solves u^2 - 4 s1 s2 u - 4 (c2 + 1/2) = 0 with
+    # -(c2 + 1/2) = s1^2 + s2^2 - 1; both roots 2 (s1 s2 +- sqrt((s1^2 - 1)
+    # (s2^2 - 1))) are >= 2, the smaller one taken from their product
+    u_big = 2.0 * (s1 * s2 + ((s1 * s1 - 1.0) * (s2 * s2 - 1.0)) ** 0.5)
+    real = []
+    for u in (u_big, 4.0 * (s1 * s1 + s2 * s2 - 1.0) / u_big):
+        # t^2 - u t + 1 = 0; u^2 - 4 below 0 is rounding at a double root t = 1
+        big = (u + max(u * u - 4.0, 0.0) ** 0.5) / 2.0
+        real += [big, 1.0 / big]
+    real.sort()
     band = 1e-7
     in01 = sum(1 for r in real if band < r < 1.0 - band)
     above = sum(1 for r in real if r > 1.0 + band)

@@ -8,9 +8,10 @@ symmetric, and every such operator also has a real 4x4 block form
     [[phi(X11) + psi(Y11), phi(X12) + psi(Y12)],
      [phi(X21) + psi(Y21), phi(X22) + psi(Y22)]]
 
-with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  All
-kernels here are closed form on 2x2 blocks; dense numpy routines appear
-only in tests as independent oracles.
+with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  The 2x2
+kernels here are closed form; the 4x4 resolvent and Mobius maps and the
+singular-block fallbacks of kt_inverse and block_inverse call dense
+numpy.linalg routines.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.

@@ -107,6 +107,13 @@ def test_exit_codes(tmp_path, capsys):
         (["laminate"], "tree_rank1.json", ("mix", "n", 0), nan, cli.EXIT_INPUT),
         (["two-phase"], "pair_2a.json", ("micro", "normal", 0), nan,
          cli.EXIT_INPUT),
+        # finite but outside the domain of a laminate leaf or a microstructure
+        (["laminate"], "tree_leaf.json", ("leaf", "tensor", "L", 0, 0), -2.0,
+         cli.EXIT_DOMAIN),
+        (["two-phase"], "pair_2a.json", ("f",), 1.5, cli.EXIT_INPUT),
+        (["two-phase"], "pair_2a.json", ("f",), "abc", cli.EXIT_INPUT),
+        (["two-phase"], "pair_2a.json", ("micro", "normal"), [0.0, 0.0],
+         cli.EXIT_INPUT),
     ]
     for argv, name, path, value, code in cases:
         capsys.readouterr()

@@ -37,21 +37,31 @@ def test_analytic_1d_solution(rng):
 
 
 def test_reference_independence(rng):
+    """Reference 2I instead of I is the same claim as homogeneity of degree
+    one: laminating L/2 at I and scaling by 2 is laminating L at 2I."""
     L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
     f, n = 0.3, (0.6, 0.8)
     a = laminate2(L1, L2, f, n)
-    b = laminate2(L1, L2, f, n, L0=2 * I4)
+    b = 2 * laminate2(L1 / 2, L2 / 2, f, n)
     assert np.abs(a - b).max() < 1e-10 * (1 + np.abs(a).max())
 
 
-def test_pole_shift(rng):
-    """A phase equal to the shifted reference hits the transform pole; the
-    epsilon-shift with one Richardson step recovers the answer."""
-    L1 = uncoupled(2 * I2)
-    L2 = uncoupled(5 * I2)
-    direct = laminate2(L1, L2, 0.3, [1.0, 0.0])
-    shifted = laminate2(L1, L2, 0.3, [1.0, 0.0], L0=2 * I4)
-    assert np.abs(direct - shifted).max() < 1e-7
+def test_phase_at_the_reference():
+    """A phase equal to the reference makes L - I singular; the product form
+    stays finite and matches the series/parallel closed form."""
+    for f in (0.0, 0.3, 1.0):
+        Ls = laminate2(uncoupled(I2), uncoupled(5 * I2), f, [1.0, 0.0])
+        sh = 1.0 / (f + (1 - f) / 5.0)
+        sa = f + (1 - f) * 5.0
+        assert np.abs(Ls - uncoupled(np.diag([sh, sa]))).max() < 1e-12 * (1 + sa)
+    assert np.abs(laminate2(I4, I4, 0.4, [0.6, 0.8]) - I4).max() == 0.0
+
+
+def test_singular_normal_block_raises(rng):
+    """A phase whose n-n block is singular is outside the theory: the
+    transform pole reaches the caller instead of an extrapolated value."""
+    with pytest.raises(np.linalg.LinAlgError):
+        laminate2(np.zeros((4, 4)), rand_pd_block(rng), 0.5, [1.0, 0.0])
 
 
 def test_er13_parameter_rule(rng):

@@ -122,9 +122,9 @@ def test_close_root_pair_found():
 def test_roots_match_special_quartic(rng):
     """Real Y: t = theta |det Y| runs over the real roots of the quartic in
     s1, s2, the eigenvalues of Re(X)^1/2 Y^-1 Re(X)^1/2.  At weak coupling
-    the roots spread over ~1e-10..1e10; the quartic's own np.roots then
-    keeps only about 7 digits."""
-    for coupling, rtol, count in ((1.0, 1e-9, 50), (1e-4, 1e-6, 25)):
+    the roots spread over ~1e-10..1e10; the quartic is palindromic, so its
+    roots come from two quadratics in t + 1/t and keep full precision."""
+    for coupling, rtol, count in ((1.0, 1e-9, 50), (1e-4, 1e-9, 25)):
         checked = 0
         while checked < count:
             A = rng.standard_normal((2, 2))
