@@ -59,7 +59,7 @@ def _load(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise SystemExit_(EXIT_INPUT, f"cannot read {path}: {exc}")
 
 
@@ -129,7 +129,7 @@ def cmd_laminate(args):
     data = _load(args.tree)
     try:
         tree = laminate.tree_from_json(data)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise SystemExit_(EXIT_INPUT, f"bad laminate file: {exc}")
     if not all(block_is_pd(leaf.tensor) for leaf in _leaves(tree)):
         raise SystemExit_(EXIT_DOMAIN, "laminate leaf is not positive definite")
@@ -142,16 +142,20 @@ def cmd_laminate(args):
 
 
 def _leaves(node):
-    if isinstance(node, laminate.Mix):
-        yield from _leaves(node.child1)
-        yield from _leaves(node.child2)
-    else:
-        yield node
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, laminate.Mix):
+            stack += (node.child1, node.child2)
+        else:
+            yield node
 
 
 def _micro_from_json(obj, f=None, normal=None):
     if obj is None:
         obj = {"type": "rank1", "f": 0.5, "normal": [1.0, 0.0]}
+    if not isinstance(obj, dict):
+        raise SystemExit_(EXIT_INPUT, "microstructure must be a JSON object")
     kind = obj.get("type", "rank1")
     if f is not None:
         obj = dict(obj, f=f)

@@ -55,19 +55,20 @@ def er_spec(ident):
 
 
 def unit_normal(n):
-    """Layer normal ``n`` scaled to unit length; a zero normal is rejected."""
+    """Layer normals ``n`` of shape (..., 2) scaled to unit length; a zero normal
+    is rejected.  n.n as a matmul rounds like np.linalg.norm of one normal."""
     n = np.asarray(n, dtype=float)
-    norm = np.linalg.norm(n)
-    if norm == 0:
+    norm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
+    if not norm.all():
         raise ValueError("layer normal must be nonzero")
     return n / norm
 
 
-def gamma0(n, iso=None):
-    """Reference operator Lambda^-1 (x) (n (x) n) for layer normal n."""
+def gamma0(n):
+    """Reference operator I (x) (n (x) n) for layer normals of shape (..., 2)."""
     n = unit_normal(n)
-    lam = I2 if iso is None else np.asarray(iso.lam if hasattr(iso, "lam") else iso, float)
-    return np.kron(inv2(lam), np.outer(n, n))
+    nn = (n[..., :, None] * n[..., None, :])[..., None, :, None, :]
+    return (I2[:, None, :, None] * nn).reshape(n.shape[:-1] + (4, 4))
 
 
 def _key_block(key):

@@ -14,10 +14,15 @@ The transforms are evaluated in the product form D (I + Gamma D)^-1,
 which stays finite when L - I is singular.  For positive definite
 phases neither inverse taken is singular: their n-n blocks are L_nn and
 <L_nn^-1>.  Non-positive-definite phases may raise LinAlgError.
+
+One mixing step, ``_mix``, takes stacks of phase pairs with a fraction
+and a normal per pair: ``laminate2`` calls it on one pair, and
+``laminate_tree`` once per tree height, on all the mixes of that height.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +57,13 @@ class Mix:
 
 def _mix(A, B, f, G):
     """Mix fraction ``f`` of A with B: the average W = <resolvent(L - I, G)>
-    mapped back by I + resolvent(W, -G), symmetrized."""
-    eye = np.eye(len(A))
+    mapped back by I + resolvent(W, -G), symmetrized.  A, B and G may be
+    (..., n, n) stacks with ``f`` of shape (...), one mix per entry."""
+    eye = np.eye(np.shape(A)[-1])
+    f = np.asarray(f, dtype=float)[..., None, None]
     W = f * resolvent(A - eye, G) + (1.0 - f) * resolvent(B - eye, G)
     out = eye + resolvent(W, -G)
-    return (out + out.T) / 2.0
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 def laminate2(L1, L2, f, n):
@@ -66,28 +73,47 @@ def laminate2(L1, L2, f, n):
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError("volume fraction must lie in [0, 1]")
-    return _mix(np.asarray(L1, dtype=float), np.asarray(L2, dtype=float), f,
-                gamma0(n))
+    return _mix(L1, L2, f, gamma0(n))
 
 
 def laminate_tree(node):
-    """Bottom-up evaluation of a laminate hierarchy."""
-    if isinstance(node, Leaf):
-        L = np.asarray(node.tensor, dtype=float)
-        if node.rotation:
-            L = rotate_block(node.rotation, L)
-        return L
-    if isinstance(node, Mix):
-        return laminate2(laminate_tree(node.child1), laminate_tree(node.child2),
-                         node.f, node.n)
-    raise TypeError(f"not a laminate node: {node!r}")
+    """Bottom-up evaluation of a laminate hierarchy, one stacked step per height.
+
+    A walk without recursion gives every distinct node object a row in
+    post-order and a height (0 for a leaf, one more than its taller child
+    for a mix), so a node reachable along several paths is evaluated once.
+    """
+    row, levels = {}, defaultdict(list)   # id -> (row, height); height -> nodes
+    stack = [(node, False)]
+    while stack:
+        nd, expanded = stack.pop()
+        if id(nd) in row:
+            continue
+        if isinstance(nd, Mix) and not expanded:
+            stack += [(nd, True), (nd.child2, False), (nd.child1, False)]
+            continue
+        if isinstance(nd, Mix):
+            (r1, h1), (r2, h2) = row[id(nd.child1)], row[id(nd.child2)]
+            h, entry = 1 + max(h1, h2), (r1, r2, nd.f, nd.n)
+        elif isinstance(nd, Leaf):
+            h, entry = 0, (nd.rotation, nd.tensor)
+        else:
+            raise TypeError(f"not a laminate node: {nd!r}")
+        levels[h].append((len(row),) + entry)
+        row[id(nd)] = (len(row), h)
+    vals = np.empty((len(row), 4, 4))
+    rows, rotation, tensor = zip(*levels[0])
+    vals[list(rows)] = rotate_block(np.array(rotation, float), np.array(tensor, float))
+    for h in range(1, len(levels)):
+        rows, r1, r2, f, n = zip(*levels[h])
+        vals[list(rows)] = _mix(vals[list(r1)], vals[list(r2)], f, gamma0(n))
+    return vals[-1].copy()
 
 
 def conduct2(s1, s2, f, n):
     """Rank-one laminate of two 2x2 conductivities (same W-additivity)."""
     n = unit_normal(n)
-    return _mix(np.asarray(s1, dtype=float), np.asarray(s2, dtype=float), f,
-                np.outer(n, n))
+    return _mix(s1, s2, f, np.outer(n, n))
 
 
 def sigma_star_rank1(h, f, n):
@@ -151,39 +177,6 @@ class IteratedRank2Model:
     def tree(self, L1, L2):
         return Mix(self.inner.tree(L1, L2), Leaf(L2),
                    self.f_outer, tuple(self.n_outer))
-
-
-def halton(index, base):
-    """Halton low-discrepancy point; index starts at 1."""
-    out, f = 0.0, 1.0
-    while index > 0:
-        f /= base
-        out += f * (index % base)
-        index //= base
-    return out
-
-
-def polycrystal_texture(tensor, depth):
-    """Balanced laminate tree mixing rotated copies of one crystallite.
-
-    Leaf rotations come from the base-2 Halton sequence over [0, pi) and
-    layer normals from the base-3 sequence, so the texture is
-    deterministic and approximately isotropic for moderate depth.
-    """
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
-    leaves = [Leaf(tensor, np.pi * halton(i + 1, 2)) for i in range(2 ** depth)]
-    level = leaves
-    k = 0
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level), 2):
-            k += 1
-            ang = np.pi * halton(k, 3)
-            nxt.append(Mix(level[i], level[i + 1], 0.5,
-                           (np.cos(ang), np.sin(ang))))
-        level = nxt
-    return level[0]
 
 
 def tree_to_json(node):

@@ -300,9 +300,10 @@ def block_is_pd(B, tol=1e-12):
 def resolvent(D, M):
     """[D^-1 + M]^-1 in the pole-free form D (I + M D)^-1, finite for singular D.
 
-    L0 + resolvent(W, -M) inverts W = resolvent(L - L0, M).
+    L0 + resolvent(W, -M) inverts W = resolvent(L - L0, M).  D and M may be
+    (..., n, n) stacks, evaluated entry by entry.
     """
-    return D @ np.linalg.inv(np.eye(len(D)) + M @ D)
+    return D @ np.linalg.inv(np.eye(D.shape[-1]) + M @ D)
 
 
 def mobius(A, L):
@@ -316,11 +317,12 @@ def rotate(theta, k):
 
 
 def rotate_block(theta, B):
-    """Same rotation applied to the 4x4 block form by spatial conjugation."""
+    """Same rotation applied to the 4x4 block form by spatial conjugation;
+    angles of shape (...) rotate a (..., 4, 4) stack entry by entry."""
     c, s = np.cos(theta), np.sin(theta)
-    R = np.array([[c, -s], [s, c]])
-    Rhat = np.kron(I2, R)
-    return Rhat @ np.asarray(B, float) @ Rhat.T
+    R = np.stack([c, -s, s, c], -1).reshape(np.shape(c) + (1, 2, 1, 2))
+    Rhat = (I2[:, None, :, None] * R).reshape(np.shape(c) + (4, 4))   # I2 (x) R
+    return Rhat @ np.asarray(B, float) @ np.swapaxes(Rhat, -1, -2)
 
 
 def jordan_star(k1, a, k2):

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -114,12 +115,30 @@ def test_exit_codes(tmp_path, capsys):
         (["two-phase"], "pair_2a.json", ("f",), "abc", cli.EXIT_INPUT),
         (["two-phase"], "pair_2a.json", ("micro", "normal"), [0.0, 0.0],
          cli.EXIT_INPUT),
+        (["two-phase"], "pair_2a.json", ("micro",), 5, cli.EXIT_INPUT),
     ]
     for argv, name, path, value, code in cases:
         capsys.readouterr()
         assert cli.main(argv + [_with_value(tmp_path, name, path, value)]) == code
         assert capsys.readouterr().out == ""
     capsys.readouterr()
+
+
+def test_deeply_nested_file_exits_2(tmp_path, capsys, monkeypatch):
+    """Nesting beyond the recursion limit is an input error, whether the
+    JSON parser or the tree reader hits the limit first."""
+    depth = sys.getrecursionlimit() + 100
+    leaf = {"leaf": {"tensor": {"L": np.eye(4).tolist()}}}
+    text = '{"mix": {"f": 0.5, "n": [1, 0], "c2": %s, "c1": ' % json.dumps(leaf)
+    path = tmp_path / "deep.json"
+    path.write_text(text * depth + json.dumps(leaf) + "}}" * depth)
+    assert cli.main(["laminate", str(path)]) == cli.EXIT_INPUT
+    tree = leaf
+    for _ in range(depth):
+        tree = {"mix": {"f": 0.5, "n": [1, 0], "c1": tree, "c2": leaf}}
+    monkeypatch.setattr(cli, "_load", lambda path: tree)
+    assert cli.main(["laminate", str(path)]) == cli.EXIT_INPUT
+    assert capsys.readouterr().out == ""
 
 
 def test_two_phase_overrides():

@@ -5,33 +5,36 @@ from thermoex import algebra as alg
 from thermoex import exactrel as er
 from thermoex.tensor4 import (I2, I4, RPERP, T4, block_parts,
                               block_is_pd, det2, kt_to_block)
-from thermoex.materials import IsoMaterial
 from conftest import rand_spd, rand_pd_block
 
 
 def test_gamma0_pinned():
-    iso = IsoMaterial(I2, 0.0)
-    G = er.gamma0([1.0, 0.0], iso)
-    assert np.allclose(G, np.kron(I2, np.outer([1, 0], [1, 0])))
+    G = er.gamma0([1.0, 0.0])
+    assert np.array_equal(G, np.kron(I2, np.outer([1, 0], [1, 0])))
     assert np.allclose(er.gamma0([3.0, 0.0]), G)      # normal is normalized
     with pytest.raises(ValueError):
         er.gamma0([0.0, 0.0])
+    # a stack of normals gives a stack of operators; one zero normal in it
+    # is rejected like a single one
+    Gs = er.gamma0([[1.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+    assert Gs.shape == (3, 4, 4)
+    assert np.allclose(Gs[1], np.kron(I2, np.diag([0.0, 1.0])))
+    assert np.allclose(Gs[2], np.kron(I2, np.outer([0.6, 0.8], [0.6, 0.8])))
+    with pytest.raises(ValueError):
+        er.gamma0([[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_gamma0_span(rng):
     """Differences Gamma0(n) - Gamma0(e1) stay in the steering span
-    {Lam^-1 (x) A : A symmetric trace free}."""
-    lam = rand_spd(rng)
-    iso = IsoMaterial(lam, 0.1)
-    G1 = er.gamma0([1.0, 0.0], iso)
-    lam_inv = np.linalg.inv(lam)
-    basis = [np.kron(lam_inv, A) for A in
+    {I (x) A : A symmetric trace free}, for single and stacked normals."""
+    G1 = er.gamma0([1.0, 0.0])
+    basis = [np.kron(I2, A) for A in
              (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))]
-    for _ in range(20):
-        n = rng.standard_normal(2)
-        D = er.gamma0(n, iso) - G1
-        B = np.stack([b.ravel() for b in basis], axis=1)
-        resid = D.ravel() - B @ np.linalg.lstsq(B, D.ravel(), rcond=None)[0]
+    B = np.stack([b.ravel() for b in basis], axis=1)
+    D = np.concatenate([er.gamma0(rng.standard_normal(2))[None] - G1,
+                        er.gamma0(rng.standard_normal((20, 2))) - G1])
+    for d in D:
+        resid = d.ravel() - B @ np.linalg.lstsq(B, d.ravel(), rcond=None)[0]
         assert np.linalg.norm(resid) < 1e-12
 
 
@@ -195,10 +198,9 @@ def test_covariance(rng):
 
 
 def test_gamma0_idempotent_against_reference(rng):
-    """Gamma0(n) L0 Gamma0(n) = Gamma0(n) for a nu-free reference."""
-    for _ in range(20):
-        lam = rand_spd(rng)
-        iso = IsoMaterial(lam, 0.0)
-        G = er.gamma0(rng.standard_normal(2), iso)
-        L0 = iso.tensor()
-        assert np.abs(G @ L0 @ G - G).max() < 1e-12 * (1 + np.abs(G).max())
+    """Gamma0(n) L0 Gamma0(n) = Gamma0(n) at the reference L0 = I: each
+    Gamma0 is an orthogonal projection, single or stacked."""
+    for G in (er.gamma0(rng.standard_normal(2)),
+              er.gamma0(rng.standard_normal((20, 2)))):
+        assert np.abs(G @ G - G).max() < 1e-12 * (1 + np.abs(G).max())
+        assert np.array_equal(G, np.swapaxes(G, -1, -2))

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from thermoex import exactrel as er
+from thermoex import laminate as lam
 from thermoex.laminate import (Leaf, Mix, laminate2, laminate_tree, conduct2,
                                RankOneModel, IteratedRank2Model,
                                sigma_star_rank1, tree_to_json, tree_from_json)
-from thermoex.tensor4 import I2, I4, RPERP, block_is_pd, rotate_block
+from thermoex.tensor4 import (I2, I4, RPERP, block_is_pd, resolvent,
+                              rotate_block)
 from conftest import rand_spd, rand_pd_block
 
 
@@ -152,3 +154,109 @@ def test_tree_json_roundtrip(rng):
     assert np.abs(laminate_tree(back) - laminate_tree(t)).max() < 1e-14
     with pytest.raises(ValueError):
         tree_from_json({"oops": {}})
+
+
+def fold(node):
+    """Reference evaluation: one laminate2 per mix, by recursion."""
+    if isinstance(node, Leaf):
+        L = np.asarray(node.tensor, dtype=float)
+        return rotate_block(node.rotation, L) if node.rotation else L
+    return laminate2(fold(node.child1), fold(node.child2), node.f, node.n)
+
+
+def random_tree(rng, m, leaves):
+    """Random hierarchy of ``m`` mixes over the shared ``leaves`` objects;
+    fractions include the end points 0 and 1."""
+    if m == 0:
+        return leaves[rng.integers(len(leaves))]
+    k = int(rng.integers(m))
+    f = float(rng.choice([0.0, 1.0, rng.uniform()], p=[0.1, 0.1, 0.8]))
+    return Mix(random_tree(rng, k, leaves), random_tree(rng, m - 1 - k, leaves),
+               f, tuple(rng.standard_normal(2)))
+
+
+def height(node):
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + max(height(node.child1), height(node.child2))
+
+
+def test_tree_equals_pairwise_fold(rng):
+    """Per-height stacked evaluation is bit-identical to one laminate2 per
+    mix: single leaves, unrotated leaves, f of 0 and 1, shared leaf and
+    subtree objects."""
+    for trial in range(40):
+        leaves = [Leaf(rand_pd_block(rng), rng.uniform(0, np.pi) if i % 2 else 0.0)
+                  for i in range(3)]
+        t = random_tree(rng, int(rng.integers(0, 40)), leaves)
+        if trial % 4 == 0:       # one subtree object reached twice
+            t = Mix(t, Mix(t, leaves[0], 0.3, (1.0, 2.0)), 0.6, (0.0, 1.0))
+        assert np.array_equal(laminate_tree(t), fold(t))
+    L = rand_pd_block(rng)
+    for leaf in (Leaf(L), Leaf(L, 0.7)):
+        assert np.array_equal(laminate_tree(leaf), fold(leaf))
+
+
+def test_tree_deeper_than_the_recursion_limit(rng):
+    """A chain of 1500 mixes is evaluated without recursion and matches the
+    pairwise fold done by a loop."""
+    L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
+    t, ref = Leaf(L1, 0.4), rotate_block(0.4, L1)
+    for _ in range(1500):
+        f, n = rng.uniform(), tuple(rng.standard_normal(2))
+        t, ref = Mix(t, Leaf(L2), f, n), laminate2(ref, L2, f, n)
+    assert np.array_equal(laminate_tree(t), ref)
+
+
+def test_tree_one_mix_call_per_height(rng, monkeypatch):
+    """A tree is laminated with one stacked _mix per height, covering every
+    mix exactly once."""
+    mix, calls = lam._mix, []
+
+    def counting(A, B, f, G):
+        calls.append(len(A))
+        return mix(A, B, f, G)
+
+    monkeypatch.setattr(lam, "_mix", counting)
+    leaves = [Leaf(rand_pd_block(rng), 0.5)]
+    t = random_tree(rng, 255, leaves)
+    laminate_tree(t)
+    assert len(calls) == height(t) and sum(calls) == 255
+
+
+def test_tree_errors_keep_their_types(rng):
+    L = rand_pd_block(rng)
+    ok = Mix(Leaf(L), Leaf(L, 0.2), 0.5, (1.0, 0.0))
+    with pytest.raises(TypeError):
+        laminate_tree(Mix(ok, L, 0.5, (1.0, 0.0)))
+    with pytest.raises(ValueError):
+        laminate_tree(Mix(ok, Leaf(L), 0.5, (0.0, 0.0)))
+    with pytest.raises(np.linalg.LinAlgError):
+        laminate_tree(Mix(Mix(Leaf(np.zeros((4, 4))), Leaf(L), 0.5, (1.0, 0.0)),
+                          ok, 0.5, (0.0, 1.0)))
+
+
+def test_phase_swap(rng):
+    """Mix(a, b, f, n) and Mix(b, a, 1 - f, n) are the same laminate."""
+    for _ in range(20):
+        a, b = Leaf(rand_pd_block(rng), rng.uniform(0, np.pi)), Leaf(rand_pd_block(rng))
+        f, n = rng.uniform(), tuple(rng.standard_normal(2))
+        lhs = laminate_tree(Mix(a, b, f, n))
+        rhs = laminate_tree(Mix(b, a, 1.0 - f, n))
+        assert np.abs(lhs - rhs).max() < 1e-12 * (1 + np.abs(lhs).max())
+
+
+def test_stacked_kernels_match_single(rng):
+    """resolvent, gamma0 and rotate_block on stacks equal their per-entry
+    results exactly."""
+    D = np.stack([rand_pd_block(rng) - I4 for _ in range(6)])
+    n = rng.standard_normal((6, 2))
+    G = er.gamma0(n)
+    th = rng.uniform(0, np.pi, 6)
+    R = resolvent(D, G)
+    rot = rotate_block(th, D)
+    for i in range(6):
+        assert np.array_equal(G[i], er.gamma0(n[i]))
+        assert np.array_equal(R[i], resolvent(D[i], G[i]))
+        assert np.array_equal(rot[i], rotate_block(th[i], D[i]))
+    assert np.array_equal(er.gamma0(n.reshape(2, 3, 2)), G.reshape(2, 3, 4, 4))

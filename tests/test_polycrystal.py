@@ -9,8 +9,10 @@ from thermoex import algebra as alg
 from thermoex import exactrel as er
 from thermoex import linkgroup as lg
 from thermoex import polycrystal as pc
-from thermoex.tensor4 import (I2, RPERP, KTensor, det2, kt_to_block, rotate,
-                              is_positive_definite, spd_sqrt_2x2)
+from thermoex.laminate import Leaf, Mix, laminate_tree
+from thermoex.tensor4 import (I2, RPERP, KTensor, det2, kt_from_block,
+                              kt_to_block, rotate, is_positive_definite,
+                              spd_sqrt_2x2)
 from conftest import rand_herm, rand_sym_c
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -279,11 +281,39 @@ def test_result_json(rng):
             "smallest_root_conjectural"} == set(obj)
 
 
+def halton(index, base):
+    """Halton low-discrepancy point; index starts at 1."""
+    out, f = 0.0, 1.0
+    while index > 0:
+        f /= base
+        out += f * (index % base)
+        index //= base
+    return out
+
+
+def polycrystal_texture(tensor, depth):
+    """Balanced laminate tree mixing rotated copies of one crystallite.
+
+    Leaf rotations come from the base-2 Halton sequence over [0, pi) and
+    layer normals from the base-3 sequence, so the texture is
+    deterministic and approximately isotropic for moderate depth.
+    """
+    level = [Leaf(tensor, np.pi * halton(i + 1, 2)) for i in range(2 ** depth)]
+    k = 0
+    while len(level) > 1:
+        nxt = []
+        for i in range(0, len(level), 2):
+            k += 1
+            ang = np.pi * halton(k, 3)
+            nxt.append(Mix(level[i], level[i + 1], 0.5,
+                           (np.cos(ang), np.sin(ang))))
+        level = nxt
+    return level[0]
+
+
 def test_texture_converges_to_unique_point():
     """A balanced Halton texture drives the laminate toward the solver's
     isotropic point as its own anisotropy defect shrinks."""
-    from thermoex.laminate import polycrystal_texture, laminate_tree
-    from thermoex.tensor4 import kt_from_block
     k0 = KTensor(np.array([[3.0, 0.4 + 0.2j], [0.4 - 0.2j, 2.0]]),
                  0.5 * np.array([[1.0, 0.3j], [0.3j, -0.4]]))
     pred = kt_to_block(KTensor(pc.solve_isotropic(k0).Lstar, np.zeros((2, 2))))
