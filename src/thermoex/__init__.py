@@ -14,7 +14,7 @@ from .tensor4 import (KTensor, I2, I4, RPERP, T4, Z0, Z0SYM, phi, psi,
 from .materials import (Material, IsoMaterial, canon_from_physical,
                         physical_from_canon, figure_of_merit, zt_isotropic)
 from .algebra import (catalog, algebra_by_id, check_closure, is_subalgebra,
-                      is_ideal, find_inversion_key, check_chain,
+                      check_ideal, is_ideal, find_inversion_key, check_chain,
                       global_automorphism)
 from .exactrel import (ER_IDS, er_spec, er_member, er_sample, lm_par,
                        lm_unpar, w_transform, w_inverse, covariance, gamma0)

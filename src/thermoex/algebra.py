@@ -12,6 +12,8 @@ The module provides randomized checkers for this closure condition, for
 the subalgebra/ideal/square tables, for 3- and 4-chain properties, and
 the search for the inversion key of each entry.  Randomized checks draw
 coefficients uniformly from [-1, 1] with a fixed default seed.
+Each audit draws all its trials as one coefficient block and evaluates
+them as one stack of (X, Y) pairs, taking the worst per-trial residual.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .tensor4 import (I2, RPERP, Z0, Z0SYM, E11, E22, KTensor, kt_mul,
 
 __all__ = [
     "AlgebraSpec", "CheckReport", "catalog", "algebra_by_id",
-    "check_closure", "is_subalgebra", "is_ideal", "check_square",
+    "check_closure", "is_subalgebra", "check_ideal", "is_ideal", "check_square",
     "find_inversion_key", "key_condition_residual", "key_name",
     "check_chain", "check_chain_ideal", "SUBALGEBRAS", "IDEALS", "SQUARES",
     "FACTOR_PAIRS", "EXTRA_SUBALGEBRAS", "global_automorphism",
@@ -51,21 +53,32 @@ KEY_HALF_I = I2 / 2.0
 
 
 def _vec_herm(X):
-    """Isometric real coordinates of a Hermitian 2x2."""
-    return np.array([X[0, 0].real, X[1, 1].real,
-                     np.sqrt(2) * X[0, 1].real, np.sqrt(2) * X[0, 1].imag])
+    """Isometric real coordinates of a Hermitian 2x2 (or a stack of them)."""
+    return np.stack([X[..., 0, 0].real, X[..., 1, 1].real,
+                     np.sqrt(2) * X[..., 0, 1].real,
+                     np.sqrt(2) * X[..., 0, 1].imag], axis=-1)
 
 
 def _vec_sym(Y):
-    """Isometric real coordinates of a complex symmetric 2x2."""
-    return np.array([Y[0, 0].real, Y[1, 1].real, np.sqrt(2) * Y[0, 1].real,
-                     Y[0, 0].imag, Y[1, 1].imag, np.sqrt(2) * Y[0, 1].imag])
+    """Isometric real coordinates of a complex symmetric 2x2 (or a stack)."""
+    return np.stack([Y[..., 0, 0].real, Y[..., 1, 1].real,
+                     np.sqrt(2) * Y[..., 0, 1].real, Y[..., 0, 0].imag,
+                     Y[..., 1, 1].imag, np.sqrt(2) * Y[..., 0, 1].imag], axis=-1)
 
 
 def _kt_vec(k):
     """Real 10-coordinates of an operator, isometric for the trace inner
     product of the 4x4 block forms."""
-    return np.sqrt(2) * np.concatenate([_vec_herm(k.X), _vec_sym(k.Y)])
+    return np.sqrt(2) * np.concatenate([_vec_herm(k.X), _vec_sym(k.Y)], axis=-1)
+
+
+def _norm(v):
+    """Norm over the last axis, rounded like np.linalg.norm of one vector."""
+    return np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _defect(P, v):
+    return _norm(v - (P @ v[..., None])[..., 0])
 
 
 def _proj_from_columns(cols, dim):
@@ -128,43 +141,71 @@ class AlgebraSpec:
         return KTensor(X, Y)
 
     def residual(self, k):
-        """Distance to the subspace relative to 1 + |k|."""
+        """Distance to the subspace relative to 1 + |k|, per stack entry."""
         v = _kt_vec(k)
-        r = np.linalg.norm(v - self._proj @ v)
-        return float(r / (1.0 + np.linalg.norm(v)))
+        return _defect(self._proj, v) / (1.0 + _norm(v))
 
     def v_defect(self, X):
         """Absolute distance of a Hermitian matrix from V."""
-        v = _vec_herm(X)
-        return float(np.linalg.norm(v - self._proj_v @ v))
+        return _defect(self._proj_v, _vec_herm(X))
 
     def w_defect(self, Y):
         """Absolute distance of a symmetric matrix from W."""
-        v = _vec_sym(Y)
-        return float(np.linalg.norm(v - self._proj_w @ v))
+        return _defect(self._proj_w, _vec_sym(Y))
 
     def contains(self, k, tol=1e-10):
         return self.residual(k) <= tol
 
     # -- sampling ------------------------------------------------------
-    def sample_x(self, rng, scale=1.0):
-        X = np.zeros((2, 2), complex)
-        for v in self.v_basis:
-            X = X + rng.uniform(-scale, scale) * np.asarray(v, complex)
-        return X
+    # A coefficient row holds the V coefficients, then (re, im) per W
+    # element: the order of single scalar draws.
+    @property
+    def _n_coeffs(self):
+        """Real coefficients one sample draws."""
+        return len(self.v_basis) + 2 * len(self.w_basis)
 
-    def sample_y(self, rng, scale=1.0):
-        Y = np.zeros((2, 2), complex)
-        for w in self.w_basis:
-            c = rng.uniform(-scale, scale) + 1j * rng.uniform(-scale, scale)
-            Y = Y + c * np.asarray(w, complex)
-        return Y
+    @cached_property
+    def _bases(self):
+        return tuple(np.array(b, complex).reshape(-1, 2, 2)
+                     for b in (self.v_basis, self.w_basis))
 
-    def sample(self, rng, scale=1.0):
-        return KTensor(self.sample_x(rng, scale), self.sample_y(rng, scale))
+    def _x(self, c):
+        return _combine(c, self._bases[0])
+
+    def _y(self, c):
+        return _combine(c[..., 0::2] + 1j * c[..., 1::2], self._bases[1])
+
+    def _from_coeffs(self, c):
+        """Element with coefficient rows ``c`` of shape (..., _n_coeffs)."""
+        nv = len(self.v_basis)
+        return KTensor(self._x(c[..., :nv]), self._y(c[..., nv:]))
+
+    def sample_x(self, rng, scale=1.0, size=None):
+        return self._x(_uniform(rng, scale, size, len(self.v_basis)))
+
+    def sample_y(self, rng, scale=1.0, size=None):
+        return self._y(_uniform(rng, scale, size, 2 * len(self.w_basis)))
+
+    def sample(self, rng, scale=1.0, size=None):
+        """Random element; ``size`` draws a stack of that many at once."""
+        return self._from_coeffs(_uniform(rng, scale, size, self._n_coeffs))
 
     def __hash__(self):
         return hash((self.ident, self.name))
+
+
+def _combine(c, basis):
+    """sum_i c[..., i] basis[i], added from zero in basis order, so a stack
+    rounds exactly like single samples."""
+    terms = c[..., None, None] * basis
+    out = np.zeros(c.shape[:-1] + (2, 2), complex)
+    for i in range(len(basis)):
+        out = out + terms[..., i, :, :]
+    return out
+
+
+def _uniform(rng, scale, size, n):
+    return rng.uniform(-scale, scale, size=n if size is None else (size, n))
 
 
 def _spec(ident, name, v, w):
@@ -264,12 +305,21 @@ class CheckReport:
                 "pass": self.passed}
 
 
-def _worst(rng, trials, trial_fn):
-    """Largest residual ``trial_fn(rng)`` returns over ``trials`` draws."""
-    worst = 0.0
-    for _ in range(trials):
-        worst = max(worst, trial_fn(rng))
-    return worst
+def _draws(seed, trials, specs, n_a0=0):
+    """A stacked sample of each spec, then ``n_a0`` stacked steering
+    operators, split from one (trials, n) block; row t holds the draws of
+    trial t in the order of a loop over single draws."""
+    widths = [s._n_coeffs for s in specs] + [2] * n_a0
+    block = np.random.default_rng(seed).uniform(-1.0, 1.0, (trials, sum(widths)))
+    parts = np.split(block, np.cumsum(widths)[:-1], axis=1)
+    return ([s._from_coeffs(c) for s, c in zip(specs, parts)]
+            + [_a0(c) for c in parts[len(specs):]])
+
+
+def _report(ident, check, r, tol, ok=True):
+    """Audit report from the vector of per-trial residuals."""
+    worst = float(np.max(r, initial=0.0))
+    return CheckReport(ident, check, len(r), worst, ok and worst <= tol)
 
 
 def check_closure(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
@@ -278,22 +328,24 @@ def check_closure(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     Residuals are scaled by 1 + max entry squared, matching the quadratic
     growth of the products.
     """
-    def trial(rng):
-        X = spec.sample_x(rng)
-        Y = spec.sample_y(rng)
-        s = 1.0 + max(np.abs(X).max(), np.abs(Y).max(), 1.0) ** 2
-        wy = Y @ Y + X @ X.T
-        vx = Y @ X + X @ Y.conj().T
-        return max(spec.w_defect(wy) / s, spec.v_defect(vx) / s)
-
-    worst = _worst(np.random.default_rng(seed + spec.ident), trials, trial)
-    return CheckReport(spec.ident, "closure", trials, worst, worst <= tol)
+    k, = _draws(seed + spec.ident, trials, [spec])
+    X, Y = k.X, k.Y
+    big = np.maximum(np.abs(X).max(axis=(-2, -1)), np.abs(Y).max(axis=(-2, -1)))
+    s = 1.0 + np.maximum(big, 1.0) ** 2
+    wy = Y @ Y + X @ np.swapaxes(X, -1, -2)
+    vx = Y @ X + X @ np.swapaxes(Y.conj(), -1, -2)
+    r = np.maximum(spec.w_defect(wy) / s, spec.v_defect(vx) / s)
+    return _report(spec.ident, "closure", r, tol)
 
 
-def sample_a0(rng, scale=1.0):
-    """Random steering operator K(0, z*I)."""
-    z = rng.uniform(-scale, scale) + 1j * rng.uniform(-scale, scale)
-    return KTensor(np.zeros((2, 2)), z * I2)
+def _a0(c):
+    z = c[..., 0] + 1j * c[..., 1]
+    return KTensor(np.zeros(z.shape + (2, 2)), z[..., None, None] * I2)
+
+
+def sample_a0(rng, scale=1.0, size=None):
+    """Random steering operator K(0, z*I); ``size`` draws a stack."""
+    return _a0(_uniform(rng, scale, size, 2))
 
 
 def is_subalgebra(sub, spec, tol=1e-10):
@@ -301,32 +353,25 @@ def is_subalgebra(sub, spec, tol=1e-10):
     return all(spec.residual(k) <= tol for k in sub.k_basis())
 
 
+def check_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
+    """Randomized ideal audit: ``ideal`` is a subalgebra of ``spec`` and
+    ideal-by-algebra products land in the ideal."""
+    j, k, a = _draws(seed + 131 * spec.ident + ideal.ident, trials, [ideal, spec], 1)
+    return _report(spec.ident, f"ideal:{ideal.ident}",
+                   ideal.residual(jordan_star(j, a, k)), tol,
+                   is_subalgebra(ideal, spec, tol))
+
+
 def is_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
-    """Randomized ideal test: ideal-by-algebra products land in the ideal."""
-    if not is_subalgebra(ideal, spec, tol):
-        return False
-
-    def trial(rng):
-        j = ideal.sample(rng)
-        k = spec.sample(rng)
-        a = sample_a0(rng)
-        return ideal.residual(jordan_star(j, a, k))
-
-    rng = np.random.default_rng(seed + 131 * spec.ident + ideal.ident)
-    return _worst(rng, trials, trial) <= tol
+    """Pass flag of :func:`check_ideal`."""
+    return check_ideal(ideal, spec, trials, seed, tol).passed
 
 
 def check_square(spec, target, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Steered products of ``spec`` elements land in ``target``."""
-    def trial(rng):
-        k1 = spec.sample(rng)
-        k2 = spec.sample(rng)
-        a = sample_a0(rng)
-        return target.residual(jordan_star(k1, a, k2))
-
-    worst = _worst(np.random.default_rng(seed + 977 * spec.ident), trials, trial)
-    return CheckReport(spec.ident, f"square->{target.ident}", trials, worst,
-                       worst <= tol)
+    k1, k2, a = _draws(seed + 977 * spec.ident, trials, [spec, spec], 1)
+    return _report(spec.ident, f"square->{target.ident}",
+                   target.residual(jordan_star(k1, a, k2)), tol)
 
 
 # -- inversion keys -----------------------------------------------------
@@ -346,12 +391,8 @@ def key_condition_residual(spec, key, trials=200, seed=DEFAULT_SEED):
     the middle factor vanish and holds trivially.
     """
     mid = KTensor(I2 - 2.0 * np.asarray(key, float), np.zeros((2, 2)))
-
-    def trial(rng):
-        k = spec.sample(rng)
-        return spec.residual(kt_mul(kt_mul(k, mid), k))
-
-    return _worst(np.random.default_rng(seed + 7919 * spec.ident), trials, trial)
+    k, = _draws(seed + 7919 * spec.ident, trials, [spec])
+    return float(np.max(spec.residual(kt_mul(kt_mul(k, mid), k)), initial=0.0))
 
 
 def find_inversion_key(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
@@ -383,33 +424,23 @@ def check_chain(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10, target=None):
     the entry, which the caller passes as ``target``.
     """
     tgt = target if target is not None else spec
-
-    def trial(rng):
-        k = [spec.sample(rng) for _ in range(4)]
-        a = [sample_a0(rng) for _ in range(3)]
-        c3 = _chain(k[0], a[0], k[1], a[1], k[2])
-        c4 = _chain(k[0], a[0], k[1], a[1], k[2], a[2], k[3])
-        return max(tgt.residual(c3), tgt.residual(c4))
-
-    worst = _worst(np.random.default_rng(seed + 4513 * spec.ident), trials, trial)
+    k0, k1, k2, k3, a0, a1, a2 = _draws(seed + 4513 * spec.ident, trials,
+                                        [spec] * 4, 3)
+    c3 = _chain(k0, a0, k1, a1, k2)
+    c4 = _chain(k0, a0, k1, a1, k2, a2, k3)
     name = "chain" if target is None else f"chain->{tgt.ident}"
-    return CheckReport(spec.ident, name, trials, worst, worst <= tol)
+    return _report(spec.ident, name,
+                   np.maximum(tgt.residual(c3), tgt.residual(c4)), tol)
 
 
 def check_chain_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Ideal version: chains with one factor in the ideal stay in it."""
-    def trial(rng):
-        j = ideal.sample(rng)
-        k = [spec.sample(rng) for _ in range(3)]
-        a = [sample_a0(rng) for _ in range(3)]
-        c3 = _chain(j, a[0], k[0], a[1], k[1])
-        c4 = _chain(j, a[0], k[0], a[1], k[1], a[2], k[2])
-        return max(ideal.residual(c3), ideal.residual(c4))
-
-    rng = np.random.default_rng(seed + 6007 * spec.ident + ideal.ident)
-    worst = _worst(rng, trials, trial)
-    return CheckReport(spec.ident, f"chain-ideal:{ideal.ident}", trials, worst,
-                       worst <= tol)
+    j, k0, k1, k2, a0, a1, a2 = _draws(seed + 6007 * spec.ident + ideal.ident,
+                                       trials, [ideal] + [spec] * 3, 3)
+    c3 = _chain(j, a0, k0, a1, k1)
+    c4 = _chain(j, a0, k0, a1, k1, a2, k2)
+    return _report(spec.ident, f"chain-ideal:{ideal.ident}",
+                   np.maximum(ideal.residual(c3), ideal.residual(c4)), tol)
 
 
 # -- automorphisms -------------------------------------------------------
@@ -486,8 +517,8 @@ def apply_automorphism(desc, k):
         return KTensor(desc.alpha * k.X, k.Y)
     if desc.family == "flip_x":
         return KTensor(-k.X, k.Y)
-    if desc.family == "scale_w":
-        iso = 0.5 * np.trace(k.Y) * np.eye(2)   # z0 (x) z0 is trace free
+    if desc.family == "scale_w":   # z0 (x) z0 is trace free
+        iso = 0.5 * np.trace(k.Y, axis1=-2, axis2=-1)[..., None, None] * I2
         return KTensor(desc.alpha * k.X, iso + desc.a * (k.Y - iso))
     if desc.family == "swap_d":
         if desc.swap_x == 0:
@@ -499,12 +530,9 @@ def apply_automorphism(desc, k):
 
 
 def automorphism_defect(phi_map, spec, trials=200, seed=DEFAULT_SEED):
-    """Worst defect of phi(K a K) - phi(K) a phi(K) over random draws."""
-    def trial(rng):
-        k = spec.sample(rng)
-        a = sample_a0(rng)
-        lhs = phi_map(jordan_star(k, a, k))
-        rhs = jordan_star(phi_map(k), a, phi_map(k))
-        return (lhs - rhs).norm() / (1.0 + k.norm() ** 2)
-
-    return _worst(np.random.default_rng(seed + 271 * spec.ident), trials, trial)
+    """Worst defect of phi(K a K) - phi(K) a phi(K) over random draws;
+    ``phi_map`` must map a stack of operators entry by entry."""
+    k, a = _draws(seed + 271 * spec.ident, trials, [spec], 1)
+    lhs = phi_map(jordan_star(k, a, k))
+    rhs = jordan_star(phi_map(k), a, phi_map(k))
+    return float(np.max((lhs - rhs).norm() / (1.0 + k.norm() ** 2), initial=0.0))

@@ -90,9 +90,10 @@ def basis_change(B):
 
 
 def psi_apply(m, L):
-    BI = np.kron(m.b, I2)
+    """Psi_{A,B}(L), symmetrized; L may be a (..., 4, 4) stack."""
+    BI = (m.b[:, None, :, None] * I2[:, None, :]).reshape(4, 4)   # B (x) I
     out = BI @ mobius(m.a, np.asarray(L, dtype=float)) @ BI.T
-    return (out + out.T) / 2.0
+    return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
 def _conj_by_det(A, d):

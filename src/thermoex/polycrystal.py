@@ -142,6 +142,8 @@ def solve_isotropic(k0):
     """
     if not isinstance(k0, KTensor):
         raise TypeError("crystallite must be a KTensor")
+    if k0.X.shape != (2, 2) or k0.Y.shape != (2, 2):
+        raise ValueError("crystallite must be one operator with 2x2 X and Y")
     if not is_positive_definite(k0):
         raise ValueError("crystallite tensor must be positive definite")
     X = k0.X

@@ -101,17 +101,18 @@ class KTensor:
     """Operator on R^2 (+) R^2 in the (X, Y) parametrization.
 
     The plain constructor accepts any complex pair, so products and other
-    intermediate non-symmetric operators can be represented.  Use
-    :meth:`symmetric` for elements of the symmetric-operator space; it
-    enforces X Hermitian and Y symmetric up to a relative tolerance,
-    symmetrizing small defects and rejecting large ones.
+    intermediate non-symmetric operators can be represented; X and Y may
+    be (..., 2, 2) stacks, on which products, sums and :meth:`norm` work
+    entry by entry.  Use :meth:`symmetric` for one element of the
+    symmetric-operator space; it enforces X Hermitian and Y symmetric up to
+    a relative tolerance, symmetrizing small defects and rejecting large ones.
     """
 
     __slots__ = ("X", "Y")
 
     def __init__(self, X, Y):
-        self.X = np.asarray(X, dtype=complex).reshape(2, 2)
-        self.Y = np.asarray(Y, dtype=complex).reshape(2, 2)
+        self.X = np.asarray(X, dtype=complex)
+        self.Y = np.asarray(Y, dtype=complex)
 
     @classmethod
     def symmetric(cls, X, Y, tol=DEFAULT_TOL):
@@ -146,7 +147,9 @@ class KTensor:
         return kt_mul(self, other)
 
     def norm(self):
-        return float(np.sqrt((np.abs(self.X) ** 2).sum() + (np.abs(self.Y) ** 2).sum()))
+        """Frobenius norm of (X, Y), one value per stack entry."""
+        return np.sqrt((np.abs(self.X) ** 2).sum(axis=(-2, -1))
+                       + (np.abs(self.Y) ** 2).sum(axis=(-2, -1)))
 
     def __repr__(self):
         return f"KTensor(X={self.X.tolist()!r}, Y={self.Y.tolist()!r})"
@@ -174,7 +177,7 @@ def kt_from_block(B):
     """Inverse of :func:`kt_to_block`; exact for any real 4x4 matrix."""
     v = (_TO_BLOCK.T @ np.asarray(B, dtype=float).ravel()) / 2.0
     z = v.view(complex)
-    return KTensor(z[:4], z[4:])
+    return KTensor(z[:4].reshape(2, 2), z[4:].reshape(2, 2))
 
 
 T4 = kt_to_block(KT_T)        # Rperp (x) Rperp, satisfies T4 @ T4 = I4
@@ -188,7 +191,7 @@ def kt_mul(a, b):
 
 def kt_transpose(a):
     """Operator transpose: (X, Y) -> (X^H, Y^T)."""
-    return KTensor(a.X.conj().T, a.Y.T)
+    return KTensor(np.swapaxes(a.X.conj(), -1, -2), np.swapaxes(a.Y, -1, -2))
 
 
 def kt_inverse(a, check=True):

@@ -268,3 +268,139 @@ def test_orbit_variants():
     z = np.exp(-2j * a) * 1j
     expect5 = np.array([[z.real, z.imag], [z.imag, -z.real]])
     assert np.abs(got - expect5).max() < 1e-12
+
+
+# -- stacked audits against per-trial loops --------------------------------
+# The audits draw all trials as one coefficient block and evaluate them as
+# one stack.  The references below redo each audit the unstacked way: one
+# trial at a time, single-operator products, and the residual as the norm
+# of one coordinate vector, np.linalg.norm(v - P @ v).
+
+def _ref_defect(P, v):
+    return float(np.linalg.norm(v - P @ v))
+
+
+def _ref_residual(spec, k):
+    v = alg._kt_vec(k)
+    return _ref_defect(spec._proj, v) / (1.0 + float(np.linalg.norm(v)))
+
+
+def _ref_chain(*factors):
+    fwd, bwd = factors[0], factors[-1]
+    for f in factors[1:]:
+        fwd = kt_mul(fwd, f)
+    for f in factors[-2::-1]:
+        bwd = kt_mul(bwd, f)
+    return fwd + bwd
+
+
+def _ref_jordan(k1, a, k2):
+    return 0.5 * (kt_mul(kt_mul(k1, a), k2) + kt_mul(kt_mul(k2, a), k1))
+
+
+REF_TRIALS = 50
+
+
+def test_stacked_sample_matches_single_draws():
+    for spec in list(alg.catalog()) + list(alg.EXTRA_SUBALGEBRAS.values()):
+        for scale in (1.0, 0.7):
+            r1 = np.random.default_rng(abs(spec.ident))
+            r2 = np.random.default_rng(abs(spec.ident))
+            stack = spec.sample(r1, scale, size=7)
+            singles = [spec.sample(r2, scale) for _ in range(7)]
+            assert stack.X.shape == stack.Y.shape == (7, 2, 2)
+            assert stack.X.tobytes() == np.stack([k.X for k in singles]).tobytes()
+            assert stack.Y.tobytes() == np.stack([k.Y for k in singles]).tobytes()
+            assert r1.uniform() == r2.uniform()      # same number of draws
+        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
+        xs = spec.sample_x(r1, size=4)
+        assert xs.tobytes() == np.stack([spec.sample_x(r2) for _ in range(4)]).tobytes()
+        ys = spec.sample_y(r1, size=4)
+        assert ys.tobytes() == np.stack([spec.sample_y(r2) for _ in range(4)]).tobytes()
+        # one scalar draw per coefficient: V coefficients, then (re, im) per W
+        r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
+        X = np.zeros((2, 2), complex)
+        for v in spec.v_basis:
+            X = X + r1.uniform(-1.0, 1.0) * v
+        Y = np.zeros((2, 2), complex)
+        for w in spec.w_basis:
+            Y = Y + (r1.uniform(-1.0, 1.0) + 1j * r1.uniform(-1.0, 1.0)) * w
+        k = spec.sample(r2)
+        assert k.X.tobytes() == X.tobytes() and k.Y.tobytes() == Y.tobytes()
+    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
+    a = alg.sample_a0(r1, size=6)
+    assert a.Y.tobytes() == np.stack([alg.sample_a0(r2).Y for _ in range(6)]).tobytes()
+
+
+def test_check_chain_matches_trial_loop():
+    for ident in (21, 23):
+        spec = alg.algebra_by_id(ident)
+        rng = np.random.default_rng(alg.DEFAULT_SEED + 4513 * ident)
+        worst = 0.0
+        for _ in range(REF_TRIALS):
+            k = [spec.sample(rng) for _ in range(4)]
+            a = [alg.sample_a0(rng) for _ in range(3)]
+            c3 = _ref_chain(k[0], a[0], k[1], a[1], k[2])
+            c4 = _ref_chain(k[0], a[0], k[1], a[1], k[2], a[2], k[3])
+            worst = max(worst, _ref_residual(spec, c3), _ref_residual(spec, c4))
+        rep = alg.check_chain(spec, trials=REF_TRIALS)
+        assert rep.max_residual == worst and rep.trials == REF_TRIALS, ident
+
+
+def test_check_closure_matches_trial_loop():
+    for ident in (9, 16, 21, 23):
+        spec = alg.algebra_by_id(ident)
+        rng = np.random.default_rng(alg.DEFAULT_SEED + ident)
+        worst = 0.0
+        for _ in range(REF_TRIALS):
+            X, Y = spec.sample_x(rng), spec.sample_y(rng)
+            s = 1.0 + max(np.abs(X).max(), np.abs(Y).max(), 1.0) ** 2
+            wy = Y @ Y + X @ X.T
+            vx = Y @ X + X @ Y.conj().T
+            worst = max(worst, _ref_defect(spec._proj_w, alg._vec_sym(wy)) / s,
+                        _ref_defect(spec._proj_v, alg._vec_herm(vx)) / s)
+        assert alg.check_closure(spec, trials=REF_TRIALS).max_residual == worst
+
+
+def test_check_ideal_matches_trial_loop():
+    for a, i in ((19, 13), (21, 13), (23, 1), (15, -10)):
+        spec, ideal = alg.algebra_by_id(a), alg.algebra_by_id(i)
+        rng = np.random.default_rng(alg.DEFAULT_SEED + 131 * a + i)
+        worst = 0.0
+        for _ in range(REF_TRIALS):
+            j, k, a0 = ideal.sample(rng), spec.sample(rng), alg.sample_a0(rng)
+            worst = max(worst, _ref_residual(ideal, _ref_jordan(j, a0, k)))
+        rep = alg.check_ideal(ideal, spec, trials=REF_TRIALS)
+        assert rep.max_residual == worst and rep.passed
+        assert rep.check == f"ideal:{i}" and rep.algebra_id == a
+        assert alg.is_ideal(ideal, spec, trials=REF_TRIALS) is True
+
+
+def test_check_ideal_reports_failures():
+    # 3 is a subalgebra of 4 but not an ideal of it; 4 is no subalgebra of 3
+    rep = alg.check_ideal(alg.algebra_by_id(3), alg.algebra_by_id(4), trials=20)
+    assert not rep.passed and rep.max_residual > 1e-3
+    rep = alg.check_ideal(alg.algebra_by_id(4), alg.algebra_by_id(3), trials=20)
+    assert not rep.passed
+    assert alg.is_ideal(alg.algebra_by_id(4), alg.algebra_by_id(3)) is False
+
+
+def test_key_residual_matches_trial_loop():
+    for ident in (8, 10, 15, 23):
+        spec = alg.algebra_by_id(ident)
+        for _, key in alg._KEY_CANDIDATES:
+            mid = KTensor(I2 - 2.0 * key, np.zeros((2, 2)))
+            rng = np.random.default_rng(alg.DEFAULT_SEED + 7919 * ident)
+            worst = 0.0
+            for _ in range(REF_TRIALS):
+                k = spec.sample(rng)
+                worst = max(worst, _ref_residual(spec, kt_mul(kt_mul(k, mid), k)))
+            got = alg.key_condition_residual(spec, key, trials=REF_TRIALS)
+            assert got == worst, (ident, key)
+
+
+def test_audits_with_zero_trials():
+    spec = alg.algebra_by_id(23)
+    assert alg.check_chain(spec, trials=0).max_residual == 0.0
+    assert alg.check_closure(spec, trials=0).passed
+    assert alg.key_condition_residual(spec, alg.KEY_ZERO, trials=0) == 0.0

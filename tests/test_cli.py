@@ -124,6 +124,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["er", "--er", "22"], ["laminate"],
+                                  ["two-phase"], ["polycrystal"], ["zt"]])
+def test_non_object_json_exits_2(tmp_path, capsys, argv):
+    for text in ("[1, 2]", "3.5", '"L"', "null"):
+        path = tmp_path / "top.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert cli.main(argv + [str(path)]) == cli.EXIT_INPUT, (argv, text)
+        assert capsys.readouterr().out == ""
+
+
 def test_deeply_nested_file_exits_2(tmp_path, capsys, monkeypatch):
     """Nesting beyond the recursion limit is an input error, whether the
     JSON parser or the tree reader hits the limit first."""
@@ -186,6 +197,11 @@ def test_verify_algebras_fast(tmp_path):
     assert obj["pass"] is True
     checks = {r["check"] for r in obj["reports"]}
     assert "closure" in checks and any(c.startswith("key:") for c in checks)
+    ideals = [r for r in obj["reports"] if r["check"].startswith("ideal:")]
+    assert ideals and all(r["trials"] == 5 for r in ideals)
+    # the ideal reports carry the worst audited residual, not a placeholder
+    assert all(0.0 <= r["max_residual"] <= 1e-10 for r in ideals)
+    assert any(r["max_residual"] > 0.0 for r in ideals)
 
 
 def test_verify_algebras_corrupted_catalog(monkeypatch, tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from thermoex import exactrel as er
 from thermoex import linkgroup as lg
 from thermoex.laminate import laminate2, conduct2
-from thermoex.tensor4 import I2, I4, RPERP, T4, det2
+from thermoex.tensor4 import I2, I4, RPERP, T4, det2, mobius
 from conftest import rand_spd, rand_pd_block
 
 
@@ -241,3 +241,19 @@ def test_json_roundtrip(rng):
     m = rand_map(rng)
     back = lg.linkmap_from_json(lg.linkmap_to_json(m))
     assert np.allclose(back.a, m.a) and np.allclose(back.b, m.b)
+
+
+def test_psi_apply_stack_and_kron(rng):
+    """B (x) I is built without np.kron; a stack of L maps entry by entry."""
+    Ls = np.stack([rand_pd_block(rng) for _ in range(5)])
+    for _ in range(5):
+        A = rng.standard_normal((2, 2)) + 0.4 * I2
+        B = rng.standard_normal((2, 2)) + 0.4 * I2
+        m = lg.LinkMap(A, B)
+        BI = np.kron(m.b, I2)
+        ref = BI @ mobius(m.a, Ls[0]) @ BI.T
+        assert lg.psi_apply(m, Ls[0]).tobytes() == ((ref + ref.T) / 2.0).tobytes()
+        out = lg.psi_apply(m, Ls)
+        assert out.shape == (5, 4, 4)
+        for L, o in zip(Ls, out):
+            assert np.abs(o - lg.psi_apply(m, L)).max() <= 1e-12 * np.abs(o).max()

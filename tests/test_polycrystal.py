@@ -90,6 +90,9 @@ def test_solve_rejects_bad_input():
         pc.solve_isotropic(KTensor(-I2, np.zeros((2, 2))))
     with pytest.raises(TypeError):
         pc.solve_isotropic(np.eye(4))
+    # KTensor also holds stacks; the solver takes one crystallite
+    with pytest.raises(ValueError, match="2x2"):
+        pc.solve_isotropic(KTensor(np.stack([2 * I2] * 3), np.zeros((3, 2, 2))))
 
 
 def test_equal_singular_values_closed_form():

@@ -231,3 +231,26 @@ def test_json_roundtrip(rng):
     assert np.abs(back.X - k.X).max() < 1e-15
     B = rand_pd_block(rng)
     assert np.allclose(block_from_json(block_to_json(B)), B)
+
+
+def test_stacked_ktensor_ops(rng):
+    n = 6
+    ks = [rand_kt(rng) for _ in range(n)]
+    a = rand_kt(rng)
+    stack = KTensor(np.stack([k.X for k in ks]), np.stack([k.Y for k in ks]))
+    assert stack.X.shape == stack.Y.shape == (n, 2, 2)
+    prod = kt_mul(stack, stack)
+    star = jordan_star(stack, a, stack)
+    assert prod.X.shape == prod.Y.shape == star.X.shape == star.Y.shape == (n, 2, 2)
+    mixed = kt_mul(stack, a)                 # a single operator broadcasts
+    assert mixed.X.shape == (n, 2, 2)
+    norms = (stack - 2.0 * stack).norm()
+    assert norms.shape == (n,)
+    for i, k in enumerate(ks):
+        assert np.array_equal(prod.X[i], kt_mul(k, k).X)
+        assert np.array_equal(star.Y[i], jordan_star(k, a, k).Y)
+        assert np.array_equal(mixed.Y[i], kt_mul(k, a).Y)
+        assert norms[i] == k.norm()
+    assert np.ndim(a.norm()) == 0
+    t = kt_transpose(stack)
+    assert np.array_equal(t.X[2], kt_transpose(ks[2]).X)
