@@ -169,26 +169,16 @@ class AlgebraSpec:
         return tuple(np.array(b, complex).reshape(-1, 2, 2)
                      for b in (self.v_basis, self.w_basis))
 
-    def _x(self, c):
-        return _combine(c, self._bases[0])
-
-    def _y(self, c):
-        return _combine(c[..., 0::2] + 1j * c[..., 1::2], self._bases[1])
-
     def _from_coeffs(self, c):
         """Element with coefficient rows ``c`` of shape (..., _n_coeffs)."""
         nv = len(self.v_basis)
-        return KTensor(self._x(c[..., :nv]), self._y(c[..., nv:]))
+        bv, bw = self._bases
+        return KTensor(_combine(c[..., :nv], bv),
+                       _combine(c[..., nv::2] + 1j * c[..., nv + 1::2], bw))
 
-    def sample_x(self, rng, scale=1.0, size=None):
-        return self._x(_uniform(rng, scale, size, len(self.v_basis)))
-
-    def sample_y(self, rng, scale=1.0, size=None):
-        return self._y(_uniform(rng, scale, size, 2 * len(self.w_basis)))
-
-    def sample(self, rng, scale=1.0, size=None):
-        """Random element; ``size`` draws a stack of that many at once."""
-        return self._from_coeffs(_uniform(rng, scale, size, self._n_coeffs))
+    def sample(self, rng, scale=1.0):
+        """Random element with coefficients uniform in [-scale, scale]."""
+        return self._from_coeffs(rng.uniform(-scale, scale, self._n_coeffs))
 
     def __hash__(self):
         return hash((self.ident, self.name))
@@ -202,10 +192,6 @@ def _combine(c, basis):
     for i in range(len(basis)):
         out = out + terms[..., i, :, :]
     return out
-
-
-def _uniform(rng, scale, size, n):
-    return rng.uniform(-scale, scale, size=n if size is None else (size, n))
 
 
 def _spec(ident, name, v, w):
@@ -343,9 +329,9 @@ def _a0(c):
     return KTensor(np.zeros(z.shape + (2, 2)), z[..., None, None] * I2)
 
 
-def sample_a0(rng, scale=1.0, size=None):
-    """Random steering operator K(0, z*I); ``size`` draws a stack."""
-    return _a0(_uniform(rng, scale, size, 2))
+def sample_a0(rng, scale=1.0):
+    """Random steering operator K(0, z*I)."""
+    return _a0(rng.uniform(-scale, scale, 2))
 
 
 def is_subalgebra(sub, spec, tol=1e-10):

@@ -301,35 +301,28 @@ def _ref_jordan(k1, a, k2):
 REF_TRIALS = 50
 
 
-def test_stacked_sample_matches_single_draws():
+def test_sample_matches_scalar_draws():
     for spec in list(alg.catalog()) + list(alg.EXTRA_SUBALGEBRAS.values()):
         for scale in (1.0, 0.7):
-            r1 = np.random.default_rng(abs(spec.ident))
-            r2 = np.random.default_rng(abs(spec.ident))
-            stack = spec.sample(r1, scale, size=7)
-            singles = [spec.sample(r2, scale) for _ in range(7)]
-            assert stack.X.shape == stack.Y.shape == (7, 2, 2)
-            assert stack.X.tobytes() == np.stack([k.X for k in singles]).tobytes()
-            assert stack.Y.tobytes() == np.stack([k.Y for k in singles]).tobytes()
+            # one scalar draw per coefficient: V coefficients, then (re, im) per W
+            r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
+            X = np.zeros((2, 2), complex)
+            for v in spec.v_basis:
+                X = X + r1.uniform(-scale, scale) * v
+            Y = np.zeros((2, 2), complex)
+            for w in spec.w_basis:
+                Y = Y + (r1.uniform(-scale, scale) + 1j * r1.uniform(-scale, scale)) * w
+            k = spec.sample(r2, scale)
+            assert k.X.tobytes() == X.tobytes() and k.Y.tobytes() == Y.tobytes()
             assert r1.uniform() == r2.uniform()      # same number of draws
-        r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
-        xs = spec.sample_x(r1, size=4)
-        assert xs.tobytes() == np.stack([spec.sample_x(r2) for _ in range(4)]).tobytes()
-        ys = spec.sample_y(r1, size=4)
-        assert ys.tobytes() == np.stack([spec.sample_y(r2) for _ in range(4)]).tobytes()
-        # one scalar draw per coefficient: V coefficients, then (re, im) per W
-        r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
-        X = np.zeros((2, 2), complex)
-        for v in spec.v_basis:
-            X = X + r1.uniform(-1.0, 1.0) * v
-        Y = np.zeros((2, 2), complex)
-        for w in spec.w_basis:
-            Y = Y + (r1.uniform(-1.0, 1.0) + 1j * r1.uniform(-1.0, 1.0)) * w
-        k = spec.sample(r2)
-        assert k.X.tobytes() == X.tobytes() and k.Y.tobytes() == Y.tobytes()
-    r1, r2 = np.random.default_rng(5), np.random.default_rng(5)
-    a = alg.sample_a0(r1, size=6)
-    assert a.Y.tobytes() == np.stack([alg.sample_a0(r2).Y for _ in range(6)]).tobytes()
+        # an audit's stacked draws equal a loop of single draws, trial by trial
+        ks = alg._draws(7, 6, [spec, spec], 1)
+        rng = np.random.default_rng(7)
+        for t in range(6):
+            for got, want in zip(ks, (spec.sample(rng), spec.sample(rng),
+                                      alg.sample_a0(rng))):
+                assert got.X[t].tobytes() == want.X.tobytes()
+                assert got.Y[t].tobytes() == want.Y.tobytes()
 
 
 def test_check_chain_matches_trial_loop():
@@ -353,7 +346,8 @@ def test_check_closure_matches_trial_loop():
         rng = np.random.default_rng(alg.DEFAULT_SEED + ident)
         worst = 0.0
         for _ in range(REF_TRIALS):
-            X, Y = spec.sample_x(rng), spec.sample_y(rng)
+            k = spec.sample(rng)
+            X, Y = k.X, k.Y
             s = 1.0 + max(np.abs(X).max(), np.abs(Y).max(), 1.0) ** 2
             wy = Y @ Y + X @ X.T
             vx = Y @ X + X @ Y.conj().T
