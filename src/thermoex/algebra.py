@@ -442,11 +442,16 @@ def c_minus(c):
     return np.array([[np.cos(c), np.sin(c)], [np.sin(c), -np.cos(c)]])
 
 
-def global_automorphism(C, sign=1):
-    """Map K(X, Y) -> K(sign * C X C^H, C Y C^T), C complex orthogonal."""
+def _complex_orthogonal(C):
     C = np.asarray(C, dtype=complex)
     if np.abs(C @ C.T - I2).max() > 1e-10:
         raise ValueError("C must satisfy C C^T = I")
+    return C
+
+
+def global_automorphism(C, sign=1):
+    """Map K(X, Y) -> K(sign * C X C^H, C Y C^T), C complex orthogonal."""
+    C = _complex_orthogonal(C)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
 
@@ -465,9 +470,7 @@ def transform_spec(spec, C, sign=1):
     images of the representatives under K(X,Y) -> K(sign C X C^H, C Y C^T)
     with C complex orthogonal, which this helper produces.
     """
-    C = np.asarray(C, dtype=complex)
-    if np.abs(C @ C.T - I2).max() > 1e-10:
-        raise ValueError("C must satisfy C C^T = I")
+    C = _complex_orthogonal(C)
     v = tuple(sign * C @ np.asarray(x) @ C.conj().T for x in spec.v_basis)
     w = tuple(C @ np.asarray(y) @ C.T for y in spec.w_basis)
     return AlgebraSpec(spec.ident, spec.name + "~orbit", v, w)

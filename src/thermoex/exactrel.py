@@ -19,8 +19,8 @@ import numpy as np
 
 from . import algebra
 from .tensor4 import (I2, I4, RPERP, T4, KTensor, block_is_pd, block_parts,
-                      cof2, det2, inv2, kt_from_block, kt_to_block, pd2,
-                      resolvent, spd_sqrt_2x2)
+                      cof2, congruence, det2, inv2, kt_from_block, kt_to_block,
+                      pd2, resolvent, spd_sqrt_2x2)
 
 __all__ = [
     "ER_IDS", "ERSpec", "er_spec", "unit_normal", "gamma0", "w_transform",
@@ -234,5 +234,4 @@ def er_sample(ident, seed=algebra.DEFAULT_SEED, scale=1.0, rng=None):
 def covariance(lam, L):
     """Congruence by Lambda^-1/2 (x) I normalizing an isotropic reference."""
     lam = np.asarray(lam, dtype=float)
-    C = np.kron(inv2(spd_sqrt_2x2(lam)), I2)
-    return C @ np.asarray(L, float) @ C.T
+    return congruence(inv2(spd_sqrt_2x2(lam)), np.asarray(L, float))

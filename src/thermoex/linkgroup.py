@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import I2, RPERP, det2, inv2, mobius, pd2, spd_sqrt_2x2
+from .tensor4 import (I2, RPERP, congruence, det2, inv2, mobius, pd2,
+                      spd_sqrt_2x2)
 from .exactrel import lm_par, lm_unpar, er_member
 
 __all__ = [
@@ -91,8 +92,7 @@ def basis_change(B):
 
 def psi_apply(m, L):
     """Psi_{A,B}(L), symmetrized; L may be a (..., 4, 4) stack."""
-    BI = (m.b[:, None, :, None] * I2[:, None, :]).reshape(4, 4)   # B (x) I
-    out = BI @ mobius(m.a, np.asarray(L, dtype=float)) @ BI.T
+    out = congruence(m.b, mobius(m.a, np.asarray(L, dtype=float)))
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 

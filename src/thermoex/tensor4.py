@@ -9,9 +9,9 @@ symmetric, and every such operator also has a real 4x4 block form
      [phi(X21) + psi(Y21), phi(X22) + psi(Y22)]]
 
 with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  The 2x2
-kernels here are closed form; the 4x4 resolvent and Mobius maps and the
-singular-block fallbacks of kt_inverse and block_inverse call dense
-numpy.linalg routines.
+kernels here are closed form; every 4x4 inverse (the resolvent and Mobius
+maps, kt_inverse and block_inverse) is a dense numpy.linalg routine.  The
+change of field-pair basis L -> (B (x) I) L (B (x) I)^T is congruence.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.
@@ -26,9 +26,9 @@ __all__ = [
     "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "E11", "E22",
     "KTensor", "phi", "psi", "cof2", "inv2", "det2", "pd2", "spd_sqrt_2x2",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
-    "block_inverse", "block_parts", "block_from_parts", "check_block",
-    "is_positive_definite", "block_is_pd", "resolvent", "mobius", "rotate",
-    "rotate_block", "jordan_star", "kt_to_json", "kt_from_json",
+    "block_inverse", "congruence", "block_parts", "block_from_parts",
+    "check_block", "is_positive_definite", "block_is_pd", "resolvent", "mobius",
+    "rotate", "rotate_block", "jordan_star", "kt_to_json", "kt_from_json",
     "block_to_json", "block_from_json",
 ]
 
@@ -155,7 +155,6 @@ class KTensor:
         return f"KTensor(X={self.X.tolist()!r}, Y={self.Y.tolist()!r})"
 
 
-KT_IDENT = KTensor(I2, np.zeros((2, 2)))
 KT_T = KTensor(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.zeros((2, 2)))  # equals T4
 
 
@@ -194,32 +193,10 @@ def kt_transpose(a):
     return KTensor(np.swapaxes(a.X.conj(), -1, -2), np.swapaxes(a.Y, -1, -2))
 
 
-def kt_inverse(a, check=True):
-    """Inverse via the 2x2 Schur complements of X and of Y.
-
-    Uses S_X = X - Y conj(X)^-1 conj(Y); falls back to the Y-sided
-    complement when |det Y| > |det X|, and to the dense inverse of the
-    block form when both X and Y are singular (the operator can still be
-    regular).  With ``check`` the residual of a @ a^-1 - I is bounded
-    against a conditioning-scaled tolerance.
-    """
-    X, Y = a.X, a.Y
-    try:
-        if abs(det2(X)) >= abs(det2(Y)):
-            Xci = inv2(X.conj())
-            SX = X - Y @ Xci @ Y.conj()
-            inv = KTensor(inv2(SX), -inv2(SX) @ Y @ Xci)
-        else:
-            Yi = inv2(Y)
-            SY = Y.conj() - X.conj() @ Yi @ X
-            inv = KTensor(-inv2(SY) @ X.conj() @ Yi, inv2(SY))
-    except np.linalg.LinAlgError:
-        inv = kt_from_block(np.linalg.inv(kt_to_block(a)))
-    if check:
-        r = kt_mul(a, inv) - KT_IDENT
-        if max(np.abs(r.X).max(), np.abs(r.Y).max()) > 1e-8 * _scale(X, Y):
-            raise np.linalg.LinAlgError("operator inverse failed residual check")
-    return inv
+def kt_inverse(a):
+    """Operator inverse: the dense inverse of the block form.  It exists
+    whenever the operator is regular, also when X and Y are both singular."""
+    return kt_from_block(np.linalg.inv(kt_to_block(a)))
 
 
 def block_parts(B):
@@ -246,40 +223,15 @@ def check_block(B, tol=DEFAULT_TOL):
 
 
 def block_inverse(B):
-    """Inverse of a 4x4 in 2x2 blocks via Schur complements.
+    """Dense inverse of a 4x4 block tensor."""
+    return np.linalg.inv(np.asarray(B, dtype=float))
 
-    When both diagonal blocks are invertible the symmetric two-complement
-    form is used; with only one invertible diagonal block the one-sided
-    elimination form applies; when neither is invertible (the matrix can
-    still be regular) the dense 4x4 inverse is the fallback.
-    """
+
+def congruence(B, L):
+    """(B (x) I) L (B (x) I)^T for a 2x2 B; L may be a (..., 4, 4) stack."""
     B = np.asarray(B, dtype=float)
-    F11, F12, F21, F22 = B[:2, :2], B[:2, 2:], B[2:, :2], B[2:, 2:]
-    d11, d22 = det2(F11), det2(F22)
-    s = _scale(B)
-    if abs(d11) > 1e-14 * s ** 2 and abs(d22) > 1e-14 * s ** 2:
-        F11i, F22i = inv2(F11), inv2(F22)
-        S11 = F11 - F12 @ F22i @ F21
-        S22 = F22 - F21 @ F11i @ F12
-        S11i, S22i = inv2(S11), inv2(S22)
-        return np.block([[S11i, -S11i @ F12 @ F22i],
-                         [-S22i @ F21 @ F11i, S22i]])
-    if abs(d11) > 1e-14 * s ** 2:
-        F11i = inv2(F11)
-        S22 = F22 - F21 @ F11i @ F12
-        S22i = inv2(S22)
-        top = F11i + F11i @ F12 @ S22i @ F21 @ F11i
-        return np.block([[top, -F11i @ F12 @ S22i],
-                         [-S22i @ F21 @ F11i, S22i]])
-    if abs(d22) > 1e-14 * s ** 2:
-        F22i = inv2(F22)
-        S11 = F11 - F12 @ F22i @ F21
-        S11i = inv2(S11)
-        bot = F22i + F22i @ F21 @ S11i @ F12 @ F22i
-        return np.block([[S11i, -S11i @ F12 @ F22i],
-                         [-F22i @ F21 @ S11i, bot]])
-    # both diagonal blocks singular; the matrix itself may be regular
-    return np.linalg.inv(B)
+    BI = (B[:, None, :, None] * I2[:, None, :]).reshape(4, 4)
+    return BI @ L @ BI.T
 
 
 def is_positive_definite(k, tol=1e-12):

@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, T4, block_parts, cof2, det2, inv2, mobius,
-                      pd2, spd_sqrt_2x2)
+from .tensor4 import (I2, RPERP, T4, block_parts, cof2, congruence, det2,
+                      inv2, mobius, pd2, spd_sqrt_2x2)
 
 __all__ = [
     "IsoPhase", "IsoPhasePair", "Reduced", "CaseTag", "EffectiveResult",
@@ -295,8 +295,7 @@ def effective(pair, tol=1e-10):
         L0s = np.block([[S11, np.zeros((2, 2))], [np.zeros((2, 2)), S22]])
         back = mobius(np.array([[-a0, 1.0], [1.0, -a0]]), L0s)
         back = (back + back.T) / 2.0
-        back = np.kron(red.frame, I2) @ back @ np.kron(red.frame.T, I2)
-        L = np.kron(red.s1_half, I2) @ back @ np.kron(red.s1_half, I2) + r1 * T4
+        L = congruence(red.s1_half, congruence(red.frame, back)) + r1 * T4
         meta.update(a0=a0, conductivities=(ell1, ell2),
                     reconstructed_by_decoupling=True)
         return EffectiveResult(tag, "explicit", (L + L.T) / 2.0, meta)
@@ -358,9 +357,7 @@ def effective(pair, tol=1e-10):
     def extract(L):
         """Pull the free parameter out of an effective tensor; returns
         (Lp, structure_residual)."""
-        Ln = np.kron(red.s1_half_inv, I2) @ (L - r1 * T4) \
-            @ np.kron(red.s1_half_inv, I2)
-        Ln = np.kron(red.frame.T, I2) @ Ln @ np.kron(red.frame, I2)
+        Ln = congruence(red.frame.T, congruence(red.s1_half_inv, L - r1 * T4))
         L11, L12, L22 = block_parts(Ln)
         Lp = L11
         pred12 = branch * (RPERP @ cof2(Lp) @ sig_star - RPERP)

@@ -13,9 +13,9 @@ from thermoex import polycrystal as pc
 from thermoex import twophase as tp
 from thermoex.laminate import Leaf, Mix, laminate2, laminate_tree, RankOneModel
 from thermoex.materials import figure_of_merit, zt_isotropic
-from thermoex.tensor4 import (I2, RPERP, T4, KTensor, block_inverse,
-                              block_is_pd, det2, kt_from_block, kt_inverse,
-                              kt_mul, kt_to_block)
+from thermoex.tensor4 import (I2, I4, RPERP, T4, KTensor, block_is_pd, det2,
+                              inv2, kt_from_block, kt_mul, kt_to_block,
+                              resolvent)
 from conftest import rand_kt, rand_pd_kt, rand_spd
 
 ESSENTIAL = (8, 9, 13, 17, 20, 21, 22)
@@ -310,14 +310,20 @@ def test_c10_kernel_oracles():
             worst = max(worst, d / scale ** 2)
             ok &= d < 1e-12 * scale ** 2
         else:
-            shifted = KTensor(k.X + 3 * I2, k.Y)
-            Bs = kt_to_block(shifted)
-            cond = np.linalg.cond(Bs)
-            d1 = np.abs(kt_to_block(kt_inverse(shifted))
-                        - np.linalg.inv(Bs)).max()
-            d2 = np.abs(block_inverse(Bs) - np.linalg.inv(Bs)).max()
-            worst = max(worst, d1 / cond, d2 / cond)
-            ok &= d1 < 1e-12 * cond and d2 < 1e-12 * cond
+            # the inverses the library uses: the resolvent D (I + M D)^-1
+            # behind every W-transform and laminate, and the 2x2 inv2;
+            # deviations are taken relative to the oracle's scale
+            X = k.X + 3 * I2
+            D = kt_to_block(KTensor(X, k.Y))
+            M = kt_to_block(rand_kt(rng))
+            ref = np.linalg.inv(np.linalg.inv(D) + M)
+            cond1 = np.linalg.cond(I4 + M @ D)
+            d1 = np.abs(resolvent(D, M) - ref).max() / (1 + np.abs(ref).max())
+            ref = np.linalg.inv(X)
+            cond2 = np.linalg.cond(X)
+            d2 = np.abs(inv2(X) - ref).max() / (1 + np.abs(ref).max())
+            worst = max(worst, d1 / cond1, d2 / cond2)
+            ok &= d1 < 1e-12 * cond1 and d2 < 1e-12 * cond2
     # figure of merit: eigenvalue form vs isotropic closed form
     for _ in range(200):
         lam = rand_spd(rng)

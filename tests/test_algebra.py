@@ -179,8 +179,11 @@ def test_global_automorphism(rng):
         assert alg.automorphism_defect(phi, full, trials=100) < 1e-10
         phim = alg.global_automorphism(alg.c_minus(c), sign)
         assert alg.automorphism_defect(phim, full, trials=100) < 1e-10
-    with pytest.raises(ValueError):
-        alg.global_automorphism(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    shear = np.array([[1.0, 1.0], [0.0, 1.0]])
+    with pytest.raises(ValueError, match=r"C must satisfy C C\^T = I"):
+        alg.global_automorphism(shear)
+    with pytest.raises(ValueError, match=r"C must satisfy C C\^T = I"):
+        alg.transform_spec(full, shear)
 
 
 def test_entry19_alpha_family(rng):

@@ -257,3 +257,15 @@ def test_psi_apply_stack_and_kron(rng):
         assert out.shape == (5, 4, 4)
         for L, o in zip(Ls, out):
             assert np.abs(o - lg.psi_apply(m, L)).max() <= 1e-12 * np.abs(o).max()
+
+
+def test_covariance_is_normalizer_link(rng):
+    """exactrel.covariance and the link-group normalizer reach the same
+    congruence by two routes; members of every relation agree."""
+    for ident in er.ER_IDS:
+        for _ in range(10):
+            lam = rand_spd(rng)
+            L = er.er_sample(ident, rng)
+            out = er.covariance(lam, L)
+            ref = lg.psi_apply(lg.psi_normalizer(lam), L)
+            assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()

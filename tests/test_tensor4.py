@@ -4,10 +4,10 @@ import pytest
 from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, E11, E22, KTensor,
                               phi, psi, cof2, det2, inv2, spd_sqrt_2x2, kt_to_block,
                               kt_from_block, kt_mul, kt_transpose, kt_inverse,
-                              block_inverse,
-                              is_positive_definite, rotate, rotate_block,
-                              jordan_star, kt_to_json, kt_from_json,
-                              block_to_json, block_from_json, check_block)
+                              block_inverse, congruence, is_positive_definite,
+                              rotate, rotate_block, jordan_star, kt_to_json,
+                              kt_from_json, block_to_json, block_from_json,
+                              check_block)
 from conftest import rand_herm, rand_kt, rand_pd_kt, rand_pd_block
 
 
@@ -93,14 +93,17 @@ def test_inverse_pinned():
     inv2_ = kt_inverse(KTensor(2 * I2, I2))
     assert np.allclose(inv2_.X, (2.0 / 3.0) * I2)
     assert np.allclose(inv2_.Y, -(1.0 / 3.0) * I2)
+    assert np.allclose(block_inverse(I4), I4)
+    D = np.diag([2.0, 3.0, 4.0, 5.0])
+    assert np.allclose(block_inverse(D), np.diag([0.5, 1 / 3, 0.25, 0.2]))
 
 
 def test_inverse_oracle_and_forms(rng):
     for _ in range(200):
         k = rand_pd_kt(rng)
         inv = kt_inverse(k)
-        assert np.allclose(kt_to_block(inv), np.linalg.inv(kt_to_block(k)),
-                           atol=1e-10)
+        r = kt_mul(k, inv) - KTensor(I2, np.zeros((2, 2)))
+        assert max(np.abs(r.X).max(), np.abs(r.Y).max()) < 1e-12
         # Y-sided Schur complement gives the same Y part
         X, Y = k.X, k.Y
         if abs(det2(Y)) > 1e-3:
@@ -114,38 +117,33 @@ def test_inverse_singular():
     # X and Y singular, operator u -> 2 Re(u1) e1 singular too
     with pytest.raises(np.linalg.LinAlgError):
         kt_inverse(KTensor(E11, E11))
-
-
-def test_inverse_regular_with_singular_parts():
-    """X and Y both singular, yet the block form is orthogonal."""
-    k = KTensor(E11, E22)
-    B = kt_to_block(k)
-    assert np.linalg.cond(B) < 1.0 + 1e-12
-    assert np.abs(kt_to_block(kt_inverse(k)) - np.linalg.inv(B)).max() < 1e-14
-
-
-def test_block_inverse(rng):
-    assert np.allclose(block_inverse(I4), I4)
-    D = np.diag([2.0, 3.0, 4.0, 5.0])
-    assert np.allclose(block_inverse(D), np.linalg.inv(D))
-    for _ in range(200):
-        B = rand_pd_block(rng)
-        assert np.allclose(block_inverse(B), np.linalg.inv(B), atol=1e-10)
-
-
-def test_block_inverse_offdiagonal_fallback():
-    B = np.block([[np.zeros((2, 2)), 2 * I2], [2 * I2, np.zeros((2, 2))]])
-    assert np.allclose(block_inverse(B), np.linalg.inv(B))
     with pytest.raises(np.linalg.LinAlgError):
         block_inverse(np.zeros((4, 4)))
 
 
-def test_block_inverse_matches_kt(rng):
-    for _ in range(50):
-        k = rand_pd_kt(rng)
-        lhs = block_inverse(kt_to_block(k))
-        rhs = kt_to_block(kt_inverse(k))
-        assert np.abs(lhs - rhs).max() < 1e-10
+def test_inverse_regular_with_singular_parts():
+    """X and Y both singular, yet the block form is orthogonal; the same
+    for a block tensor whose two diagonal blocks vanish."""
+    k = KTensor(E11, E22)
+    B = kt_to_block(k)
+    assert np.linalg.cond(B) < 1.0 + 1e-12
+    assert np.abs(kt_to_block(kt_inverse(k)) - B.T).max() < 1e-14
+    Z = np.zeros((2, 2))
+    B = np.block([[Z, 2 * I2], [2 * I2, Z]])
+    assert np.array_equal(block_inverse(B), np.block([[Z, I2 / 2], [I2 / 2, Z]]))
+
+
+def test_congruence_matches_kron(rng):
+    """(B (x) I) L (B (x) I)^T bit for bit, on one L and on a stack."""
+    for _ in range(20):
+        B = rng.standard_normal((2, 2))
+        BI = np.kron(B, I2)
+        L = rand_pd_block(rng)
+        assert congruence(B, L).tobytes() == (BI @ L @ BI.T).tobytes()
+        Ls = np.stack([rand_pd_block(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
+        out = congruence(B, Ls)
+        assert out.shape == (2, 3, 4, 4)
+        assert out.tobytes() == (BI @ Ls @ BI.T).tobytes()
 
 
 def test_pd_criterion(rng):
