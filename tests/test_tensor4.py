@@ -93,9 +93,6 @@ def test_inverse_pinned():
     inv2_ = kt_inverse(KTensor(2 * I2, I2))
     assert np.allclose(inv2_.X, (2.0 / 3.0) * I2)
     assert np.allclose(inv2_.Y, -(1.0 / 3.0) * I2)
-    assert np.allclose(block_inverse(I4), I4)
-    D = np.diag([2.0, 3.0, 4.0, 5.0])
-    assert np.allclose(block_inverse(D), np.diag([0.5, 1 / 3, 0.25, 0.2]))
 
 
 def test_inverse_oracle_and_forms(rng):
@@ -117,20 +114,32 @@ def test_inverse_singular():
     # X and Y singular, operator u -> 2 Re(u1) e1 singular too
     with pytest.raises(np.linalg.LinAlgError):
         kt_inverse(KTensor(E11, E11))
-    with pytest.raises(np.linalg.LinAlgError):
-        block_inverse(np.zeros((4, 4)))
 
 
 def test_inverse_regular_with_singular_parts():
-    """X and Y both singular, yet the block form is orthogonal; the same
-    for a block tensor whose two diagonal blocks vanish."""
+    """X and Y both singular, yet the block form is orthogonal."""
     k = KTensor(E11, E22)
     B = kt_to_block(k)
     assert np.linalg.cond(B) < 1.0 + 1e-12
     assert np.abs(kt_to_block(kt_inverse(k)) - B.T).max() < 1e-14
+
+
+def test_block_inverse(rng):
+    assert np.allclose(block_inverse(I4), I4)
+    D = np.diag([2.0, 3.0, 4.0, 5.0])
+    assert np.allclose(block_inverse(D), np.diag([0.5, 1 / 3, 0.25, 0.2]))
+    for _ in range(200):
+        B = rand_pd_block(rng)
+        assert np.abs(B @ block_inverse(B) - I4).max() < 1e-10
+
+
+def test_block_inverse_offdiagonal_fallback():
+    """Both diagonal blocks vanish, yet the block tensor is regular."""
     Z = np.zeros((2, 2))
     B = np.block([[Z, 2 * I2], [2 * I2, Z]])
     assert np.array_equal(block_inverse(B), np.block([[Z, I2 / 2], [I2 / 2, Z]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        block_inverse(np.zeros((4, 4)))
 
 
 def test_congruence_matches_kron(rng):
