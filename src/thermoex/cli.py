@@ -132,7 +132,7 @@ def cmd_laminate(args):
         tree = laminate.tree_from_json(data)
     except (KeyError, ValueError, TypeError, RecursionError) as exc:
         raise SystemExit_(EXIT_INPUT, f"bad laminate file: {exc}")
-    if not all(block_is_pd(leaf.tensor) for leaf in _leaves(tree)):
+    if not block_is_pd(np.array([leaf.tensor for leaf in _leaves(tree)])).all():
         raise SystemExit_(EXIT_DOMAIN, "laminate leaf is not positive definite")
     try:
         L = laminate.laminate_tree(tree)

@@ -14,6 +14,7 @@ reached through the covariance congruence and the global link group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -38,6 +39,7 @@ class ERSpec:
     ident: int
     algebra: algebra.AlgebraSpec
     key: np.ndarray
+    key_block: np.ndarray     # M = K(key, 0) as a 4x4 block
 
     @property
     def name(self):
@@ -50,8 +52,11 @@ def _relation(ident):
     return _RELATIONS[ident]
 
 
+@cache
 def er_spec(ident):
-    return ERSpec(ident, algebra.algebra_by_id(ident), _relation(ident)[0])
+    key = _relation(ident)[0]
+    return ERSpec(ident, algebra.algebra_by_id(ident), key,
+                  kt_to_block(KTensor(key, np.zeros((2, 2)))))
 
 
 def unit_normal(n):
@@ -71,29 +76,25 @@ def gamma0(n):
     return (I2[:, None, :, None] * nn).reshape(n.shape[:-1] + (4, 4))
 
 
-def _key_block(key):
-    return kt_to_block(KTensor(np.asarray(key, float), np.zeros((2, 2))))
-
-
-def w_transform(L, key):
-    """Fractional-linear transform [(L - I)^-1 + K(key,0)]^-1 as operator.
+def w_transform(L, M):
+    """Fractional-linear transform [(L - I)^-1 + M]^-1 as operator, M = K(key, 0).
 
     Evaluated in the pole-free product form D (I + M D)^-1, which is well
     defined even when L - I is singular.
     """
     L = np.asarray(L, dtype=float)
-    return kt_from_block(resolvent(L - I4, _key_block(key)))
+    return kt_from_block(resolvent(L - I4, M))
 
 
-def w_inverse(k, key):
+def w_inverse(k, M):
     """Inverse of :func:`w_transform`: L = I + W (I - M W)^-1."""
     W = kt_to_block(k) if isinstance(k, KTensor) else np.asarray(k, float)
-    return I4 + resolvent(W, -_key_block(key))
+    return I4 + (resolvent(W, -M) if M.any() else W)     # resolvent(W, 0) is W
 
 
 def pullback(ident, L):
     """Transform a tensor to the subspace side of the relation ``ident``."""
-    return w_transform(L, er_spec(ident).key)
+    return w_transform(L, er_spec(ident).key_block)
 
 
 @dataclass(frozen=True)
@@ -223,8 +224,7 @@ def er_sample(ident, seed=algebra.DEFAULT_SEED, scale=1.0, rng=None):
     if s == 0.0:
         return I4.copy()
     for _ in range(100):
-        k = spec.algebra.sample(rng, s)
-        L = w_inverse(k, spec.key)
+        L = w_inverse(spec.algebra.sample(rng, s), spec.key_block)
         if block_is_pd(L, tol=1e-10):
             return (L + L.T) / 2.0
         s *= 0.7

@@ -22,12 +22,11 @@ and a normal per pair: ``laminate2`` calls it on one pair, and
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import I2, block_from_json, block_to_json, resolvent, rotate_block
+from .tensor4 import I2, I4, block_from_json, block_to_json, resolvent, rotate_block
 from .exactrel import gamma0, unit_normal
 
 __all__ = [
@@ -56,13 +55,13 @@ class Mix:
 
 
 def _mix(A, B, f, G):
-    """Mix fraction ``f`` of A with B: the average W = <resolvent(L - I, G)>
-    mapped back by I + resolvent(W, -G), symmetrized.  A, B and G may be
-    (..., n, n) stacks with ``f`` of shape (...), one mix per entry."""
-    eye = np.eye(np.shape(A)[-1])
+    """Mix fraction ``f`` of A with B: the average W = <resolvent(L - I, G)>,
+    one stacked call for both, mapped back by I + resolvent(W, -G) and
+    symmetrized.  A, B and G may be (..., n, n) stacks, ``f`` of shape (...)."""
+    eye = I4 if np.shape(A)[-1] == 4 else I2
     f = np.asarray(f, dtype=float)[..., None, None]
-    W = f * resolvent(A - eye, G) + (1.0 - f) * resolvent(B - eye, G)
-    out = eye + resolvent(W, -G)
+    R = resolvent(np.array((A, B), dtype=float) - eye, G)
+    out = eye + resolvent(f * R[0] + (1.0 - f) * R[1], -G)
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
@@ -83,30 +82,33 @@ def laminate_tree(node):
     post-order and a height (0 for a leaf, one more than its taller child
     for a mix), so a node reachable along several paths is evaluated once.
     """
-    row, levels = {}, defaultdict(list)   # id -> (row, height); height -> nodes
-    stack = [(node, False)]
+    row, levels = {}, {}                  # id -> (row, height); height -> entries
+    stack = [node]
     while stack:
-        nd, expanded = stack.pop()
+        nd = stack.pop()
         if id(nd) in row:
             continue
-        if isinstance(nd, Mix) and not expanded:
-            stack += [(nd, True), (nd.child2, False), (nd.child1, False)]
-            continue
-        if isinstance(nd, Mix):
+        if isinstance(nd, Leaf):
+            h, entry = 0, (nd.rotation, nd.tensor)
+        elif not isinstance(nd, Mix):
+            raise TypeError(f"not a laminate node: {nd!r}")
+        elif id(nd.child1) in row and id(nd.child2) in row:
             (r1, h1), (r2, h2) = row[id(nd.child1)], row[id(nd.child2)]
             h, entry = 1 + max(h1, h2), (r1, r2, nd.f, nd.n)
-        elif isinstance(nd, Leaf):
-            h, entry = 0, (nd.rotation, nd.tensor)
-        else:
-            raise TypeError(f"not a laminate node: {nd!r}")
-        levels[h].append((len(row),) + entry)
+        else:                             # children first, then nd again
+            stack += [nd, nd.child2, nd.child1]
+            continue
+        levels.setdefault(h, []).append((len(row),) + entry)
         row[id(nd)] = (len(row), h)
+    leaves, *mixes = (levels[h] for h in range(len(levels)))
+    rows, rotation, tensor = zip(*leaves)
     vals = np.empty((len(row), 4, 4))
-    rows, rotation, tensor = zip(*levels[0])
     vals[list(rows)] = rotate_block(np.array(rotation, float), np.array(tensor, float))
-    for h in range(1, len(levels)):
-        rows, r1, r2, f, n = zip(*levels[h])
-        vals[list(rows)] = _mix(vals[list(r1)], vals[list(r2)], f, gamma0(n))
+    if mixes:
+        rows, r1, r2, f, n = map(np.array, zip(*(e for m in mixes for e in m)))
+        G, end = gamma0(n), np.cumsum([len(m) for m in mixes]).tolist()
+        for a, b in zip([0] + end, end):
+            vals[rows[a:b]] = _mix(vals[r1[a:b]], vals[r2[a:b]], f[a:b], G[a:b])
     return vals[-1].copy()
 
 

@@ -9,9 +9,9 @@ symmetric, and every such operator also has a real 4x4 block form
      [phi(X21) + psi(Y21), phi(X22) + psi(Y22)]]
 
 with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  The 2x2
-kernels here are closed form; every 4x4 inverse (the resolvent and Mobius
-maps, kt_inverse and block_inverse) is a dense numpy.linalg routine.  The
-change of field-pair basis L -> (B (x) I) L (B (x) I)^T is congruence.
+kernels here are closed form, 4x4 inverses dense numpy.linalg, and block_is_pd
+(eigenvalues of the real block or stack) is the one 4x4 positive definiteness
+test.  The change of field-pair basis L -> (B (x) I) L (B (x) I)^T is congruence.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.
@@ -93,10 +93,6 @@ def spd_sqrt_2x2(s):
     return (s + r * I2) / np.sqrt(s[0, 0] + s[1, 1] + 2.0 * r)
 
 
-def _scale(*mats):
-    return 1.0 + max(np.abs(m).max() if m.size else 0.0 for m in mats)
-
-
 class KTensor:
     """Operator on R^2 (+) R^2 in the (X, Y) parametrization.
 
@@ -118,7 +114,7 @@ class KTensor:
     def symmetric(cls, X, Y, tol=DEFAULT_TOL):
         X = np.asarray(X, dtype=complex).reshape(2, 2)
         Y = np.asarray(Y, dtype=complex).reshape(2, 2)
-        s = _scale(X, Y)
+        s = 1.0 + max(np.abs(X).max(), np.abs(Y).max())
         dx = np.abs(X - X.conj().T).max()
         dy = np.abs(Y - Y.T).max()
         if dx > tol * s or dy > tol * s:
@@ -217,7 +213,7 @@ def check_block(B, tol=DEFAULT_TOL):
     if not np.isfinite(B).all():
         raise ValueError("block tensor entries must be finite")
     d = np.abs(B - B.T).max()
-    if d > tol * _scale(B):
+    if d > tol * (1.0 + np.abs(B).max()):
         raise ValueError(f"block tensor asymmetry {d:.3e} exceeds tolerance")
     return (B + B.T) / 2.0
 
@@ -235,21 +231,22 @@ def congruence(B, L):
 
 
 def is_positive_definite(k, tol=1e-12):
-    """Positive definiteness test: X > 0 and X - Y conj(X)^-1 conj(Y) > 0.
-
-    Returns False on (and slightly inside) the boundary; the cutoff is
-    ``tol`` times the overall scale.
-    """
-    X, Y = k.X, k.Y
-    s = _scale(X, Y)
-    if not pd2(X, tol, s):
-        return False
-    SX = X - Y @ inv2(X.conj()) @ Y.conj()
-    return pd2(SX, tol, s)
+    """:func:`block_is_pd` of the block form of ``k``."""
+    return block_is_pd(kt_to_block(k), tol)
 
 
 def block_is_pd(B, tol=1e-12):
-    return is_positive_definite(kt_from_block(B), tol=tol)
+    """Positive definiteness of a real 4x4 block or a (..., 4, 4) stack: all
+    eigenvalues of the symmetric part exceed tol * (1 + max|B|), strictly, so
+    the boundary fails, as do NaN and Inf entries.  One block gives a bool."""
+    B = np.asarray(B, dtype=float)
+    big = np.abs(B).max(axis=(-2, -1))           # NaN or Inf with such an entry
+    try:
+        w = np.linalg.eigvalsh(B + np.swapaxes(B, -1, -2))[..., 0]      # smallest
+    except np.linalg.LinAlgError:                # Inf entries: -I replaces those blocks
+        return block_is_pd(np.where((big < np.inf)[..., None, None], B, -I4), tol)
+    pd = w > 2.0 * tol * (1.0 + big)             # False where big is NaN or Inf
+    return bool(pd) if pd.ndim == 0 else pd
 
 
 def resolvent(D, M):
@@ -258,7 +255,8 @@ def resolvent(D, M):
     L0 + resolvent(W, -M) inverts W = resolvent(L - L0, M).  D and M may be
     (..., n, n) stacks, evaluated entry by entry.
     """
-    return D @ np.linalg.inv(np.eye(D.shape[-1]) + M @ D)
+    eye = I4 if D.shape[-1] == 4 else np.eye(D.shape[-1])   # np.eye costs 1/5 of this
+    return D @ np.linalg.inv(eye + M @ D)
 
 
 def mobius(A, L):

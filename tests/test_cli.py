@@ -124,6 +124,17 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_laminate_non_pd_second_leaf_exits_3(tmp_path, capsys):
+    """All leaves are checked in one stacked PD test; a bad second leaf
+    behind a good first one is still a domain error with empty stdout."""
+    for value in (-5.0, 0.0):
+        path = _with_value(tmp_path, "tree_rank1.json",
+                           ("mix", "c2", "leaf", "tensor", "L", 0, 0), value)
+        capsys.readouterr()
+        assert cli.main(["laminate", path]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [["er", "--er", "22"], ["laminate"],
                                   ["two-phase"], ["polycrystal"], ["zt"]])
 def test_non_object_json_exits_2(tmp_path, capsys, argv):

@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from thermoex import algebra as alg
 from thermoex import exactrel as er
-from thermoex.tensor4 import (I2, I4, RPERP, T4, block_parts,
+from thermoex.tensor4 import (I2, I4, RPERP, T4, KTensor, block_parts,
                               block_is_pd, det2, kt_to_block)
 from conftest import rand_spd, rand_pd_block
 
@@ -38,22 +40,36 @@ def test_gamma0_span(rng):
         assert np.linalg.norm(resid) < 1e-12
 
 
+def key_block(key):
+    """The transforms' key operator M = K(key, 0) as a 4x4 block."""
+    return kt_to_block(KTensor(key, np.zeros((2, 2))))
+
+
+def test_key_blocks_pinned():
+    for ident in er.ER_IDS:
+        spec = er.er_spec(ident)
+        assert np.array_equal(spec.key_block, key_block(spec.key))
+        assert er.er_spec(ident) is spec              # built once per relation
+    assert np.array_equal(key_block(alg.KEY_HALF_I), I4 / 2)
+
+
 def test_w_transform_pinned():
-    k = er.w_transform(I4, alg.KEY_HALF_I)
+    k = er.w_transform(I4, key_block(alg.KEY_HALF_I))
     assert k.norm() < 1e-14
-    k3 = er.w_transform(3 * I4, alg.KEY_HALF_I)
+    k3 = er.w_transform(3 * I4, key_block(alg.KEY_HALF_I))
     assert np.allclose(kt_to_block(k3), I4)          # 2(L+I)^-1(L-I) at L=3I
     # zero key is a plain shift
-    k0 = er.w_transform(3 * I4, alg.KEY_ZERO)
+    k0 = er.w_transform(3 * I4, key_block(alg.KEY_ZERO))
     assert np.allclose(kt_to_block(k0), 2 * I4)
 
 
 def test_w_roundtrip(rng):
     for key in (alg.KEY_ZERO, alg.KEY_E11, alg.KEY_E22, alg.KEY_HALF_I):
+        M = key_block(key)
         for _ in range(50):
             L = rand_pd_block(rng)
-            k = er.w_transform(L, key)
-            back = er.w_inverse(k, key)
+            k = er.w_transform(L, M)
+            back = er.w_inverse(k, M)
             assert np.abs(back - L).max() < 1e-10 * (1 + np.abs(L).max())
 
 
@@ -106,6 +122,39 @@ def test_sample_membership(rng):
             m = er.er_member(ident, L)
             assert m.member, (ident, m.residual, m.constraints)
             assert block_is_pd(L)
+
+
+# sha256 prefix of er_sample(ident, seed=100 + ident).tobytes(): a fixed
+# seed keeps its sampled tensor bit for bit
+SAMPLE_DIGESTS = {
+    7: "d7d53fdfdba5b520", 8: "291a58a74c89b949", 9: "cf588993f48bdd90",
+    13: "0e1382f409687410", 17: "95eca35e9b3af5da", 19: "c2b9ab626c38d46f",
+    20: "1a3510b3828388ad", 21: "b3fb49bba7ac50b2", 22: "e0496349f492c506",
+}
+
+
+@pytest.mark.parametrize("ident", er.ER_IDS)
+def test_sample_draw_order(ident):
+    """er_sample on a shared rng consumes exactly the draws of a reference
+    loop of subspace samples with the same scale shrinks, and returns the
+    pinned tensor for a fixed seed."""
+    spec = er.er_spec(ident)
+    for seed in range(5):
+        shared, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for scale in (0.5, 1.0, 4.0):
+            L = er.er_sample(ident, rng=shared, scale=scale)
+            s = scale
+            while True:          # dense inverse transform, eigenvalue PD test
+                W = kt_to_block(spec.algebra.sample(ref, s))
+                Lr = I4 + W @ np.linalg.inv(I4 - spec.key_block @ W)
+                Lr = (Lr + Lr.T) / 2.0
+                if np.linalg.eigvalsh(Lr)[0] > 1e-10 * (1.0 + np.abs(Lr).max()):
+                    break
+                s *= 0.7
+            assert np.abs(L - Lr).max() < 1e-12 * (1.0 + np.abs(Lr).max())
+            assert shared.uniform() == ref.uniform()
+    L = er.er_sample(ident, seed=100 + ident)
+    assert hashlib.sha256(L.tobytes()).hexdigest()[:16] == SAMPLE_DIGESTS[ident]
 
 
 def test_sample_scale_zero():

@@ -260,3 +260,43 @@ def test_stacked_kernels_match_single(rng):
         assert np.array_equal(R[i], resolvent(D[i], G[i]))
         assert np.array_equal(rot[i], rotate_block(th[i], D[i]))
     assert np.array_equal(er.gamma0(n.reshape(2, 3, 2)), G.reshape(2, 3, 4, 4))
+
+
+def rotated(node, th, memo=None):
+    """Copy of a tree with every leaf and every layer normal rotated by
+    ``th``; shared node objects stay shared."""
+    memo = {} if memo is None else memo
+    if id(node) not in memo:
+        if isinstance(node, Leaf):
+            memo[id(node)] = Leaf(node.tensor, node.rotation + th)
+        else:
+            c, s = np.cos(th), np.sin(th)
+            n = (c * node.n[0] - s * node.n[1], s * node.n[0] + c * node.n[1])
+            memo[id(node)] = Mix(rotated(node.child1, th, memo),
+                                 rotated(node.child2, th, memo), node.f, n)
+    return memo[id(node)]
+
+
+def test_rotation_covariance(rng):
+    """Rotating every leaf and every normal of a tree by th rotates the
+    laminate by rotate_block(th, .)."""
+    for _ in range(30):
+        leaves = [Leaf(rand_pd_block(rng), rng.uniform(0, np.pi)) for _ in range(3)]
+        t = random_tree(rng, int(rng.integers(1, 41)), leaves)
+        th = rng.uniform(-np.pi, np.pi)
+        lhs = laminate_tree(rotated(t, th))
+        rhs = rotate_block(th, laminate_tree(t))
+        assert np.abs(lhs - rhs).max() < 1e-12 * (1 + np.abs(rhs).max())
+
+
+@pytest.mark.parametrize("ident", er.ER_IDS)
+def test_lamination_closure_random_trees(ident):
+    """Random trees of 1-40 mixes over rotated members of one relation stay
+    in that relation."""
+    rng = np.random.default_rng(1000 + ident)
+    for _ in range(8):
+        leaves = [Leaf(er.er_sample(ident, rng=rng), rng.uniform(0, np.pi))
+                  for _ in range(3)]
+        L = laminate_tree(random_tree(rng, int(rng.integers(1, 41)), leaves))
+        m = er.er_member(ident, L)
+        assert m.member, (ident, m.residual, m.constraints)

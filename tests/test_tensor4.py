@@ -7,8 +7,8 @@ from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, E11, E22, KTensor,
                               block_inverse, congruence, is_positive_definite,
                               rotate, rotate_block, jordan_star, kt_to_json,
                               kt_from_json, block_to_json, block_from_json,
-                              check_block)
-from conftest import rand_herm, rand_kt, rand_pd_kt, rand_pd_block
+                              check_block, block_is_pd, pd2)
+from conftest import rand_herm, rand_kt, rand_pd_kt, rand_pd_block, rand_sym_c
 
 
 def test_phi_pinned():
@@ -164,6 +164,55 @@ def test_pd_criterion(rng):
         if abs(w.min()) < 1e-6:      # skip the ambiguous band
             continue
         assert is_positive_definite(k) == (w.min() > 0)
+
+
+def schur_pd(k, tol=1e-12):
+    """Reference PD test in (X, Y) form: X > 0 and its Schur complement
+    X - Y conj(X)^-1 conj(Y) > 0, cut at tol * (1 + max |X|, |Y|)."""
+    X, Y = k.X, k.Y
+    s = 1.0 + max(np.abs(X).max(), np.abs(Y).max())
+    return pd2(X, tol, s) and pd2(X - Y @ inv2(X.conj()) @ Y.conj(), tol, s)
+
+
+def test_block_pd_stack_and_bool(rng):
+    Bs = np.stack([kt_to_block(KTensor(rand_herm(rng) + c * I2, rand_sym_c(rng)))
+                   for c in rng.uniform(0.0, 3.0, 6)]).reshape(2, 3, 4, 4)
+    pd = block_is_pd(Bs)
+    assert pd.shape == (2, 3) and pd.dtype == bool
+    assert 0 < pd.sum() < 6            # both outcomes occur
+    for i in np.ndindex(2, 3):
+        one = block_is_pd(Bs[i])
+        assert type(one) is bool and one == pd[i]
+    assert type(block_is_pd(-I4)) is bool and block_is_pd(-I4) is False
+
+
+def test_block_pd_non_finite():
+    nan_pair = I4.copy()
+    nan_pair[0, 1] = nan_pair[1, 0] = np.nan
+    inf_diag = I4.copy()
+    inf_diag[2, 2] = np.inf
+    for B in (nan_pair, inf_diag, -inf_diag, np.full((4, 4), np.nan)):
+        assert block_is_pd(B) is False
+        assert block_is_pd(B, tol=0.0) is False
+    stack = block_is_pd(np.stack([nan_pair, I4, inf_diag, 2 * I4]))
+    assert stack.tolist() == [False, True, False, True]
+
+
+def test_block_pd_matches_schur_form():
+    """On 10^4 seeded draws away from the boundary, the eigenvalue test of
+    the 4x4 block agrees with the (X, Y) Schur-complement test."""
+    rng = np.random.default_rng(0xD0)
+    ks = [KTensor(rand_herm(rng) + c * I2, rand_sym_c(rng))
+          for c in rng.uniform(0.0, 5.0, 10_000)]
+    Bs = np.stack([kt_to_block(k) for k in ks])
+    w = np.linalg.eigvalsh(Bs)[:, 0]
+    away = np.abs(w) > 1e-6 * (1.0 + np.abs(Bs).max(axis=(1, 2)))
+    pd = block_is_pd(Bs)
+    assert away.sum() > 9900 and 0.2 < pd.mean() < 0.8
+    for k, got, keep in zip(ks, pd, away):
+        if keep:
+            assert got == schur_pd(k)
+    assert block_is_pd(kt_to_block(KTensor(I2, I2))) is False   # boundary S_X = 0
 
 
 def test_rotate(rng):
