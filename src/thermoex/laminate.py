@@ -182,27 +182,59 @@ class IteratedRank2Model:
 
 
 def tree_to_json(node):
-    if isinstance(node, Leaf):
-        return {"leaf": {"tensor": block_to_json(node.tensor),
-                         "rotation": float(node.rotation)}}
-    return {"mix": {"c1": tree_to_json(node.child1),
-                    "c2": tree_to_json(node.child2),
-                    "f": float(node.f),
-                    "n": [float(v) for v in node.n]}}
+    """JSON form of a laminate tree, built bottom-up without recursion; a
+    node reachable along several paths is converted once."""
+    done = {}                             # id(node) -> its JSON form
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        if id(nd) in done:
+            continue
+        if isinstance(nd, Leaf):
+            done[id(nd)] = {"leaf": {"tensor": block_to_json(nd.tensor),
+                                     "rotation": float(nd.rotation)}}
+        elif not isinstance(nd, Mix):
+            raise TypeError(f"not a laminate node: {nd!r}")
+        elif id(nd.child1) in done and id(nd.child2) in done:
+            done[id(nd)] = {"mix": {"c1": done[id(nd.child1)],
+                                    "c2": done[id(nd.child2)],
+                                    "f": float(nd.f),
+                                    "n": [float(v) for v in nd.n]}}
+        else:                             # children first, then nd again
+            stack += [nd, nd.child2, nd.child1]
+    return done[id(node)]
 
 
 def tree_from_json(obj):
-    if "leaf" in obj:
-        leaf = obj["leaf"]
-        rotation = float(leaf.get("rotation", 0.0))
-        if not np.isfinite(rotation):
-            raise ValueError("leaf rotation must be finite")
-        return Leaf(block_from_json(leaf["tensor"]), rotation)
-    if "mix" in obj:
-        mix = obj["mix"]
-        n = tuple(float(v) for v in mix["n"])
-        if not np.isfinite(n).all():
-            raise ValueError("layer normal must be finite")
-        return Mix(tree_from_json(mix["c1"]), tree_from_json(mix["c2"]),
-                   float(mix["f"]), n)
-    raise ValueError("laminate node must contain 'leaf' or 'mix'")
+    """Inverse of :func:`tree_to_json`, built bottom-up without recursion.
+
+    A malformed node, a non-finite rotation or normal and a node that
+    contains itself raise ``ValueError``.
+    """
+    done, opened = {}, set()              # id(obj) -> node; mixes whose children are pending
+    stack = [obj]
+    while stack:
+        ob = stack.pop()
+        if id(ob) in done:
+            continue
+        if "leaf" in ob:
+            leaf = ob["leaf"]
+            rotation = float(leaf.get("rotation", 0.0))
+            if not np.isfinite(rotation):
+                raise ValueError("leaf rotation must be finite")
+            done[id(ob)] = Leaf(block_from_json(leaf["tensor"]), rotation)
+        elif "mix" not in ob:
+            raise ValueError("laminate node must contain 'leaf' or 'mix'")
+        elif id(ob["mix"]["c1"]) in done and id(ob["mix"]["c2"]) in done:
+            mix = ob["mix"]
+            n = tuple(float(v) for v in mix["n"])
+            if not np.isfinite(n).all():
+                raise ValueError("layer normal must be finite")
+            done[id(ob)] = Mix(done[id(mix["c1"])], done[id(mix["c2"])],
+                               float(mix["f"]), n)
+        elif id(ob) in opened:
+            raise ValueError("laminate node contains itself")
+        else:                             # children first, then ob again
+            opened.add(id(ob))
+            stack += [ob, ob["mix"]["c2"], ob["mix"]["c1"]]
+    return done[id(obj)]

@@ -10,16 +10,22 @@ with A = [[a0, b0], [a1, b1]], T = Rperp (x) Rperp.  Pairs (A, B) act
 projectively: A and B are normalized to |det| = 1 with a deterministic
 sign convention.  Composition follows the Moebius rule with a
 determinant-of-B twist on the A factor.
+
+A :class:`LinkMap` is put in canonical form on Python floats and keeps
+those entries, so composition and inversion are scalar arithmetic; it also
+keeps the 4x4 B (x) I, so applying a map is one Moebius transform
+(:func:`thermoex.tensor4.mobius`) and two products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import struct
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, congruence, det2, inv2, mobius, pd2,
-                      spd_sqrt_2x2)
+from .tensor4 import I2, RPERP, det2, inv2, mobius, pd2, spd_sqrt_2x2
 from .exactrel import lm_par, lm_unpar, er_member
 
 __all__ = [
@@ -31,15 +37,77 @@ __all__ = [
 ]
 
 
-def _canonical(m):
+def _entries(m):
+    """The four entries (m00, m01, m10, m11) of a 2x2 as Python floats."""
     m = np.asarray(m, dtype=float)
-    d = abs(det2(m))
-    if d < 1e-300:
-        raise ValueError("link matrices must be invertible")
-    m = m / np.sqrt(d)
-    for v in m.ravel():
+    if m.shape != (2, 2):
+        raise ValueError(f"link matrices must be 2x2, got shape {m.shape}")
+    (m00, m01), (m10, m11) = m.tolist()
+    return m00, m01, m10, m11
+
+
+def _det(m):
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def _inv(m):
+    d = _det(m)
+    return m[3] / d, -m[1] / d, -m[2] / d, m[0] / d
+
+
+def _mul(x, y):
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
+
+
+def _conj_by_det(x, d):
+    """diag(d, 1)^-1 x diag(d, 1), multiplied in that order."""
+    e = 1.0 / d
+    return e * x[0] * d, e * x[1], x[2] * d, x[3]
+
+
+def _canonical(m):
+    """m / sqrt|det m|, negated unless its first entry above 1e-12 is positive.
+
+    A NaN or Inf entry makes the determinant NaN or Inf, so one range test
+    rejects those, singular matrices and determinants that overflow.
+    """
+    d = abs(_det(m))
+    if not 1e-300 <= d < math.inf:
+        raise ValueError("link matrices must be finite and invertible")
+    s = math.sqrt(d)
+    m = [m[0] / s, m[1] / s, m[2] / s, m[3] / s]
+    for v in m:
         if abs(v) > 1e-12:
-            return m if v > 0 else -m
+            return m if v > 0 else [-m[0], -m[1], -m[2], -m[3]]
+    return m
+
+
+_PACK24 = struct.Struct("24d").pack
+
+
+def _link(m, a, b):
+    """Fill ``m`` with the canonical form of the pair given as float entries.
+
+    Rescaling B by c is the same map as multiplying A by diag(c^2, 1), so
+    normalizing B feeds |det B| back into the first row of A before A itself
+    is scaled and sign-fixed.
+    """
+    d = abs(_det(b))
+    # diag(d, 1) @ a; adding 0.0 gives zero entries the +0.0 of a matrix product.
+    # A singular b makes a singular too; _canonical rejects both.
+    a = _canonical((d * a[0] + 0.0, d * a[1] + 0.0, a[2] + 0.0, a[3] + 0.0))
+    b = _canonical(b)
+    b00, b01, b10, b11 = b
+    # a, b and B (x) I in one buffer, read-only as it is made from bytes
+    buf = np.frombuffer(_PACK24(*a, *b, b00, 0.0, b01, 0.0, 0.0, b00, 0.0, b01,
+                                b10, 0.0, b11, 0.0, 0.0, b10, 0.0, b11))
+    set_ = object.__setattr__
+    set_(m, "a", buf[:4].reshape(2, 2))
+    set_(m, "b", buf[4:8].reshape(2, 2))
+    set_(m, "_bi", buf[8:].reshape(4, 4))
+    set_(m, "_a", a)
+    set_(m, "_b", b)
     return m
 
 
@@ -47,23 +115,28 @@ def _canonical(m):
 class LinkMap:
     """Projective pair (A, B) with |det| = 1 and fixed sign convention.
 
-    Rescaling B by c is the same map as multiplying A by diag(c^2, 1), so
-    normalizing B must feed the determinant back into A before A itself
-    is scaled and sign-fixed.
+    The canonical form is computed on Python floats.  Besides the read-only
+    arrays ``a`` and ``b`` a map keeps their entries as floats, for
+    composition and inversion, and the 4x4 B (x) I that :func:`psi_apply`
+    multiplies by.  A or B with a non-finite entry, a shape other than 2x2
+    or a zero determinant raise ``ValueError``.
     """
 
     a: np.ndarray
     b: np.ndarray
+    _a: list = field(init=False, repr=False, compare=False)
+    _b: list = field(init=False, repr=False, compare=False)
+    _bi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        # a singular b makes a singular too; _canonical rejects both
-        a = np.diag([abs(det2(b)), 1.0]) @ np.asarray(self.a, dtype=float)
-        object.__setattr__(self, "a", _canonical(a))
-        object.__setattr__(self, "b", _canonical(b))
+        _link(self, _entries(self.a), _entries(self.b))
 
     def __call__(self, L):
         return psi_apply(self, L)
+
+
+def _from_entries(a, b):
+    return _link(object.__new__(LinkMap), a, b)
 
 
 def identity_map():
@@ -92,24 +165,21 @@ def basis_change(B):
 
 def psi_apply(m, L):
     """Psi_{A,B}(L), symmetrized; L may be a (..., 4, 4) stack."""
-    out = congruence(m.b, mobius(m.a, np.asarray(L, dtype=float)))
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
-
-
-def _conj_by_det(A, d):
-    D = np.diag([d, 1.0])
-    return inv2(D) @ A @ D
+    out = m._bi @ mobius(m.a, np.asarray(L, dtype=float)) @ m._bi.T
+    return (out + out.swapaxes(-1, -2)) / 2.0
 
 
 def psi_compose(m1, m2):
-    """Map with psi_compose(m1, m2)(L) = m1(m2(L))."""
-    d2 = det2(m2.b)
-    return LinkMap(_conj_by_det(m1.a, d2) @ m2.a, m1.b @ m2.b)
+    """Map with psi_compose(m1, m2)(L) = m1(m2(L)): the pair
+    (D^-1 A1 D A2, B1 B2) with D = diag(det B2, 1)."""
+    return _from_entries(_mul(_conj_by_det(m1._a, _det(m2._b)), m2._a),
+                         _mul(m1._b, m2._b))
 
 
 def psi_inverse(m):
-    bi = inv2(m.b)
-    return LinkMap(_conj_by_det(inv2(m.a), det2(bi)), bi)
+    """Map with psi_inverse(m)(m(L)) = L."""
+    bi = _inv(m._b)
+    return _from_entries(_conj_by_det(_inv(m._a), _det(bi)), bi)
 
 
 def psi_normalizer(lam, nu=0.0):
@@ -218,4 +288,4 @@ def linkmap_to_json(m):
 
 
 def linkmap_from_json(obj):
-    return LinkMap(np.asarray(obj["A"], float), np.asarray(obj["B"], float))
+    return LinkMap(obj["A"], obj["B"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from thermoex import cli
+from thermoex.laminate import laminate_tree, tree_from_json
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -146,21 +147,32 @@ def test_non_object_json_exits_2(tmp_path, capsys, argv):
         assert capsys.readouterr().out == ""
 
 
-def test_deeply_nested_file_exits_2(tmp_path, capsys, monkeypatch):
-    """Nesting beyond the recursion limit is an input error, whether the
-    JSON parser or the tree reader hits the limit first."""
+def test_deeply_nested_file_exits_2(tmp_path, capsys):
+    """A file nested beyond the JSON parser's recursion limit is an input error."""
     depth = sys.getrecursionlimit() + 100
     leaf = {"leaf": {"tensor": {"L": np.eye(4).tolist()}}}
     text = '{"mix": {"f": 0.5, "n": [1, 0], "c2": %s, "c1": ' % json.dumps(leaf)
     path = tmp_path / "deep.json"
     path.write_text(text * depth + json.dumps(leaf) + "}}" * depth)
     assert cli.main(["laminate", str(path)]) == cli.EXIT_INPUT
-    tree = leaf
-    for _ in range(depth):
-        tree = {"mix": {"f": 0.5, "n": [1, 0], "c1": tree, "c2": leaf}}
-    monkeypatch.setattr(cli, "_load", lambda path: tree)
-    assert cli.main(["laminate", str(path)]) == cli.EXIT_INPUT
     assert capsys.readouterr().out == ""
+
+
+def test_tree_deeper_than_the_recursion_limit_laminates(tmp_path, monkeypatch):
+    """The tree reader does not recurse: a parsed tree nested beyond the
+    recursion limit is laminated like any other."""
+    rng = np.random.default_rng(5)
+    M1, M2 = rng.standard_normal((2, 4, 4))
+    leaf1 = {"leaf": {"tensor": {"L": (M1 @ M1.T + np.eye(4)).tolist()}}}
+    leaf2 = {"leaf": {"tensor": {"L": (M2 @ M2.T + np.eye(4)).tolist()}}}
+    tree = leaf1
+    for _ in range(sys.getrecursionlimit() + 100):
+        tree = {"mix": {"f": 0.5, "n": [1, 0], "c1": tree, "c2": leaf2}}
+    monkeypatch.setattr(cli, "_load", lambda path: tree)
+    code, out = run(["laminate", str(tmp_path / "deep.json")])
+    assert code == cli.EXIT_OK
+    ref = laminate_tree(tree_from_json(tree))
+    assert np.array_equal(np.array(json.loads(out)["L"]), ref)
 
 
 def test_two_phase_overrides():

@@ -208,6 +208,38 @@ def test_tree_deeper_than_the_recursion_limit(rng):
     assert np.array_equal(laminate_tree(t), ref)
 
 
+def test_tree_json_roundtrip_deeper_than_the_recursion_limit(rng):
+    """The 1500-mix chain goes to JSON and back without recursion, in the
+    same format as a shallow tree, and evaluates to the same tensor."""
+    L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
+    t = Leaf(L1, 0.4)
+    for _ in range(1500):
+        t = Mix(t, Leaf(L2), rng.uniform(), tuple(rng.standard_normal(2)))
+    obj = tree_to_json(t)
+    top = obj["mix"]
+    assert sorted(top) == ["c1", "c2", "f", "n"] and top["c2"] == tree_to_json(Leaf(L2))
+    assert top["f"] == t.f and top["n"] == list(t.n)
+    back = tree_from_json(obj)
+    assert np.array_equal(laminate_tree(back), laminate_tree(t))
+
+
+def test_tree_json_shared_and_malformed_nodes(rng):
+    """A shared subtree is written once per path it is reached by; a tree
+    that contains itself and a non-node raise."""
+    L = rand_pd_block(rng)
+    shared = Mix(Leaf(L), Leaf(L, 0.5), 0.3, (1.0, 0.0))
+    t = Mix(shared, shared, 0.6, (0.0, 1.0))
+    obj = tree_to_json(t)
+    assert obj["mix"]["c1"] == obj["mix"]["c2"] == tree_to_json(shared)
+    assert np.array_equal(laminate_tree(tree_from_json(obj)), laminate_tree(t))
+    loop = {"mix": {"f": 0.5, "n": [1.0, 0.0], "c2": tree_to_json(Leaf(L))}}
+    loop["mix"]["c1"] = {"mix": dict(loop["mix"], c1=loop)}
+    with pytest.raises(ValueError, match="contains itself"):
+        tree_from_json(loop)
+    with pytest.raises(TypeError):
+        tree_to_json(Mix(Leaf(L), "leaf", 0.5, (1.0, 0.0)))
+
+
 def test_tree_one_mix_call_per_height(rng, monkeypatch):
     """A tree is laminated with one stacked _mix per height, covering every
     mix exactly once."""

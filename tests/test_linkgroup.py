@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from thermoex import exactrel as er
 from thermoex import linkgroup as lg
 from thermoex.laminate import laminate2, conduct2
-from thermoex.tensor4 import I2, I4, RPERP, T4, det2, mobius
+from thermoex.tensor4 import I2, I4, RPERP, T4, congruence, det2, mobius
 from conftest import rand_spd, rand_pd_block
 
 
@@ -269,3 +271,116 @@ def test_covariance_is_normalizer_link(rng):
             out = er.covariance(lam, L)
             ref = lg.psi_apply(lg.psi_normalizer(lam), L)
             assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+# -- seeded properties on many random pairs ---------------------------------
+
+PROPERTY_TRIALS = 1000
+
+
+def well_conditioned_pairs(rng, n=PROPERTY_TRIALS):
+    """n draws (m1, m2, L) whose two pencils a1 L + b1 T have condition
+    number at most 1e3, the draws the audit benchmark checks."""
+    out = []
+    while len(out) < n:
+        m1, m2 = rand_map(rng), rand_map(rng)
+        L = rand_pd_block(rng)
+        if np.linalg.cond(m2.a[1, 0] * L + m2.a[1, 1] * T4) > 1e3:
+            continue
+        mid = lg.psi_apply(m2, L)
+        if np.linalg.cond(m1.a[1, 0] * mid + m1.a[1, 1] * T4) <= 1e3:
+            out.append((m1, m2, L))
+    return out
+
+
+def rel_diff(x, ref):
+    return np.abs(x - ref).max() / np.abs(ref).max()
+
+
+def test_composition_law_property(rng):
+    for m1, m2, L in well_conditioned_pairs(rng):
+        lhs = lg.psi_apply(m1, lg.psi_apply(m2, L))
+        assert rel_diff(lg.psi_apply(lg.psi_compose(m1, m2), L), lhs) <= 1e-9
+
+
+def test_inverse_property(rng):
+    for m, _, L in well_conditioned_pairs(rng):
+        back = lg.psi_apply(lg.psi_inverse(m), lg.psi_apply(m, L))
+        assert rel_diff(back, L) <= 1e-9
+
+
+def first_significant(m):
+    return next(v for v in m.ravel() if abs(v) > 1e-12)
+
+
+def test_canonical_form_invariants(rng):
+    """|det a| = |det b| = 1 and the first entry above 1e-12 is positive, for
+    maps built from pairs over six decades of scale, composites and inverses."""
+    for _ in range(PROPERTY_TRIALS):
+        sa, sb = 10.0 ** rng.uniform(-3, 3, size=2)
+        m = lg.LinkMap(sa * rng.standard_normal((2, 2)), sb * rng.standard_normal((2, 2)))
+        for x in (m, lg.psi_compose(m, rand_map(rng)), lg.psi_inverse(m)):
+            for part in (x.a, x.b):
+                assert abs(abs(det2(part)) - 1.0) <= 1e-12
+                assert first_significant(part) > 0
+
+
+def test_psi_apply_is_congruence_of_mobius(rng):
+    """psi_apply uses the map's cached B (x) I; the result equals the
+    symmetrized congruence of the Moebius transform bit for bit."""
+    def ref(m, L):
+        out = congruence(m.b, mobius(m.a, L))
+        return (out + np.swapaxes(out, -1, -2)) / 2.0
+    for m1, m2, L in well_conditioned_pairs(rng):
+        for m in (m1, m2, lg.psi_compose(m1, m2)):
+            assert lg.psi_apply(m, L).tobytes() == ref(m, L).tobytes()
+    Ls = np.stack([L, lg.psi_apply(m2, L), I4])
+    assert lg.psi_apply(m1, Ls).tobytes() == ref(m1, Ls).tobytes()
+    D = np.diag([1.0, 2.0, 3.0, 4.0])
+    for m in (lg.identity_map(), lg.t_translation(0.3), lg.inversion_flip()):
+        assert lg.psi_apply(m, D).tobytes() == ref(m, D).tobytes()
+
+
+# -- the input boundary -------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linkmap_rejects_non_finite(bad):
+    for pos in np.ndindex(2, 2):
+        M = np.eye(2)
+        M[pos] = bad
+        for A, B in ((M, I2), (I2, M)):
+            with pytest.raises(ValueError, match="finite"):
+                lg.LinkMap(A, B)
+            with pytest.raises(ValueError, match="finite"):
+                lg.linkmap_from_json({"A": A.tolist(), "B": B.tolist()})
+
+
+def test_linkmap_rejects_misshapen_and_singular():
+    for M in (np.eye(3), np.ones(4), [[1.0, 0.0]], 1.0):
+        for A, B in ((M, I2), (I2, M)):
+            with pytest.raises(ValueError, match="2x2"):
+                lg.LinkMap(A, B)
+    with pytest.raises(ValueError, match="2x2"):
+        lg.linkmap_from_json({"A": np.eye(3).tolist(), "B": I2.tolist()})
+    for A, B in ((np.ones((2, 2)), I2), (I2, np.ones((2, 2)))):
+        with pytest.raises(ValueError, match="invertible"):
+            lg.LinkMap(A, B)
+
+
+def test_linkmap_is_immutable(rng):
+    m = rand_map(rng)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.a = I2
+    for part in (m.a, m.b):
+        with pytest.raises(ValueError):
+            part[0, 0] = 1.0
+
+
+def test_linkmap_zero_entries_are_positive_zero():
+    """Feeding |det B| back into A is the product diag(|det B|, 1) @ A, so a
+    -0.0 entry of A comes out as +0.0, as from a matrix product."""
+    m = lg.LinkMap(np.array([[-0.0, 2.0], [-1.0, -0.0]]), np.array([[-1.0, -0.0], [0.0, 2.0]]))
+    assert m.a.tolist() == [[0.0, 2.0], [-0.5, 0.0]]
+    assert np.signbit(m.a).tolist() == [[False, False], [True, False]]
+    # B is only scaled and, by the sign rule, negated: its zeros flip sign
+    assert np.signbit(m.b).tolist() == [[False, False], [True, True]]
