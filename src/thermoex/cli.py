@@ -14,8 +14,6 @@ import sys
 
 import numpy as np
 
-from . import algebra, exactrel, laminate, materials, polycrystal
-from . import twophase
 from .tensor4 import (KTensor, block_from_json, block_to_json, kt_from_block,
                       block_is_pd, kt_from_json)
 
@@ -23,6 +21,9 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
+
+# what a JSON value of the wrong type or shape raises while it is parsed
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
 
 
 def _fmt(obj):
@@ -73,10 +74,12 @@ class SystemExit_(Exception):
 
 
 def cmd_verify_algebras(args):
+    import thermoex.algebra as algebra
+    seed = algebra.DEFAULT_SEED if args.seed is None else args.seed
     reports = []
     ok = True
     for spec in algebra.catalog():
-        rep = algebra.check_closure(spec, trials=args.trials, seed=args.seed,
+        rep = algebra.check_closure(spec, trials=args.trials, seed=seed,
                                     tol=args.tol * 10)
         reports.append(rep.to_json())
         ok &= rep.passed
@@ -91,19 +94,19 @@ def cmd_verify_algebras(args):
         spec = algebra.algebra_by_id(ident)
         for s in ideals:
             rep = algebra.check_ideal(algebra.algebra_by_id(s), spec,
-                                      trials=args.trials, seed=args.seed)
+                                      trials=args.trials, seed=seed)
             reports.append(rep.to_json())
             ok &= rep.passed
     for ident in (8, 9, 13, 17, 20, 21, 22):
         rep = algebra.check_chain(algebra.algebra_by_id(ident),
-                                  trials=args.trials, seed=args.seed)
+                                  trials=args.trials, seed=seed)
         reports.append(rep.to_json())
         ok &= rep.passed
     for spec in algebra.catalog():
         key = algebra.find_inversion_key(spec, trials=args.trials,
-                                         seed=args.seed)
+                                         seed=seed)
         res = algebra.key_condition_residual(spec, key, trials=args.trials,
-                                             seed=args.seed)
+                                             seed=seed)
         reports.append({"algebra_id": spec.ident,
                         "check": f"key:{algebra.key_name(key)}",
                         "trials": args.trials, "max_residual": res,
@@ -114,28 +117,30 @@ def cmd_verify_algebras(args):
 
 
 def cmd_er(args):
+    from .exactrel import er_member
     data = _load(args.tensor)
     try:
         L = block_from_json(data)
-    except (KeyError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SystemExit_(EXIT_INPUT, f"bad tensor file: {exc}")
     if not block_is_pd(L):
         raise SystemExit_(EXIT_DOMAIN, "tensor is not positive definite")
-    res = exactrel.er_member(args.er, L, tol=args.tol)
+    res = er_member(args.er, L, tol=args.tol)
     _emit(res.to_json(), args.output)
     return EXIT_OK
 
 
 def cmd_laminate(args):
+    from .laminate import laminate_tree, tree_from_json
     data = _load(args.tree)
     try:
-        tree = laminate.tree_from_json(data)
-    except (KeyError, ValueError, TypeError, RecursionError) as exc:
+        tree = tree_from_json(data)
+    except (*_MALFORMED, RecursionError) as exc:
         raise SystemExit_(EXIT_INPUT, f"bad laminate file: {exc}")
     if not block_is_pd(np.array([leaf.tensor for leaf in _leaves(tree)])).all():
         raise SystemExit_(EXIT_DOMAIN, "laminate leaf is not positive definite")
     try:
-        L = laminate.laminate_tree(tree)
+        L = laminate_tree(tree)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SystemExit_(EXIT_DOMAIN, f"lamination failed: {exc}")
     _emit(block_to_json(L), args.output)
@@ -143,16 +148,18 @@ def cmd_laminate(args):
 
 
 def _leaves(node):
+    from .laminate import Mix
     stack = [node]
     while stack:
         node = stack.pop()
-        if isinstance(node, laminate.Mix):
+        if isinstance(node, Mix):
             stack += (node.child1, node.child2)
         else:
             yield node
 
 
 def _micro_from_json(obj, f=None, normal=None):
+    from .laminate import IteratedRank2Model, RankOneModel
     if obj is None:
         obj = {"type": "rank1", "f": 0.5, "normal": [1.0, 0.0]}
     if not isinstance(obj, dict):
@@ -166,32 +173,33 @@ def _micro_from_json(obj, f=None, normal=None):
     if not all(np.isfinite(np.asarray(obj[k], float)).all() for k in used if k in obj):
         raise SystemExit_(EXIT_INPUT, "microstructure entries must be finite")
     if kind == "rank1":
-        return laminate.RankOneModel(obj.get("f", 0.5),
-                                     obj.get("normal", [1.0, 0.0]))
+        return RankOneModel(obj.get("f", 0.5),
+                            obj.get("normal", [1.0, 0.0]))
     if kind == "rank2":
-        return laminate.IteratedRank2Model(
+        return IteratedRank2Model(
             obj.get("f_inner", 0.5), obj.get("n_inner", [1.0, 0.0]),
             obj.get("f_outer", 0.5), obj.get("n_outer", [0.0, 1.0]))
     raise SystemExit_(EXIT_INPUT, f"unknown microstructure type {kind!r}")
 
 
 def cmd_two_phase(args):
+    from .twophase import IsoPhase, IsoPhasePair, effective
     data = _load(args.pair)
     try:
-        p1, p2 = (twophase.IsoPhase(np.asarray(data[k]["sigma"], float),
-                                    float(data[k].get("r", 0.0)))
+        p1, p2 = (IsoPhase(np.asarray(data[k]["sigma"], float),
+                           float(data[k].get("r", 0.0)))
                   for k in ("phase1", "phase2"))
-    except (KeyError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SystemExit_(EXIT_DOMAIN if "violates" in str(exc) else EXIT_INPUT,
                           f"bad phase data: {exc}")
     try:
         f = args.f if args.f is not None else float(data.get("f", 0.5))
         micro = _micro_from_json(data.get("micro"), f=f, normal=args.normal)
-        pair = twophase.IsoPhasePair(p1, p2, f, micro)
-    except (TypeError, ValueError) as exc:
+        pair = IsoPhasePair(p1, p2, f, micro)
+    except _MALFORMED as exc:
         raise SystemExit_(EXIT_INPUT,
                           f"bad volume fraction or microstructure: {exc}")
-    res = twophase.effective(pair, tol=args.tol)
+    res = effective(pair, tol=args.tol)
     out = {"case": res.case.tag, "kind": res.kind,
            "scalars": {k: v for k, v in res.case.scalars.items()
                        if isinstance(v, (int, float))}}
@@ -215,6 +223,7 @@ def cmd_two_phase(args):
 
 
 def cmd_polycrystal(args):
+    from .polycrystal import solve_isotropic
     data = _load(args.tensor)
     try:
         if "X" in data:
@@ -222,10 +231,10 @@ def cmd_polycrystal(args):
         else:
             k0 = kt_from_block(block_from_json(data))
         k0 = KTensor.symmetric(k0.X, k0.Y)
-    except (KeyError, ValueError) as exc:
+    except _MALFORMED as exc:
         raise SystemExit_(EXIT_INPUT, f"bad crystallite file: {exc}")
     try:
-        res = polycrystal.solve_isotropic(k0)
+        res = solve_isotropic(k0)
     except (ValueError, ArithmeticError) as exc:
         raise SystemExit_(EXIT_DOMAIN, str(exc))
     out = res.to_json()
@@ -236,16 +245,17 @@ def cmd_polycrystal(args):
 
 
 def cmd_zt(args):
+    from .materials import canon_from_physical, figure_of_merit, material_from_json
     data = _load(args.material)
     try:
-        m = materials.material_from_json(data)
-    except (KeyError, ValueError) as exc:
+        m = material_from_json(data)
+    except _MALFORMED as exc:
         raise SystemExit_(EXIT_DOMAIN if "positive" in str(exc) else EXIT_INPUT,
                           f"bad material file: {exc}")
-    L = materials.canon_from_physical(m)
     try:
-        zt = materials.figure_of_merit(L)
-    except ValueError as exc:
+        L = canon_from_physical(m)
+        zt = figure_of_merit(L)
+    except (ValueError, ArithmeticError) as exc:
         raise SystemExit_(EXIT_DOMAIN, f"figure of merit failed: {exc}")
     _emit({"ZT": zt, "L": block_to_json(L)["L"]}, args.output)
     return EXIT_OK
@@ -256,7 +266,9 @@ def build_parser():
         prog="thermoex",
         description="Planar thermoelectric exact relations: verification "
                     "suites, laminate homogenization and solvers.")
-    ap.add_argument("--seed", type=int, default=algebra.DEFAULT_SEED)
+    ap.add_argument("--seed", type=int, default=None,
+                    help="seed of the verify-algebras audits "
+                         "(default: algebra.DEFAULT_SEED)")
     ap.add_argument("--tol", type=float, default=1e-9)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--json", dest="output", metavar="PATH", default=None,
@@ -267,7 +279,8 @@ def build_parser():
                    help="closure/subalgebra/ideal/chain/key suites")
 
     er = sub.add_parser("er", help="exact-relation membership of a tensor")
-    er.add_argument("--er", type=int, required=True, choices=exactrel.ER_IDS)
+    er.add_argument("--er", type=_er_id, required=True, metavar="ID",
+                    help="first-class exact relation (exactrel.ER_IDS)")
     er.add_argument("tensor", help="JSON file with {'L': 4x4}")
 
     lamp = sub.add_parser("laminate", help="evaluate a laminate hierarchy")
@@ -288,6 +301,20 @@ def build_parser():
     zt = sub.add_parser("zt", help="figure of merit of a material")
     zt.add_argument("material", help="JSON with sigma/seebeck/kappa/T0")
     return ap
+
+
+def _er_id(text):
+    """``--er`` value checked against exactrel.ER_IDS when it is parsed, so that
+    building the parser imports no exactrel."""
+    from .exactrel import ER_IDS
+    try:
+        ident = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if ident not in ER_IDS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {ident} (choose from {', '.join(map(str, ER_IDS))})")
+    return ident
 
 
 def _parse_normal(text):

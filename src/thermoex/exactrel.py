@@ -18,10 +18,12 @@ from functools import cache
 
 import numpy as np
 
-from . import algebra
+from .algebra import (DEFAULT_SEED, KEY_HALF_I, KEY_ZERO, AlgebraSpec,
+                      algebra_by_id)
+# gamma0 and unit_normal are layer geometry from tensor4, re-exported here
 from .tensor4 import (I2, I4, RPERP, T4, KTensor, block_is_pd, block_parts,
-                      cof2, congruence, det2, inv2, kt_from_block, kt_to_block,
-                      pd2, resolvent, spd_sqrt_2x2)
+                      cof2, congruence, det2, gamma0, inv2, kt_from_block,
+                      kt_to_block, pd2, resolvent, spd_sqrt_2x2, unit_normal)
 
 __all__ = [
     "ER_IDS", "ERSpec", "er_spec", "unit_normal", "gamma0", "w_transform",
@@ -37,7 +39,7 @@ IRP4 = np.kron(I2, RPERP)            # I (x) Rperp
 @dataclass(frozen=True)
 class ERSpec:
     ident: int
-    algebra: algebra.AlgebraSpec
+    algebra: AlgebraSpec
     key: np.ndarray
     key_block: np.ndarray     # M = K(key, 0) as a 4x4 block
 
@@ -55,25 +57,8 @@ def _relation(ident):
 @cache
 def er_spec(ident):
     key = _relation(ident)[0]
-    return ERSpec(ident, algebra.algebra_by_id(ident), key,
+    return ERSpec(ident, algebra_by_id(ident), key,
                   kt_to_block(KTensor(key, np.zeros((2, 2)))))
-
-
-def unit_normal(n):
-    """Layer normals ``n`` of shape (..., 2) scaled to unit length; a zero normal
-    is rejected.  n.n as a matmul rounds like np.linalg.norm of one normal."""
-    n = np.asarray(n, dtype=float)
-    norm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
-    if not norm.all():
-        raise ValueError("layer normal must be nonzero")
-    return n / norm
-
-
-def gamma0(n):
-    """Reference operator I (x) (n (x) n) for layer normals of shape (..., 2)."""
-    n = unit_normal(n)
-    nn = (n[..., :, None] * n[..., None, :])[..., None, :, None, :]
-    return (I2[:, None, :, None] * nn).reshape(n.shape[:-1] + (4, 4))
 
 
 def w_transform(L, M):
@@ -183,11 +168,11 @@ def _res19(L, L11, L12, L22, sc):
 
 # per relation: the inversion key of its subspace and its residual
 _RELATIONS = {
-    7: (algebra.KEY_HALF_I, _res7), 8: (algebra.KEY_ZERO, _res8),
-    9: (algebra.KEY_HALF_I, _res9), 13: (algebra.KEY_ZERO, _res13),
-    17: (algebra.KEY_HALF_I, _sandwich(JRP)), 19: (algebra.KEY_HALF_I, _res19),
-    20: (algebra.KEY_HALF_I, _res20), 21: (algebra.KEY_HALF_I, _res21),
-    22: (algebra.KEY_HALF_I, _sandwich(IRP4)),
+    7: (KEY_HALF_I, _res7), 8: (KEY_ZERO, _res8),
+    9: (KEY_HALF_I, _res9), 13: (KEY_ZERO, _res13),
+    17: (KEY_HALF_I, _sandwich(JRP)), 19: (KEY_HALF_I, _res19),
+    20: (KEY_HALF_I, _res20), 21: (KEY_HALF_I, _res21),
+    22: (KEY_HALF_I, _sandwich(IRP4)),
 }
 ER_IDS = tuple(_RELATIONS)
 
@@ -210,7 +195,7 @@ def er_member(ident, L, tol=1e-9):
                             res, cons)
 
 
-def er_sample(ident, seed=algebra.DEFAULT_SEED, scale=1.0, rng=None):
+def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
     """Random member of relation ``ident`` through the subspace chart.
 
     Draws a subspace element of the requested coefficient scale and maps

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import I2, I4, block_from_json, block_to_json, resolvent, rotate_block
-from .exactrel import gamma0, unit_normal
+from .tensor4 import (I2, I4, block_from_json, block_to_json, gamma0, resolvent,
+                      rotate_block, unit_normal)
 
 __all__ = [
     "Leaf", "Mix", "laminate2", "laminate_tree", "conduct2",
@@ -219,6 +219,8 @@ def tree_from_json(obj):
             continue
         if "leaf" in ob:
             leaf = ob["leaf"]
+            if not isinstance(leaf, dict):
+                raise ValueError("laminate leaf must be an object")
             rotation = float(leaf.get("rotation", 0.0))
             if not np.isfinite(rotation):
                 raise ValueError("leaf rotation must be finite")

@@ -51,8 +51,10 @@ def _det(m):
 
 
 def _inv(m):
-    d = _det(m)
-    return m[3] / d, -m[1] / d, -m[2] / d, m[0] / d
+    """Inverse of a canonical factor: its determinant is +-1, so the inverse
+    is the adjugate, negated for -1."""
+    s = math.copysign(1.0, _det(m))
+    return s * m[3], -s * m[1], -s * m[2], s * m[0]
 
 
 def _mul(x, y):
@@ -60,14 +62,22 @@ def _mul(x, y):
             x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
-def _conj_by_det(x, d):
-    """diag(d, 1)^-1 x diag(d, 1), multiplied in that order."""
-    e = 1.0 / d
-    return e * x[0] * d, e * x[1], x[2] * d, x[3]
+def _conj_by_det(x, b):
+    """diag(d, 1)^-1 x diag(d, 1) for d = det b = +-1 of a canonical b."""
+    s = math.copysign(1.0, _det(b))
+    return x[0], s * x[1], s * x[2], x[3]
+
+
+def _sign_rule(m):
+    """m, negated unless its first entry above 1e-12 is positive."""
+    for v in m:
+        if abs(v) > 1e-12:
+            return m if v > 0 else [-m[0], -m[1], -m[2], -m[3]]
+    return m
 
 
 def _canonical(m):
-    """m / sqrt|det m|, negated unless its first entry above 1e-12 is positive.
+    """m / sqrt|det m| under the sign rule.
 
     A NaN or Inf entry makes the determinant NaN or Inf, so one range test
     rejects those, singular matrices and determinants that overflow.
@@ -76,11 +86,7 @@ def _canonical(m):
     if not 1e-300 <= d < math.inf:
         raise ValueError("link matrices must be finite and invertible")
     s = math.sqrt(d)
-    m = [m[0] / s, m[1] / s, m[2] / s, m[3] / s]
-    for v in m:
-        if abs(v) > 1e-12:
-            return m if v > 0 else [-m[0], -m[1], -m[2], -m[3]]
-    return m
+    return _sign_rule([m[0] / s, m[1] / s, m[2] / s, m[3] / s])
 
 
 _PACK24 = struct.Struct("24d").pack
@@ -97,7 +103,11 @@ def _link(m, a, b):
     # diag(d, 1) @ a; adding 0.0 gives zero entries the +0.0 of a matrix product.
     # A singular b makes a singular too; _canonical rejects both.
     a = _canonical((d * a[0] + 0.0, d * a[1] + 0.0, a[2] + 0.0, a[3] + 0.0))
-    b = _canonical(b)
+    return _store(m, a, _canonical(b))
+
+
+def _store(m, a, b):
+    """Keep the canonical entries ``a`` and ``b`` on ``m``, with their arrays."""
     b00, b01, b10, b11 = b
     # a, b and B (x) I in one buffer, read-only as it is made from bytes
     buf = np.frombuffer(_PACK24(*a, *b, b00, 0.0, b01, 0.0, 0.0, b00, 0.0, b01,
@@ -136,7 +146,12 @@ class LinkMap:
 
 
 def _from_entries(a, b):
-    return _link(object.__new__(LinkMap), a, b)
+    """Map of a product or inverse of canonical pairs.  Its determinants are
+    +-1 by construction, so only the sign rule is applied: |det| recomputed
+    from entries that cancel would put its rounding error into every entry."""
+    return _store(object.__new__(LinkMap),
+                  _sign_rule([a[0] + 0.0, a[1] + 0.0, a[2] + 0.0, a[3] + 0.0]),
+                  _sign_rule(list(b)))
 
 
 def identity_map():
@@ -172,14 +187,14 @@ def psi_apply(m, L):
 def psi_compose(m1, m2):
     """Map with psi_compose(m1, m2)(L) = m1(m2(L)): the pair
     (D^-1 A1 D A2, B1 B2) with D = diag(det B2, 1)."""
-    return _from_entries(_mul(_conj_by_det(m1._a, _det(m2._b)), m2._a),
+    return _from_entries(_mul(_conj_by_det(m1._a, m2._b), m2._a),
                          _mul(m1._b, m2._b))
 
 
 def psi_inverse(m):
     """Map with psi_inverse(m)(m(L)) = L."""
     bi = _inv(m._b)
-    return _from_entries(_conj_by_det(_inv(m._a), _det(bi)), bi)
+    return _from_entries(_conj_by_det(_inv(m._a), bi), bi)
 
 
 def psi_normalizer(lam, nu=0.0):

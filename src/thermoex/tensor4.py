@@ -28,8 +28,8 @@ __all__ = [
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "congruence", "block_parts", "block_from_parts",
     "check_block", "is_positive_definite", "block_is_pd", "resolvent", "mobius",
-    "rotate", "rotate_block", "jordan_star", "kt_to_json", "kt_from_json",
-    "block_to_json", "block_from_json",
+    "rotate", "rotate_block", "unit_normal", "gamma0", "jordan_star",
+    "kt_to_json", "kt_from_json", "block_to_json", "block_from_json",
 ]
 
 I2 = np.eye(2)
@@ -276,6 +276,26 @@ def rotate_block(theta, B):
     R = np.stack([c, -s, s, c], -1).reshape(np.shape(c) + (1, 2, 1, 2))
     Rhat = (I2[:, None, :, None] * R).reshape(np.shape(c) + (4, 4))   # I2 (x) R
     return Rhat @ np.asarray(B, float) @ np.swapaxes(Rhat, -1, -2)
+
+
+def unit_normal(n):
+    """Layer normals ``n`` of shape (..., 2) scaled to unit length; another
+    shape, a zero or NaN normal and one whose n.n overflows are rejected.
+    n.n as a matmul rounds like np.linalg.norm of one normal."""
+    n = np.asarray(n, dtype=float)
+    if n.shape[-1:] != (2,):
+        raise ValueError("layer normal must have 2 entries")
+    norm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
+    if not ((norm > 0.0) & (norm < np.inf)).all():
+        raise ValueError("layer normal must be nonzero and of finite length")
+    return n / norm
+
+
+def gamma0(n):
+    """Reference operator I (x) (n (x) n) for layer normals of shape (..., 2)."""
+    n = unit_normal(n)
+    nn = (n[..., :, None] * n[..., None, :])[..., None, :, None, :]
+    return (I2[:, None, :, None] * nn).reshape(n.shape[:-1] + (4, 4))
 
 
 def jordan_star(k1, a, k2):

@@ -3,12 +3,15 @@ span tracer of ``bench/tracing.py`` wraps by name.
 
 A deletion that breaks the tracer would otherwise only show as a crash of
 the benchmark, so its table is read here with ``ast`` (importing it would
-import the bench workloads too).  A last guard keeps ``numpy.polynomial``
-off the CLI import path.
+import the bench workloads too).  The import-path guards run in fresh
+interpreters: ``numpy.polynomial`` stays off the CLI path, each subcommand
+loads only its own modules, and the lazy package still loads and binds
+everything on first use.
 """
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -68,3 +71,76 @@ def test_cli_path_does_not_load_numpy_polynomial():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+DATA = Path(__file__).resolve().parent / "data"
+SUBMODULES = ("algebra", "exactrel", "laminate", "linkgroup", "materials",
+              "polycrystal", "tensor4", "twophase")
+
+
+def _python(code):
+    """Run ``code`` in a fresh interpreter on this checkout; its last stdout
+    line, parsed as JSON."""
+    src = str(Path(thermoex.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+LOADED = ("sorted(m.split('.', 1)[1] for m in sys.modules "
+          "if m.startswith('thermoex.'))")
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["zt", "material_iso.json"], {"cli", "tensor4", "materials"}),
+    (["er", "--er", "8", "tensor_er8_sample.json"],
+     {"cli", "tensor4", "algebra", "exactrel"}),
+    (["laminate", "tree_rank1.json"], {"cli", "tensor4", "laminate"}),
+    (["two-phase", "pair_1ci.json"], {"cli", "tensor4", "laminate", "twophase"}),
+    (["polycrystal", "crystallite_s2.json"], {"cli", "tensor4", "polycrystal"}),
+    (["--trials", "2", "verify-algebras"], {"cli", "tensor4", "algebra"}),
+], ids=["zt", "er", "laminate", "two-phase", "polycrystal", "verify-algebras"])
+def test_cli_subcommand_loads_only_its_modules(argv, modules):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    got = _python("import contextlib, io, json, sys\n"
+                  "from thermoex.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  f"    code = main({argv!r})\n"
+                  f"print(json.dumps([code, {LOADED}]))\n")
+    assert got == [0, sorted(modules)]
+
+
+def test_package_import_loads_no_submodule():
+    assert _python("import json, sys, thermoex\n"
+                   f"print(json.dumps([{LOADED}, 'numpy' in sys.modules]))\n"
+                   ) == [[], False]
+
+
+def test_first_lookup_loads_and_binds_everything():
+    """bench/tracing.py starts with ``from thermoex import algebra`` and then
+    rebinds traced functions by identity in every loaded thermoex module;
+    this holds only if that lookup loads all submodules and binds every
+    exported name as a plain package global."""
+    loaded, unbound = _python(
+        "import json, sys, thermoex\n"
+        "from thermoex import algebra\n"
+        "unbound = [n for n in thermoex.__all__ if n not in vars(thermoex)]\n"
+        f"print(json.dumps([{LOADED}, unbound]))\n")
+    assert loaded == list(SUBMODULES) and unbound == []
+
+
+def test_star_import_and_dir_give_every_name():
+    fresh_dir, star, full_dir, names = _python(
+        "import json, thermoex\n"
+        "fresh = dir(thermoex)\n"
+        "ns = {}\n"
+        "exec('from thermoex import *', ns)\n"
+        "print(json.dumps([fresh, sorted(n for n in ns if n != '__builtins__'),\n"
+        "                  dir(thermoex), thermoex.__all__]))\n")
+    assert set(SUBMODULES) <= set(names)
+    assert star == sorted(names)
+    assert set(names) <= set(fresh_dir) and set(names) <= set(full_dir)
+    for name in names:
+        assert getattr(thermoex, name) is not None

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -125,6 +126,74 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,name,path,value,code", [
+    (["two-phase"], "pair_1b.json", ("phase1",), 1.0, cli.EXIT_INPUT),
+    (["two-phase"], "pair_2a.json", ("micro", "normal"), 1.0, cli.EXIT_INPUT),
+    (["two-phase"], "pair_2a.json", ("micro", "normal", 0), 1e308,
+     cli.EXIT_INPUT),
+    (["polycrystal"], "crystallite_iso.json", ("X",), 1.0, cli.EXIT_INPUT),
+    (["zt"], "material_iso.json", ("T0",), None, cli.EXIT_INPUT),
+    (["zt"], "material_iso.json", ("T0",), 1e308, cli.EXIT_DOMAIN),
+    (["laminate"], "tree_leaf.json", ("leaf",), [1.0], cli.EXIT_INPUT),
+    (["er", "--er", "22"], "tensor_identity.json", ("L", 0, 2), {"a": 1},
+     cli.EXIT_INPUT),
+])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_wrong_typed_values_exit_2_or_3(tmp_path, capsys, argv, name, path,
+                                        value, code):
+    """A JSON value of the wrong type or shape is an input error, and one the
+    arithmetic cannot carry (T0 = 1e308 overflows T0**2) a domain error."""
+    assert cli.main(argv + [_with_value(tmp_path, name, path, value)]) == code
+    assert capsys.readouterr().out == ""
+
+
+FUZZ_ARGV = {"tensor": ["er", "--er", "8"], "tree": ["laminate"],
+             "pair": ["two-phase"], "crystallite": ["polycrystal"],
+             "material": ["zt"]}
+FUZZ_VALUES = ["abc", None, float("nan"), float("inf"), -1e308, 1e308, -1.0,
+               0.0, 5, True, [], [1.0, 2.0], [[1.0]], [[[0.5]]], {}, {"a": 1}]
+
+
+def _json_paths(obj, prefix=()):
+    if prefix:
+        yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, val in items:
+        yield from _json_paths(val, prefix + (key,))
+
+
+def test_fuzzed_inputs_exit_0_2_or_3(tmp_path, capsys):
+    """Seeded mutations of tests/data (wrong types, NaN, null, deleted keys,
+    nested lists): no traceback, and stdout stays empty unless exit 0."""
+    rng = np.random.default_rng(2024)
+    files = sorted(DATA.glob("*.json"))
+    target = tmp_path / "fuzz.json"
+    codes = []
+    for _ in range(400):
+        src = files[rng.integers(len(files))]
+        obj = json.loads(src.read_text())
+        paths = list(_json_paths(obj))
+        path = paths[rng.integers(len(paths))]
+        node = obj
+        for key in path[:-1]:
+            node = node[key]
+        if isinstance(node, dict) and rng.random() < 0.2:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+        target.write_text(json.dumps(obj))
+        argv = FUZZ_ARGV[src.name.split("_")[0]] + [str(target)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_DOMAIN), (src.name, path)
+        assert code == cli.EXIT_OK or out == "", (src.name, path, code)
+        codes.append(code)
+    assert set(codes) == {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_DOMAIN}
+
+
 def test_laminate_non_pd_second_leaf_exits_3(tmp_path, capsys):
     """All leaves are checked in one stacked PD test; a bad second leaf
     behind a good first one is still a domain error with empty stdout."""
@@ -237,7 +306,7 @@ def test_verify_algebras_corrupted_catalog(monkeypatch, tmp_path):
                           (np.eye(2, dtype=complex),))
     cat = list(alg.catalog())
     cat[4] = bad
-    monkeypatch.setattr(cli.algebra, "catalog", lambda: tuple(cat))
+    monkeypatch.setattr(alg, "catalog", lambda: tuple(cat))
     target = tmp_path / "report.json"
     code = cli.main(["--trials", "5", "--json", str(target), "verify-algebras"])
     assert code == cli.EXIT_VERIFY

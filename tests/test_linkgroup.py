@@ -1,4 +1,5 @@
 import dataclasses
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -323,6 +324,64 @@ def test_canonical_form_invariants(rng):
             for part in (x.a, x.b):
                 assert abs(abs(det2(part)) - 1.0) <= 1e-12
                 assert first_significant(part) > 0
+
+
+def _dec_entries(x):
+    return [Decimal(v) for v in x.ravel().tolist()]
+
+
+def _dec_det(m):
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def _dec_mul(x, y):
+    return [x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3]]
+
+
+def _dec_canonical(a, b):
+    """The canonical pair of (A, B) in decimal arithmetic, as LinkMap builds it."""
+    d = abs(_dec_det(b))
+    out = []
+    for m in ([d * a[0], d * a[1], a[2], a[3]], b):
+        s = abs(_dec_det(m)).sqrt()
+        m = [v / s for v in m]
+        first = next(v for v in m if abs(v) > Decimal("1e-12"))
+        out.append(np.array([float(v if first > 0 else -v) for v in m]).reshape(2, 2))
+    return out
+
+
+def test_compose_and_inverse_against_decimal_reference(rng):
+    """psi_compose and psi_inverse of maps drawn over six decades of scale,
+    against the same pair products evaluated with 60 significant digits.
+
+    The factors are canonical, so a composite or an inverse has |det| = 1;
+    normalizing it by a determinant recomputed from its (cancelling) entries
+    would cost up to about 1e-7 relative here."""
+    def draw():
+        sa, sb = 10.0 ** rng.uniform(-3, 3, size=2)
+        return lg.LinkMap(sa * rng.standard_normal((2, 2)),
+                          sb * rng.standard_normal((2, 2)))
+
+    worst = 0.0
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for _ in range(2000):
+            m1, m2 = draw(), draw()
+            a1, b1, a2, b2 = map(_dec_entries, (m1.a, m1.b, m2.a, m2.b))
+            d = _dec_det(b2)                          # D = diag(det B2, 1)
+            ref = _dec_canonical(_dec_mul([a1[0], a1[1] / d, a1[2] * d, a1[3]], a2),
+                                 _dec_mul(b1, b2))
+            c = lg.psi_compose(m1, m2)
+            da, db = _dec_det(a1), _dec_det(b1)
+            bi = [b1[3] / db, -b1[1] / db, -b1[2] / db, b1[0] / db]
+            e = 1 / db                                # det of B1^-1
+            ai = [a1[3] / da, -a1[1] / da / e, -a1[2] / da * e, a1[0] / da]
+            inv_ref = _dec_canonical(ai, bi)
+            inv = lg.psi_inverse(m1)
+            for x, r in zip((c.a, c.b, inv.a, inv.b), (*ref, *inv_ref)):
+                worst = max(worst, rel_diff(x, r))
+    assert worst <= 1e-12
 
 
 def test_psi_apply_is_congruence_of_mobius(rng):
