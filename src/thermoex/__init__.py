@@ -23,7 +23,7 @@ _HOME = {name: home for home, names in {
                 "kt_transpose", "kt_inverse", "block_inverse",
                 "is_positive_definite", "rotate", "rotate_block",
                 "jordan_star", "gamma0"),
-    "materials": ("Material", "IsoMaterial", "canon_from_physical",
+    "materials": ("Material", "canon_from_physical",
                   "physical_from_canon", "figure_of_merit", "zt_isotropic"),
     "algebra": ("catalog", "algebra_by_id", "check_closure", "is_subalgebra",
                 "check_ideal", "is_ideal", "find_inversion_key", "check_chain",

@@ -14,8 +14,7 @@ import sys
 
 import numpy as np
 
-from .tensor4 import (KTensor, block_from_json, block_to_json, kt_from_block,
-                      block_is_pd, kt_from_json)
+from .tensor4 import KTensor, block_is_pd, check_block, kt_from_block
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -73,6 +72,63 @@ class SystemExit_(Exception):
         self.code = code
 
 
+# -- the input schemas: a tensor {"L": 4x4}, an operator pair {"X", "Y"} of
+# [re, im] entries, a laminate tree and a material.  Each reader raises one
+# of _MALFORMED on a value of the wrong type, shape or range.
+
+def _block(obj):
+    """Checked, symmetrized 4x4 block tensor of a {"L": 4x4} object."""
+    return check_block(np.asarray(obj["L"], dtype=float))
+
+
+def _rows(B):
+    """A 4x4 block as the nested list printed for "L" and "Lstar"."""
+    return [[float(v) for v in row] for row in np.asarray(B, float)]
+
+
+def _pairs(pairs):
+    """2x2 complex matrix of four [re, im] entries, row by row."""
+    return np.array([complex(re, im) for re, im in pairs], complex).reshape(2, 2)
+
+
+def _tree(obj):
+    """Laminate tree of a JSON node, built bottom-up without recursion (a
+    sub-object reached along several paths is built once), and the tensors
+    of its leaves.  A malformed node, a non-finite rotation or normal and a
+    node that contains itself raise ``ValueError``."""
+    from .laminate import Leaf, Mix
+    done, opened, tensors = {}, set(), []     # id -> node; mixes with pending children
+    stack = [obj]
+    while stack:
+        ob = stack.pop()
+        if id(ob) in done:
+            continue
+        if "leaf" in ob:
+            leaf = ob["leaf"]
+            if not isinstance(leaf, dict):
+                raise ValueError("laminate leaf must be an object")
+            rotation = float(leaf.get("rotation", 0.0))
+            if not np.isfinite(rotation):
+                raise ValueError("leaf rotation must be finite")
+            tensors.append(_block(leaf["tensor"]))
+            done[id(ob)] = Leaf(tensors[-1], rotation)
+        elif "mix" not in ob:
+            raise ValueError("laminate node must contain 'leaf' or 'mix'")
+        elif id(ob["mix"]["c1"]) in done and id(ob["mix"]["c2"]) in done:
+            mix = ob["mix"]
+            n = tuple(float(v) for v in mix["n"])
+            if not np.isfinite(n).all():
+                raise ValueError("layer normal must be finite")
+            done[id(ob)] = Mix(done[id(mix["c1"])], done[id(mix["c2"])],
+                               float(mix["f"]), n)
+        elif id(ob) in opened:
+            raise ValueError("laminate node contains itself")
+        else:                                 # children first, then ob again
+            opened.add(id(ob))
+            stack += [ob, ob["mix"]["c2"], ob["mix"]["c1"]]
+    return done[id(obj)], tensors
+
+
 def cmd_verify_algebras(args):
     import thermoex.algebra as algebra
     seed = algebra.DEFAULT_SEED if args.seed is None else args.seed
@@ -120,7 +176,7 @@ def cmd_er(args):
     from .exactrel import er_member
     data = _load(args.tensor)
     try:
-        L = block_from_json(data)
+        L = _block(data)
     except _MALFORMED as exc:
         raise SystemExit_(EXIT_INPUT, f"bad tensor file: {exc}")
     if not block_is_pd(L):
@@ -131,31 +187,20 @@ def cmd_er(args):
 
 
 def cmd_laminate(args):
-    from .laminate import laminate_tree, tree_from_json
+    from .laminate import laminate_tree
     data = _load(args.tree)
     try:
-        tree = tree_from_json(data)
+        tree, leaves = _tree(data)
     except (*_MALFORMED, RecursionError) as exc:
         raise SystemExit_(EXIT_INPUT, f"bad laminate file: {exc}")
-    if not block_is_pd(np.array([leaf.tensor for leaf in _leaves(tree)])).all():
+    if not block_is_pd(np.array(leaves)).all():
         raise SystemExit_(EXIT_DOMAIN, "laminate leaf is not positive definite")
     try:
         L = laminate_tree(tree)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SystemExit_(EXIT_DOMAIN, f"lamination failed: {exc}")
-    _emit(block_to_json(L), args.output)
+    _emit({"L": _rows(L)}, args.output)
     return EXIT_OK
-
-
-def _leaves(node):
-    from .laminate import Mix
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Mix):
-            stack += (node.child1, node.child2)
-        else:
-            yield node
 
 
 def _micro_from_json(obj, f=None, normal=None):
@@ -183,6 +228,7 @@ def _micro_from_json(obj, f=None, normal=None):
 
 
 def cmd_two_phase(args):
+    from .laminate import RankOneModel
     from .twophase import IsoPhase, IsoPhasePair, effective
     data = _load(args.pair)
     try:
@@ -199,12 +245,16 @@ def cmd_two_phase(args):
     except _MALFORMED as exc:
         raise SystemExit_(EXIT_INPUT,
                           f"bad volume fraction or microstructure: {exc}")
+    if (args.f is not None or args.normal is not None) \
+            and not isinstance(micro, RankOneModel):
+        raise SystemExit_(EXIT_INPUT,
+                          "--f and --normal apply to a rank1 microstructure only")
     res = effective(pair, tol=args.tol)
     out = {"case": res.case.tag, "kind": res.kind,
            "scalars": {k: v for k, v in res.case.scalars.items()
                        if isinstance(v, (int, float))}}
     if res.Lstar is not None:
-        out["Lstar"] = block_to_json(res.Lstar)["L"]
+        out["Lstar"] = _rows(res.Lstar)
     if res.case.tag == "2b":
         out["constraint"] = {"A": res.metadata["A"], "B": res.metadata["B"],
                              "form": "det(sig1) det(Lp) = (t + A)^2 + B"}
@@ -226,10 +276,8 @@ def cmd_polycrystal(args):
     from .polycrystal import solve_isotropic
     data = _load(args.tensor)
     try:
-        if "X" in data:
-            k0 = kt_from_json(data)
-        else:
-            k0 = kt_from_block(block_from_json(data))
+        k0 = (KTensor(_pairs(data["X"]), _pairs(data["Y"])) if "X" in data
+              else kt_from_block(_block(data)))
         k0 = KTensor.symmetric(k0.X, k0.Y)
     except _MALFORMED as exc:
         raise SystemExit_(EXIT_INPUT, f"bad crystallite file: {exc}")
@@ -245,10 +293,11 @@ def cmd_polycrystal(args):
 
 
 def cmd_zt(args):
-    from .materials import canon_from_physical, figure_of_merit, material_from_json
+    from .materials import Material, canon_from_physical, figure_of_merit
     data = _load(args.material)
     try:
-        m = material_from_json(data)
+        m = Material(*(np.asarray(data[k], float)
+                       for k in ("sigma", "seebeck", "kappa")), float(data["T0"]))
     except _MALFORMED as exc:
         raise SystemExit_(EXIT_DOMAIN if "positive" in str(exc) else EXIT_INPUT,
                           f"bad material file: {exc}")
@@ -257,7 +306,7 @@ def cmd_zt(args):
         zt = figure_of_merit(L)
     except (ValueError, ArithmeticError) as exc:
         raise SystemExit_(EXIT_DOMAIN, f"figure of merit failed: {exc}")
-    _emit({"ZT": zt, "L": block_to_json(L)["L"]}, args.output)
+    _emit({"ZT": zt, "L": _rows(L)}, args.output)
     return EXIT_OK
 
 
@@ -289,9 +338,9 @@ def build_parser():
     two = sub.add_parser("two-phase", help="two-phase case analysis + tensor")
     two.add_argument("pair", help="JSON file with phase1/phase2/micro")
     two.add_argument("--f", type=float, default=None,
-                     help="override the volume fraction of phase 1")
+                     help="override the volume fraction of phase 1 (rank1 only)")
     two.add_argument("--normal", type=_parse_normal, default=None,
-                     metavar="NX,NY", help="override the layer normal")
+                     metavar="NX,NY", help="override the layer normal (rank1 only)")
 
     poly = sub.add_parser("polycrystal", help="isotropic polycrystal point")
     poly.add_argument("tensor", help="JSON crystallite: {'X':..,'Y':..} or {'L':..}")

@@ -20,13 +20,13 @@ import numpy as np
 
 from .algebra import (DEFAULT_SEED, KEY_HALF_I, KEY_ZERO, AlgebraSpec,
                       algebra_by_id)
-# gamma0 and unit_normal are layer geometry from tensor4, re-exported here
+# gamma0 is layer geometry from tensor4, re-exported here
 from .tensor4 import (I2, I4, RPERP, T4, KTensor, block_is_pd, block_parts,
                       cof2, congruence, det2, gamma0, inv2, kt_from_block,
-                      kt_to_block, pd2, resolvent, spd_sqrt_2x2, unit_normal)
+                      kt_to_block, pd2, resolvent, spd_sqrt_2x2)
 
 __all__ = [
-    "ER_IDS", "ERSpec", "er_spec", "unit_normal", "gamma0", "w_transform",
+    "ER_IDS", "ERSpec", "er_spec", "gamma0", "w_transform",
     "w_inverse", "pullback", "er_member", "er_sample", "lm_par", "lm_unpar",
     "covariance", "MembershipResult", "PSI1", "JRP",
 ]

@@ -26,13 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import (I2, I4, block_from_json, block_to_json, gamma0, resolvent,
-                      rotate_block, unit_normal)
+from .tensor4 import I2, I4, gamma0, resolvent, rotate_block, unit_normal
 
 __all__ = [
     "Leaf", "Mix", "laminate2", "laminate_tree", "conduct2",
     "RankOneModel", "IteratedRank2Model", "sigma_star_rank1",
-    "tree_to_json", "tree_from_json",
 ]
 
 
@@ -54,6 +52,14 @@ class Mix:
             raise ValueError("volume fraction must lie in [0, 1]")
 
 
+def _fraction(f):
+    """``f`` as a float in [0, 1]; NaN and values outside raise."""
+    f = float(f)
+    if not 0.0 <= f <= 1.0:
+        raise ValueError("volume fraction must lie in [0, 1]")
+    return f
+
+
 def _mix(A, B, f, G):
     """Mix fraction ``f`` of A with B: the average W = <resolvent(L - I, G)>,
     one stacked call for both, mapped back by I + resolvent(W, -G) and
@@ -70,9 +76,7 @@ def laminate2(L1, L2, f, n):
 
     ``f`` is the volume fraction of phase 1 and ``n`` the layer normal.
     """
-    if not 0.0 <= f <= 1.0:
-        raise ValueError("volume fraction must lie in [0, 1]")
-    return _mix(L1, L2, f, gamma0(n))
+    return _mix(L1, L2, _fraction(f), gamma0(n))
 
 
 def laminate_tree(node):
@@ -115,7 +119,7 @@ def laminate_tree(node):
 def conduct2(s1, s2, f, n):
     """Rank-one laminate of two 2x2 conductivities (same W-additivity)."""
     n = unit_normal(n)
-    return _mix(s1, s2, f, np.outer(n, n))
+    return _mix(s1, s2, _fraction(f), np.outer(n, n))
 
 
 def sigma_star_rank1(h, f, n):
@@ -124,6 +128,7 @@ def sigma_star_rank1(h, f, n):
     m = np.array([-n[1], n[0]])
     if h <= 0:
         raise ValueError("phase contrast must be positive")
+    f = _fraction(f)
     through = 1.0 / (f + (1.0 - f) / h)
     along = f + (1.0 - f) * h
     return through * np.outer(n, n) + along * np.outer(m, m)
@@ -133,7 +138,7 @@ class RankOneModel:
     """Single lamination: fraction ``f`` of phase 1, layer normal ``n``."""
 
     def __init__(self, f, n=(1.0, 0.0)):
-        self.f = float(f)
+        self.f = _fraction(f)
         self.n = unit_normal(n)
 
     @property
@@ -161,7 +166,7 @@ class IteratedRank2Model:
 
     def __init__(self, f_inner, n_inner, f_outer, n_outer):
         self.inner = RankOneModel(f_inner, n_inner)
-        self.f_outer = float(f_outer)
+        self.f_outer = _fraction(f_outer)
         self.n_outer = unit_normal(n_outer)
 
     @property
@@ -179,64 +184,3 @@ class IteratedRank2Model:
     def tree(self, L1, L2):
         return Mix(self.inner.tree(L1, L2), Leaf(L2),
                    self.f_outer, tuple(self.n_outer))
-
-
-def tree_to_json(node):
-    """JSON form of a laminate tree, built bottom-up without recursion; a
-    node reachable along several paths is converted once."""
-    done = {}                             # id(node) -> its JSON form
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        if id(nd) in done:
-            continue
-        if isinstance(nd, Leaf):
-            done[id(nd)] = {"leaf": {"tensor": block_to_json(nd.tensor),
-                                     "rotation": float(nd.rotation)}}
-        elif not isinstance(nd, Mix):
-            raise TypeError(f"not a laminate node: {nd!r}")
-        elif id(nd.child1) in done and id(nd.child2) in done:
-            done[id(nd)] = {"mix": {"c1": done[id(nd.child1)],
-                                    "c2": done[id(nd.child2)],
-                                    "f": float(nd.f),
-                                    "n": [float(v) for v in nd.n]}}
-        else:                             # children first, then nd again
-            stack += [nd, nd.child2, nd.child1]
-    return done[id(node)]
-
-
-def tree_from_json(obj):
-    """Inverse of :func:`tree_to_json`, built bottom-up without recursion.
-
-    A malformed node, a non-finite rotation or normal and a node that
-    contains itself raise ``ValueError``.
-    """
-    done, opened = {}, set()              # id(obj) -> node; mixes whose children are pending
-    stack = [obj]
-    while stack:
-        ob = stack.pop()
-        if id(ob) in done:
-            continue
-        if "leaf" in ob:
-            leaf = ob["leaf"]
-            if not isinstance(leaf, dict):
-                raise ValueError("laminate leaf must be an object")
-            rotation = float(leaf.get("rotation", 0.0))
-            if not np.isfinite(rotation):
-                raise ValueError("leaf rotation must be finite")
-            done[id(ob)] = Leaf(block_from_json(leaf["tensor"]), rotation)
-        elif "mix" not in ob:
-            raise ValueError("laminate node must contain 'leaf' or 'mix'")
-        elif id(ob["mix"]["c1"]) in done and id(ob["mix"]["c2"]) in done:
-            mix = ob["mix"]
-            n = tuple(float(v) for v in mix["n"])
-            if not np.isfinite(n).all():
-                raise ValueError("layer normal must be finite")
-            done[id(ob)] = Mix(done[id(mix["c1"])], done[id(mix["c2"])],
-                               float(mix["f"]), n)
-        elif id(ob) in opened:
-            raise ValueError("laminate node contains itself")
-        else:                             # children first, then ob again
-            opened.add(id(ob))
-            stack += [ob, ob["mix"]["c2"], ob["mix"]["c1"]]
-    return done[id(obj)]

@@ -33,7 +33,6 @@ __all__ = [
     "identity_map", "t_translation", "inverse_translation", "inversion_flip",
     "basis_change", "link13_volume_fraction", "link19_family",
     "link19_conductivity", "link21_factor", "link21_reconstruct",
-    "linkmap_to_json", "linkmap_from_json",
 ]
 
 
@@ -296,11 +295,3 @@ def link21_reconstruct(lam, P):
     lam = np.asarray(lam, dtype=float)
     P = np.asarray(P, dtype=float)
     return lam[0, 1] * I2 + RPERP @ P * det2(lam)
-
-
-def linkmap_to_json(m):
-    return {"A": m.a.tolist(), "B": m.b.tolist()}
-
-
-def linkmap_from_json(obj):
-    return LinkMap(obj["A"], obj["B"])

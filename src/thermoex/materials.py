@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, T4, block_from_parts, block_parts,
-                      check_block, det2, inv2, block_is_pd, pd2)
+from .tensor4 import (block_from_parts, block_parts, check_block, det2, inv2,
+                      block_is_pd, pd2)
 
 __all__ = [
-    "Material", "IsoMaterial", "canon_from_physical", "physical_from_canon",
-    "figure_of_merit", "zt_isotropic", "material_to_json",
-    "material_from_json",
+    "Material", "canon_from_physical", "physical_from_canon",
+    "figure_of_merit", "zt_isotropic",
 ]
 
 
@@ -54,23 +53,6 @@ class Material:
         object.__setattr__(self, "seebeck", seebeck)
         if self.T0 <= 0:
             raise ValueError("T0 must be positive")
-
-
-@dataclass(frozen=True)
-class IsoMaterial:
-    """Rotation-invariant tensor data: L = lam (x) I + nu * T."""
-
-    lam: np.ndarray
-    nu: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _sym_pd(self.lam, "lam"))
-        # X part of lam (x) I + nu T; its determinant is det(lam) - nu^2
-        if not pd2(self.lam + 1j * self.nu * RPERP):
-            raise ValueError("isotropy parameters violate det(lam) > nu^2")
-
-    def tensor(self):
-        return np.kron(self.lam, I2) + self.nu * T4
 
 
 def canon_from_physical(m):
@@ -118,19 +100,3 @@ def zt_isotropic(lam):
     """ZT of an isotropic tensor lam (x) I: lam12^2 / det(lam)."""
     lam = np.asarray(lam, dtype=float)
     return float(lam[0, 1] ** 2 / det2(lam))
-
-
-def material_to_json(m):
-    return {
-        "sigma": m.sigma.tolist(),
-        "seebeck": m.seebeck.tolist(),
-        "kappa": m.kappa.tolist(),
-        "T0": float(m.T0),
-    }
-
-
-def material_from_json(obj):
-    return Material(sigma=np.asarray(obj["sigma"], float),
-                    seebeck=np.asarray(obj["seebeck"], float),
-                    kappa=np.asarray(obj["kappa"], float),
-                    T0=float(obj["T0"]))

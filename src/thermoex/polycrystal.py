@@ -220,17 +220,6 @@ class QuarticReport:
     discriminant_formula: float
     p_at_0: float              # computed from the polynomial itself
 
-    def to_json(self):
-        return {
-            "coeffs": list(self.coeffs),
-            "roots": list(self.roots),
-            "roots_in_01": self.roots_in_01,
-            "roots_above_1": self.roots_above_1,
-            "discriminant": self.discriminant,
-            "discriminant_formula": self.discriminant_formula,
-            "p_at_0": self.p_at_0,
-        }
-
 
 def _poly_discriminant(c):
     """Discriminant of a quartic from the Sylvester resultant."""

@@ -29,12 +29,12 @@ __all__ = [
     "block_inverse", "congruence", "block_parts", "block_from_parts",
     "check_block", "is_positive_definite", "block_is_pd", "resolvent", "mobius",
     "rotate", "rotate_block", "unit_normal", "gamma0", "jordan_star",
-    "kt_to_json", "kt_from_json", "block_to_json", "block_from_json",
 ]
 
 I2 = np.eye(2)
 I4 = np.eye(4)
 RPERP = np.array([[0.0, -1.0], [1.0, 0.0]])
+T4 = np.kron(RPERP, RPERP) + 0.0          # T4 @ T4 = I4; + 0.0 clears signed zeros
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]])
 E22 = np.array([[0.0, 0.0], [0.0, 1.0]])
 
@@ -151,9 +151,6 @@ class KTensor:
         return f"KTensor(X={self.X.tolist()!r}, Y={self.Y.tolist()!r})"
 
 
-KT_T = KTensor(np.array([[0.0, -1.0j], [1.0j, 0.0]]), np.zeros((2, 2)))  # equals T4
-
-
 # The block form as one linear map on the interleaved (re, im) coordinates
 # of (X, Y): entries 0 or +-1, two nonzeros per row and per column, columns
 # orthogonal with squared norm 2, so the inverse map is _TO_BLOCK.T / 2.
@@ -173,9 +170,6 @@ def kt_from_block(B):
     v = (_TO_BLOCK.T @ np.asarray(B, dtype=float).ravel()) / 2.0
     z = v.view(complex)
     return KTensor(z[:4].reshape(2, 2), z[4:].reshape(2, 2))
-
-
-T4 = kt_to_block(KT_T)        # Rperp (x) Rperp, satisfies T4 @ T4 = I4
 
 
 def kt_mul(a, b):
@@ -303,30 +297,3 @@ def jordan_star(k1, a, k2):
     p = kt_mul(kt_mul(k1, a), k2)
     q = kt_mul(kt_mul(k2, a), k1)
     return 0.5 * (p + q)
-
-
-# -- JSON forms ---------------------------------------------------------
-
-def _c_pairs(m):
-    return [[float(v.real), float(v.imag)] for v in np.asarray(m, complex).ravel()]
-
-
-def _c_from_pairs(pairs):
-    vals = [complex(re, im) for re, im in pairs]
-    return np.array(vals, complex).reshape(2, 2)
-
-
-def kt_to_json(k):
-    return {"X": _c_pairs(k.X), "Y": _c_pairs(k.Y)}
-
-
-def kt_from_json(obj):
-    return KTensor(_c_from_pairs(obj["X"]), _c_from_pairs(obj["Y"]))
-
-
-def block_to_json(B):
-    return {"L": [[float(v) for v in row] for row in np.asarray(B, float)]}
-
-
-def block_from_json(obj):
-    return check_block(np.asarray(obj["L"], dtype=float))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thermoex.laminate import Mix
 from thermoex.tensor4 import I2, KTensor, kt_to_block, is_positive_definite
 
 
@@ -40,6 +41,17 @@ def rand_pd_kt(rng, scale=0.5):
 
 def rand_pd_block(rng, scale=0.5):
     return kt_to_block(rand_pd_kt(rng, scale))
+
+
+def random_tree(rng, m, leaves):
+    """Random hierarchy of ``m`` mixes over the shared ``leaves`` objects;
+    fractions include the end points 0 and 1."""
+    if m == 0:
+        return leaves[rng.integers(len(leaves))]
+    k = int(rng.integers(m))
+    f = float(rng.choice([0.0, 1.0, rng.uniform()], p=[0.1, 0.1, 0.8]))
+    return Mix(random_tree(rng, k, leaves), random_tree(rng, m - 1 - k, leaves),
+               f, tuple(rng.standard_normal(2)))
 
 
 def rel_err(a, b):

@@ -1,5 +1,6 @@
-"""Guards on the public surface: exported names and the functions that the
-span tracer of ``bench/tracing.py`` wraps by name.
+"""Guards on the public surface: exported names, the functions that the
+span tracer of ``bench/tracing.py`` wraps by name, and the file formats
+that only ``cli`` may know.
 
 A deletion that breaks the tracer would otherwise only show as a crash of
 the benchmark, so its table is read here with ``ast`` (importing it would
@@ -54,6 +55,16 @@ def test_traced_functions_exist():
     from thermoex import algebra, polycrystal, tensor4
     assert polycrystal.det2 is tensor4.det2
     assert callable(algebra.AlgebraSpec.residual)
+
+
+def test_only_cli_knows_the_file_formats():
+    """The JSON schemas of the command line are read and written in ``cli``
+    alone: no other module defines a module-level ``*_json`` function."""
+    pkg = Path(thermoex.__file__).resolve().parent
+    found = [f"{name}.{node.name}" for name in MODULES if name != "cli"
+             for node in ast.parse((pkg / f"{name}.py").read_text()).body
+             if isinstance(node, ast.FunctionDef) and node.name.endswith("_json")]
+    assert not found, f"JSON readers or writers outside thermoex.cli: {found}"
 
 
 def test_cli_path_does_not_load_numpy_polynomial():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from thermoex import cli
-from thermoex.laminate import laminate_tree, tree_from_json
+from thermoex.laminate import Leaf, Mix, laminate_tree
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -114,6 +114,10 @@ def test_exit_codes(tmp_path, capsys):
         (["laminate"], "tree_leaf.json", ("leaf", "tensor", "L", 0, 0), -2.0,
          cli.EXIT_DOMAIN),
         (["two-phase"], "pair_2a.json", ("f",), 1.5, cli.EXIT_INPUT),
+        (["two-phase"], "pair_2a.json", ("micro",),
+         {"type": "rank2", "f_inner": 2.0}, cli.EXIT_INPUT),
+        (["two-phase"], "pair_2a.json", ("micro",),
+         {"type": "rank2", "f_outer": -0.1}, cli.EXIT_INPUT),
         (["two-phase"], "pair_2a.json", ("f",), "abc", cli.EXIT_INPUT),
         (["two-phase"], "pair_2a.json", ("micro", "normal"), [0.0, 0.0],
          cli.EXIT_INPUT),
@@ -240,16 +244,44 @@ def test_tree_deeper_than_the_recursion_limit_laminates(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_load", lambda path: tree)
     code, out = run(["laminate", str(tmp_path / "deep.json")])
     assert code == cli.EXIT_OK
-    ref = laminate_tree(tree_from_json(tree))
+    ref = laminate_tree(cli._tree(tree)[0])
     assert np.array_equal(np.array(json.loads(out)["L"]), ref)
 
 
-def test_two_phase_overrides():
+def test_tree_json_shared_and_malformed_nodes():
+    """A sub-object reached along two paths is read once, into one node
+    object; a node that is neither leaf nor mix and a node that contains
+    itself raise ValueError."""
+    L = np.diag([2.0, 3.0, 1.0, 1.5])
+    leaf = {"leaf": {"tensor": {"L": L.tolist()}, "rotation": 0.5}}
+    shared = {"mix": {"f": 0.3, "n": [1.0, 0.0], "c1": leaf,
+                      "c2": {"leaf": {"tensor": {"L": L.tolist()}}}}}
+    tree, leaves = cli._tree({"mix": {"f": 0.6, "n": [0.0, 1.0],
+                                      "c1": shared, "c2": shared}})
+    assert tree.child1 is tree.child2 and len(leaves) == 2
+    ref = Mix(Leaf(L, 0.5), Leaf(L), 0.3, (1.0, 0.0))
+    assert np.array_equal(laminate_tree(tree),
+                          laminate_tree(Mix(ref, ref, 0.6, (0.0, 1.0))))
+    with pytest.raises(ValueError, match="'leaf' or 'mix'"):
+        cli._tree({"oops": {}})
+    loop = {"mix": {"f": 0.5, "n": [1.0, 0.0], "c2": leaf}}
+    loop["mix"]["c1"] = {"mix": dict(loop["mix"], c1=loop)}
+    with pytest.raises(ValueError, match="contains itself"):
+        cli._tree(loop)
+
+
+def test_two_phase_overrides(tmp_path):
     code, out = run(["two-phase", "--f", "0.6", "--normal", "0,1",
                      str(DATA / "pair_2a.json")])
     assert code == 0
     obj = json.loads(out)
     assert obj["case"] == "2a" and "Lstar" in obj
+    # --f and --normal set the rank1 laminate; a rank2 microstructure has no
+    # single fraction or normal for them, so they are refused, not ignored
+    rank2 = _with_value(tmp_path, "pair_2c.json", ("micro",), {"type": "rank2"})
+    for flags in (["--f", "0.9"], ["--normal", "0,1"]):
+        assert run(["two-phase", *flags, rank2]) == (cli.EXIT_INPUT, "")
+    assert run(["two-phase", rank2])[0] == cli.EXIT_OK
 
 
 def test_two_phase_case_fields():

@@ -5,10 +5,10 @@ from thermoex import exactrel as er
 from thermoex import laminate as lam
 from thermoex.laminate import (Leaf, Mix, laminate2, laminate_tree, conduct2,
                                RankOneModel, IteratedRank2Model,
-                               sigma_star_rank1, tree_to_json, tree_from_json)
+                               sigma_star_rank1)
 from thermoex.tensor4 import (I2, I4, RPERP, block_is_pd, resolvent,
                               rotate_block)
-from conftest import rand_spd, rand_pd_block
+from conftest import rand_spd, rand_pd_block, random_tree
 
 
 def uncoupled(sig):
@@ -133,6 +133,23 @@ def test_model_embedding_consistency(rng):
             assert np.abs(full - tree_val).max() < 1e-12
 
 
+@pytest.mark.parametrize("f", [-0.1, 1.5, np.nan])
+def test_volume_fraction_outside_0_1_raises(f):
+    """Every entry point that takes a volume fraction rejects one outside
+    [0, 1], NaN included, as Mix and laminate2 do."""
+    n = (1.0, 0.0)
+    calls = [lambda: RankOneModel(f, n),
+             lambda: IteratedRank2Model(f, n, 0.5, n),
+             lambda: IteratedRank2Model(0.5, n, f, n),
+             lambda: conduct2(I2, 3.0 * I2, f, n),
+             lambda: sigma_star_rank1(3.0, f, n),
+             lambda: laminate2(I4, 2.0 * I4, f, n),
+             lambda: Mix(Leaf(I4), Leaf(I4), f, n)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"volume fraction must lie in \[0, 1\]"):
+            call()
+
+
 def test_w_linearity_membership(rng):
     """Rank-one mixes of members stay members, for every relation."""
     for ident in er.ER_IDS:
@@ -146,33 +163,12 @@ def test_w_linearity_membership(rng):
             assert m.member, (ident, m.residual)
 
 
-def test_tree_json_roundtrip(rng):
-    L = rand_pd_block(rng)
-    t = Mix(Leaf(L, 0.3), Mix(Leaf(L), Leaf(L, 1.1), 0.2, (0.0, 1.0)),
-            0.7, (0.6, 0.8))
-    back = tree_from_json(tree_to_json(t))
-    assert np.abs(laminate_tree(back) - laminate_tree(t)).max() < 1e-14
-    with pytest.raises(ValueError):
-        tree_from_json({"oops": {}})
-
-
 def fold(node):
     """Reference evaluation: one laminate2 per mix, by recursion."""
     if isinstance(node, Leaf):
         L = np.asarray(node.tensor, dtype=float)
         return rotate_block(node.rotation, L) if node.rotation else L
     return laminate2(fold(node.child1), fold(node.child2), node.f, node.n)
-
-
-def random_tree(rng, m, leaves):
-    """Random hierarchy of ``m`` mixes over the shared ``leaves`` objects;
-    fractions include the end points 0 and 1."""
-    if m == 0:
-        return leaves[rng.integers(len(leaves))]
-    k = int(rng.integers(m))
-    f = float(rng.choice([0.0, 1.0, rng.uniform()], p=[0.1, 0.1, 0.8]))
-    return Mix(random_tree(rng, k, leaves), random_tree(rng, m - 1 - k, leaves),
-               f, tuple(rng.standard_normal(2)))
 
 
 def height(node):
@@ -206,38 +202,6 @@ def test_tree_deeper_than_the_recursion_limit(rng):
         f, n = rng.uniform(), tuple(rng.standard_normal(2))
         t, ref = Mix(t, Leaf(L2), f, n), laminate2(ref, L2, f, n)
     assert np.array_equal(laminate_tree(t), ref)
-
-
-def test_tree_json_roundtrip_deeper_than_the_recursion_limit(rng):
-    """The 1500-mix chain goes to JSON and back without recursion, in the
-    same format as a shallow tree, and evaluates to the same tensor."""
-    L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
-    t = Leaf(L1, 0.4)
-    for _ in range(1500):
-        t = Mix(t, Leaf(L2), rng.uniform(), tuple(rng.standard_normal(2)))
-    obj = tree_to_json(t)
-    top = obj["mix"]
-    assert sorted(top) == ["c1", "c2", "f", "n"] and top["c2"] == tree_to_json(Leaf(L2))
-    assert top["f"] == t.f and top["n"] == list(t.n)
-    back = tree_from_json(obj)
-    assert np.array_equal(laminate_tree(back), laminate_tree(t))
-
-
-def test_tree_json_shared_and_malformed_nodes(rng):
-    """A shared subtree is written once per path it is reached by; a tree
-    that contains itself and a non-node raise."""
-    L = rand_pd_block(rng)
-    shared = Mix(Leaf(L), Leaf(L, 0.5), 0.3, (1.0, 0.0))
-    t = Mix(shared, shared, 0.6, (0.0, 1.0))
-    obj = tree_to_json(t)
-    assert obj["mix"]["c1"] == obj["mix"]["c2"] == tree_to_json(shared)
-    assert np.array_equal(laminate_tree(tree_from_json(obj)), laminate_tree(t))
-    loop = {"mix": {"f": 0.5, "n": [1.0, 0.0], "c2": tree_to_json(Leaf(L))}}
-    loop["mix"]["c1"] = {"mix": dict(loop["mix"], c1=loop)}
-    with pytest.raises(ValueError, match="contains itself"):
-        tree_from_json(loop)
-    with pytest.raises(TypeError):
-        tree_to_json(Mix(Leaf(L), "leaf", 0.5, (1.0, 0.0)))
 
 
 def test_tree_one_mix_call_per_height(rng, monkeypatch):

@@ -6,9 +6,9 @@ import pytest
 
 from thermoex import exactrel as er
 from thermoex import linkgroup as lg
-from thermoex.laminate import laminate2, conduct2
+from thermoex.laminate import Leaf, conduct2, laminate2, laminate_tree
 from thermoex.tensor4 import I2, I4, RPERP, T4, congruence, det2, mobius
-from conftest import rand_spd, rand_pd_block
+from conftest import rand_spd, rand_pd_block, random_tree
 
 
 def rand_map(rng):
@@ -240,12 +240,6 @@ def test_link21_det_product(rng):
         assert abs(det2(lam) * det2(P) - 1.0) < 1e-9
 
 
-def test_json_roundtrip(rng):
-    m = rand_map(rng)
-    back = lg.linkmap_from_json(lg.linkmap_to_json(m))
-    assert np.allclose(back.a, m.a) and np.allclose(back.b, m.b)
-
-
 def test_psi_apply_stack_and_kron(rng):
     """B (x) I is built without np.kron; a stack of L maps entry by entry."""
     Ls = np.stack([rand_pd_block(rng) for _ in range(5)])
@@ -400,6 +394,62 @@ def test_psi_apply_is_congruence_of_mobius(rng):
         assert lg.psi_apply(m, D).tobytes() == ref(m, D).tobytes()
 
 
+# -- link covariance of laminate_tree ------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def test_laminate_tree_link_covariance(rng):
+    """A link transports effective tensors: psi_apply(m, laminate_tree(T))
+    equals laminate_tree(T'), T' being T with every leaf tensor mapped, on
+    trees of 1-40 mixes over three rotated PD phases and maps Psi_{A,B} with
+    A = N(0, 1) + 0.4 I, B = N(0, 1), to 1e3 eps times the largest condition
+    number of the mapped phases (worst seen: 39, over 30 seeds of 300 draws).
+
+    The draws keep maps whose images of the phases have eigenvalues in
+    [1e-2, 1e2], so PD: further from the reference I, laminate_tree itself
+    loses accuracy (see test_laminate_tree_scale_covariance)."""
+    ratios = []
+    while len(ratios) < 300:
+        leaves = [Leaf(rand_pd_block(rng), rng.uniform(0, np.pi)) for _ in range(3)]
+        m = lg.LinkMap(rng.standard_normal((2, 2)) + 0.4 * I2,
+                       rng.standard_normal((2, 2)))
+        images = lg.psi_apply(m, np.array([leaf.tensor for leaf in leaves]))
+        w = np.linalg.eigvalsh(images)
+        if not 1e-2 <= w.min() <= w.max() <= 1e2:
+            continue
+        seed, size = rng.integers(2 ** 32), int(rng.integers(1, 41))
+        tree = random_tree(np.random.default_rng(seed), size, leaves)
+        mapped = random_tree(np.random.default_rng(seed), size,
+                             [Leaf(L, leaf.rotation) for L, leaf in zip(images, leaves)])
+        want = laminate_tree(mapped)
+        err = np.abs(lg.psi_apply(m, laminate_tree(tree)) - want).max()
+        ratios.append(err / (np.abs(want).max() * EPS * np.linalg.cond(images).max()))
+    assert max(ratios) <= 1e3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="laminate_tree evaluates its transform at the "
+                          "reference I and loses accuracy on phases far from it")
+@pytest.mark.parametrize("c", [1e-3, 1e3])
+def test_laminate_tree_scale_covariance(rng, c):
+    """Scaling every phase by c is the link with A = diag(c, 1), so
+    laminate_tree(cT) = c laminate_tree(T), to 1e3 eps times the phases'
+    condition number.  It does not hold yet: the error grows about like
+    eps c^2 (or eps / c^2); over these 50 draws its median is 6e3 eps cond
+    at c = 1e-3 and 4e4 eps cond at c = 1e3."""
+    for _ in range(50):
+        leaves = [Leaf(rand_pd_block(rng), rng.uniform(0, np.pi)) for _ in range(3)]
+        seed, size = rng.integers(2 ** 32), int(rng.integers(1, 41))
+        tree = random_tree(np.random.default_rng(seed), size, leaves)
+        scaled = random_tree(np.random.default_rng(seed), size,
+                             [Leaf(c * leaf.tensor, leaf.rotation) for leaf in leaves])
+        want = c * laminate_tree(tree)
+        err = np.abs(laminate_tree(scaled) - want).max() / np.abs(want).max()
+        cond = max(np.linalg.cond(leaf.tensor) for leaf in leaves)
+        assert err <= 1e3 * EPS * cond
+
+
 # -- the input boundary -------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -410,8 +460,6 @@ def test_linkmap_rejects_non_finite(bad):
         for A, B in ((M, I2), (I2, M)):
             with pytest.raises(ValueError, match="finite"):
                 lg.LinkMap(A, B)
-            with pytest.raises(ValueError, match="finite"):
-                lg.linkmap_from_json({"A": A.tolist(), "B": B.tolist()})
 
 
 def test_linkmap_rejects_misshapen_and_singular():
@@ -419,8 +467,6 @@ def test_linkmap_rejects_misshapen_and_singular():
         for A, B in ((M, I2), (I2, M)):
             with pytest.raises(ValueError, match="2x2"):
                 lg.LinkMap(A, B)
-    with pytest.raises(ValueError, match="2x2"):
-        lg.linkmap_from_json({"A": np.eye(3).tolist(), "B": I2.tolist()})
     for A, B in ((np.ones((2, 2)), I2), (I2, np.ones((2, 2)))):
         with pytest.raises(ValueError, match="invertible"):
             lg.LinkMap(A, B)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from thermoex.materials import (Material, IsoMaterial, canon_from_physical,
+from thermoex.materials import (Material, canon_from_physical,
                                 physical_from_canon, figure_of_merit,
-                                zt_isotropic, material_to_json,
-                                material_from_json)
+                                zt_isotropic)
 from thermoex.tensor4 import (I2, I4, block_parts, block_inverse,
                               block_is_pd, rotate_block)
 from conftest import rand_spd, rand_pd_block
@@ -109,20 +108,3 @@ def test_zt_rotation_invariance(rng):
         th = rng.uniform(0, np.pi)
         assert abs(figure_of_merit(L) - figure_of_merit(rotate_block(th, L))) \
             < 1e-9 * (1 + figure_of_merit(L))
-
-
-def test_iso_material():
-    iso = IsoMaterial(np.array([[2.0, 1.0], [1.0, 2.0]]), 0.5)
-    L = iso.tensor()
-    assert np.allclose(L[:2, :2], 2 * I2)
-    assert np.allclose(L, L.T)
-    with pytest.raises(ValueError):
-        IsoMaterial(I2, 1.5)
-
-
-def test_material_json(rng):
-    m = rand_material(rng)
-    back = material_from_json(material_to_json(m))
-    assert np.allclose(back.sigma, m.sigma)
-    assert np.allclose(back.seebeck, m.seebeck)
-    assert back.T0 == m.T0

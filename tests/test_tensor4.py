@@ -5,9 +5,8 @@ from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, E11, E22, KTensor,
                               phi, psi, cof2, det2, inv2, spd_sqrt_2x2, kt_to_block,
                               kt_from_block, kt_mul, kt_transpose, kt_inverse,
                               block_inverse, congruence, is_positive_definite,
-                              rotate, rotate_block, jordan_star, kt_to_json,
-                              kt_from_json, block_to_json, block_from_json,
-                              check_block, block_is_pd, pd2)
+                              rotate, rotate_block, jordan_star, check_block,
+                              block_is_pd, pd2)
 from conftest import rand_herm, rand_kt, rand_pd_kt, rand_pd_block, rand_sym_c
 
 
@@ -279,14 +278,6 @@ def test_spd_sqrt(rng):
         assert np.allclose(R, R.T) and np.linalg.eigvalsh(R).min() > 0
     with pytest.raises(ValueError):
         spd_sqrt_2x2(np.array([[1.0, 0.0], [0.0, -1.0]]))
-
-
-def test_json_roundtrip(rng):
-    k = rand_kt(rng)
-    back = kt_from_json(kt_to_json(k))
-    assert np.abs(back.X - k.X).max() < 1e-15
-    B = rand_pd_block(rng)
-    assert np.allclose(block_from_json(block_to_json(B)), B)
 
 
 def test_stacked_ktensor_ops(rng):
