@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 # exported name -> home module
 _HOME = {name: home for home, names in {
-    "tensor4": ("KTensor", "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "phi",
-                "psi", "kt_to_block", "kt_from_block", "kt_mul",
+    "tensor4": ("DomainError", "KTensor", "I2", "I4", "RPERP", "T4", "Z0",
+                "Z0SYM", "phi", "psi", "kt_to_block", "kt_from_block", "kt_mul",
                 "kt_transpose", "kt_inverse", "block_inverse",
                 "is_positive_definite", "rotate", "rotate_block",
                 "jordan_star", "gamma0"),

@@ -1,9 +1,13 @@
 """Command-line front end: verification suites and solvers over JSON files.
 
-Exit codes: 0 success / all checks passed, 1 verification failure,
-2 input or parse error, 3 domain error (non-PD tensors, constraint
-violations).  Output is deterministic for fixed seed and inputs; every
-number is printed with 17 significant digits.
+Exit codes: 0 success / all checks passed, 1 verification failure.
+``main`` alone maps the exception that ends a subcommand to a code: a
+DomainError (non-PD tensors, violated constraints, overflow), another
+ArithmeticError or a LinAlgError exits 3; any other ValueError, an OSError
+or a RecursionError (unreadable or malformed input) exits 2.  A non-finite
+number in a result is a DomainError, raised before anything is written.
+Output is deterministic for fixed seed and inputs; every number is printed
+with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -14,15 +18,12 @@ import sys
 
 import numpy as np
 
-from .tensor4 import KTensor, block_is_pd, check_block, kt_from_block
+from .tensor4 import DomainError, KTensor, block_is_pd, check_block, kt_from_block
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
-
-# what a JSON value of the wrong type or shape raises while it is parsed
-_MALFORMED = (KeyError, IndexError, TypeError, ValueError)
 
 
 def _fmt(obj):
@@ -38,6 +39,8 @@ def _fmt(obj):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
+        if not np.isfinite(v):
+            raise DomainError(f"non-finite result {v}")
         if v == 0.0:
             v = 0.0          # normalize negative zero
         return format(v, ".17g")
@@ -56,25 +59,26 @@ def _emit(obj, path=None):
 
 
 def _load(path):
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise SystemExit_(EXIT_INPUT, f"cannot read {path}: {exc}")
+    with open(path) as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
-        raise SystemExit_(EXIT_INPUT, f"{path}: top-level JSON value must be an object")
+        raise ValueError(f"{path}: top-level JSON value must be an object")
     return data
 
 
-class SystemExit_(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
+def _read(path, reader):
+    """``reader`` applied to the JSON object in ``path``.  The KeyError,
+    IndexError or TypeError that a value of the wrong type or shape raises
+    while it is read becomes a ValueError here, and nowhere else."""
+    data = _load(path)
+    try:
+        return reader(data)
+    except (KeyError, IndexError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed input: {exc!r}") from exc
 
 
 # -- the input schemas: a tensor {"L": 4x4}, an operator pair {"X", "Y"} of
-# [re, im] entries, a laminate tree and a material.  Each reader raises one
-# of _MALFORMED on a value of the wrong type, shape or range.
+# [re, im] entries, a laminate tree, a two-phase pair and a material.
 
 def _block(obj):
     """Checked, symmetrized 4x4 block tensor of a {"L": 4x4} object."""
@@ -94,8 +98,8 @@ def _pairs(pairs):
 def _tree(obj):
     """Laminate tree of a JSON node, built bottom-up without recursion (a
     sub-object reached along several paths is built once), and the tensors
-    of its leaves.  A malformed node, a non-finite rotation or normal and a
-    node that contains itself raise ``ValueError``."""
+    of its leaves.  A malformed node, a non-finite rotation and a node that
+    contains itself raise ``ValueError``."""
     from .laminate import Leaf, Mix
     done, opened, tensors = {}, set(), []     # id -> node; mixes with pending children
     stack = [obj]
@@ -116,11 +120,8 @@ def _tree(obj):
             raise ValueError("laminate node must contain 'leaf' or 'mix'")
         elif id(ob["mix"]["c1"]) in done and id(ob["mix"]["c2"]) in done:
             mix = ob["mix"]
-            n = tuple(float(v) for v in mix["n"])
-            if not np.isfinite(n).all():
-                raise ValueError("layer normal must be finite")
             done[id(ob)] = Mix(done[id(mix["c1"])], done[id(mix["c2"])],
-                               float(mix["f"]), n)
+                               float(mix["f"]), tuple(float(v) for v in mix["n"]))
         elif id(ob) in opened:
             raise ValueError("laminate node contains itself")
         else:                                 # children first, then ob again
@@ -174,81 +175,57 @@ def cmd_verify_algebras(args):
 
 def cmd_er(args):
     from .exactrel import er_member
-    data = _load(args.tensor)
-    try:
-        L = _block(data)
-    except _MALFORMED as exc:
-        raise SystemExit_(EXIT_INPUT, f"bad tensor file: {exc}")
+    L = _read(args.tensor, _block)
     if not block_is_pd(L):
-        raise SystemExit_(EXIT_DOMAIN, "tensor is not positive definite")
-    res = er_member(args.er, L, tol=args.tol)
-    _emit(res.to_json(), args.output)
+        raise DomainError("tensor is not positive definite")
+    _emit(er_member(args.er, L, tol=args.tol).to_json(), args.output)
     return EXIT_OK
 
 
 def cmd_laminate(args):
     from .laminate import laminate_tree
-    data = _load(args.tree)
-    try:
-        tree, leaves = _tree(data)
-    except (*_MALFORMED, RecursionError) as exc:
-        raise SystemExit_(EXIT_INPUT, f"bad laminate file: {exc}")
+    tree, leaves = _read(args.tree, _tree)
     if not block_is_pd(np.array(leaves)).all():
-        raise SystemExit_(EXIT_DOMAIN, "laminate leaf is not positive definite")
-    try:
-        L = laminate_tree(tree)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SystemExit_(EXIT_DOMAIN, f"lamination failed: {exc}")
-    _emit({"L": _rows(L)}, args.output)
+        raise DomainError("laminate leaf is not positive definite")
+    _emit({"L": _rows(laminate_tree(tree))}, args.output)
     return EXIT_OK
 
 
-def _micro_from_json(obj, f=None, normal=None):
+def _pair(data, f=None, normal=None):
+    """Phase pair of a two-phase object.  The fraction of phase 1 is ``f``,
+    else the top-level or the microstructure's "f" (both must agree when
+    both are given), else 0.5; ``f`` and ``normal`` apply to rank1 only."""
     from .laminate import IteratedRank2Model, RankOneModel
-    if obj is None:
-        obj = {"type": "rank1", "f": 0.5, "normal": [1.0, 0.0]}
-    if not isinstance(obj, dict):
-        raise SystemExit_(EXIT_INPUT, "microstructure must be a JSON object")
-    kind = obj.get("type", "rank1")
-    if f is not None:
-        obj = dict(obj, f=f)
-    if normal is not None:
-        obj = dict(obj, normal=list(normal))
-    used = ("f", "normal", "f_inner", "n_inner", "f_outer", "n_outer")
-    if not all(np.isfinite(np.asarray(obj[k], float)).all() for k in used if k in obj):
-        raise SystemExit_(EXIT_INPUT, "microstructure entries must be finite")
+    from .twophase import IsoPhase, IsoPhasePair
+    p1, p2 = (IsoPhase(data[k]["sigma"], float(data[k].get("r", 0.0)))
+              for k in ("phase1", "phase2"))
+    micro = {} if data.get("micro") is None else data["micro"]
+    if not isinstance(micro, dict):
+        raise ValueError("microstructure must be a JSON object")
+    kind = micro.get("type", "rank1")
+    if kind not in ("rank1", "rank2"):
+        raise ValueError(f"unknown microstructure type {kind!r}")
+    if kind == "rank2" and (f is not None or normal is not None):
+        raise ValueError("--f and --normal apply to a rank1 microstructure only")
+    if f is None:
+        given = [float(v) for v in (data.get("f"), micro.get("f")) if v is not None]
+        if len(given) == 2 and given[0] != given[1]:
+            raise ValueError(f"top-level f {given[0]} and microstructure f "
+                             f"{given[1]} differ")
+        f = given[0] if given else 0.5
     if kind == "rank1":
-        return RankOneModel(obj.get("f", 0.5),
-                            obj.get("normal", [1.0, 0.0]))
-    if kind == "rank2":
-        return IteratedRank2Model(
-            obj.get("f_inner", 0.5), obj.get("n_inner", [1.0, 0.0]),
-            obj.get("f_outer", 0.5), obj.get("n_outer", [0.0, 1.0]))
-    raise SystemExit_(EXIT_INPUT, f"unknown microstructure type {kind!r}")
+        model = RankOneModel(f, micro.get("normal", [1.0, 0.0])
+                             if normal is None else normal)
+    else:
+        model = IteratedRank2Model(
+            micro.get("f_inner", 0.5), micro.get("n_inner", [1.0, 0.0]),
+            micro.get("f_outer", 0.5), micro.get("n_outer", [0.0, 1.0]))
+    return IsoPhasePair(p1, p2, f, model)
 
 
 def cmd_two_phase(args):
-    from .laminate import RankOneModel
-    from .twophase import IsoPhase, IsoPhasePair, effective
-    data = _load(args.pair)
-    try:
-        p1, p2 = (IsoPhase(np.asarray(data[k]["sigma"], float),
-                           float(data[k].get("r", 0.0)))
-                  for k in ("phase1", "phase2"))
-    except _MALFORMED as exc:
-        raise SystemExit_(EXIT_DOMAIN if "violates" in str(exc) else EXIT_INPUT,
-                          f"bad phase data: {exc}")
-    try:
-        f = args.f if args.f is not None else float(data.get("f", 0.5))
-        micro = _micro_from_json(data.get("micro"), f=f, normal=args.normal)
-        pair = IsoPhasePair(p1, p2, f, micro)
-    except _MALFORMED as exc:
-        raise SystemExit_(EXIT_INPUT,
-                          f"bad volume fraction or microstructure: {exc}")
-    if (args.f is not None or args.normal is not None) \
-            and not isinstance(micro, RankOneModel):
-        raise SystemExit_(EXIT_INPUT,
-                          "--f and --normal apply to a rank1 microstructure only")
+    from .twophase import effective
+    pair = _read(args.pair, lambda data: _pair(data, args.f, args.normal))
     res = effective(pair, tol=args.tol)
     out = {"case": res.case.tag, "kind": res.kind,
            "scalars": {k: v for k, v in res.case.scalars.items()
@@ -272,41 +249,32 @@ def cmd_two_phase(args):
     return EXIT_OK
 
 
+def _crystallite(data):
+    """Symmetric operator of an {"X", "Y"} or a {"L"} object."""
+    k0 = (KTensor(_pairs(data["X"]), _pairs(data["Y"])) if "X" in data
+          else kt_from_block(_block(data)))
+    return KTensor.symmetric(k0.X, k0.Y)
+
+
 def cmd_polycrystal(args):
     from .polycrystal import solve_isotropic
-    data = _load(args.tensor)
-    try:
-        k0 = (KTensor(_pairs(data["X"]), _pairs(data["Y"])) if "X" in data
-              else kt_from_block(_block(data)))
-        k0 = KTensor.symmetric(k0.X, k0.Y)
-    except _MALFORMED as exc:
-        raise SystemExit_(EXIT_INPUT, f"bad crystallite file: {exc}")
-    try:
-        res = solve_isotropic(k0)
-    except (ValueError, ArithmeticError) as exc:
-        raise SystemExit_(EXIT_DOMAIN, str(exc))
-    out = res.to_json()
+    out = solve_isotropic(_read(args.tensor, _crystallite)).to_json()
     if not args.all_roots:
         out["roots"] = [r for r in out["roots"] if r["feasible"]]
     _emit(out, args.output)
     return EXIT_OK
 
 
+def _material(data):
+    from .materials import Material
+    return Material(*(np.asarray(data[k], float)
+                      for k in ("sigma", "seebeck", "kappa")), float(data["T0"]))
+
+
 def cmd_zt(args):
-    from .materials import Material, canon_from_physical, figure_of_merit
-    data = _load(args.material)
-    try:
-        m = Material(*(np.asarray(data[k], float)
-                       for k in ("sigma", "seebeck", "kappa")), float(data["T0"]))
-    except _MALFORMED as exc:
-        raise SystemExit_(EXIT_DOMAIN if "positive" in str(exc) else EXIT_INPUT,
-                          f"bad material file: {exc}")
-    try:
-        L = canon_from_physical(m)
-        zt = figure_of_merit(L)
-    except (ValueError, ArithmeticError) as exc:
-        raise SystemExit_(EXIT_DOMAIN, f"figure of merit failed: {exc}")
-    _emit({"ZT": zt, "L": _rows(L)}, args.output)
+    from .materials import canon_from_physical, figure_of_merit
+    L = canon_from_physical(_read(args.material, _material))
+    _emit({"ZT": figure_of_merit(L), "L": _rows(L)}, args.output)
     return EXIT_OK
 
 
@@ -387,9 +355,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except SystemExit_ as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+    except (DomainError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        code, error = EXIT_DOMAIN, exc
+    except (ValueError, OSError, RecursionError) as exc:
+        code, error = EXIT_INPUT, exc
+    print(f"thermoex {args.command}: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import I2, I4, gamma0, resolvent, rotate_block, unit_normal
+from .tensor4 import (I2, I4, DomainError, gamma0, resolvent, rotate_block,
+                      unit_normal)
 
 __all__ = [
     "Leaf", "Mix", "laminate2", "laminate_tree", "conduct2",
@@ -127,7 +128,7 @@ def sigma_star_rank1(h, f, n):
     n = unit_normal(n)
     m = np.array([-n[1], n[0]])
     if h <= 0:
-        raise ValueError("phase contrast must be positive")
+        raise DomainError("phase contrast must be positive")
     f = _fraction(f)
     through = 1.0 / (f + (1.0 - f) / h)
     along = f + (1.0 - f) * h

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor4 import I2, RPERP, det2, inv2, mobius, pd2, spd_sqrt_2x2
+from .tensor4 import (I2, RPERP, DomainError, det2, inv2, mobius, pd2,
+                      spd_sqrt_2x2)
 from .exactrel import lm_par, lm_unpar, er_member
 
 __all__ = [
@@ -244,12 +245,12 @@ def link19_family(gamma0, L):
     P = gamma0 * M @ BLi @ M.T + (1.0 + gamma0) * BLi + 2.0 * gamma0 * M @ RPERP
     P = (P + P.T) / 2.0
     if not pd2(P):
-        raise ValueError("gamma0 outside the admissible interval: P not PD")
+        raise DomainError("gamma0 outside the admissible interval: P not PD")
     Q = P + 2.0 * M @ RPERP
     Q = (Q + Q.T) / 2.0
     if not pd2(-Q):
-        raise ValueError("gamma0 outside the admissible interval: "
-                         "P + 2 M Rperp not negative definite")
+        raise DomainError("gamma0 outside the admissible interval: "
+                          "P + 2 M Rperp not negative definite")
     return lm_par(inv2(P), M)
 
 
@@ -265,7 +266,7 @@ def link19_conductivity(L, tol=1e-8):
     L = np.asarray(L, dtype=float)
     m = er_member(19, L, tol=tol)
     if not m.member:
-        raise ValueError(f"not a member of relation 19 (residual {m.residual:.3e})")
+        raise DomainError(f"not a member of relation 19 (residual {m.residual:.3e})")
     BL, M = lm_unpar(L)
     sigma = -RPERP @ M
     sigma = (sigma + sigma.T) / 2.0
@@ -285,7 +286,7 @@ def link21_factor(M):
     lam = np.array([[1.0, t], [t, det2(M)]])
     dl = det2(lam)
     if abs(dl) < 1e-14 * (1.0 + np.abs(M).max()) ** 2:
-        raise ValueError("degenerate factor: det Lam = 0")
+        raise DomainError("degenerate factor: det Lam = 0")
     P = -RPERP @ (M - t * I2) / dl
     return lam, (P + P.T) / 2.0
 

@@ -16,23 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import (block_from_parts, block_parts, check_block, det2, inv2,
-                      block_is_pd, pd2)
+from .tensor4 import (DomainError, block_from_parts, block_parts, block_is_pd,
+                      check_block, check_spd2, det2, inv2)
 
 __all__ = [
     "Material", "canon_from_physical", "physical_from_canon",
     "figure_of_merit", "zt_isotropic",
 ]
-
-
-def _sym_pd(m, name):
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2) or np.abs(m - m.T).max() > 1e-10 * (1 + np.abs(m).max()):
-        raise ValueError(f"{name} must be a symmetric 2x2 matrix")
-    m = (m + m.T) / 2.0
-    if not pd2(m):
-        raise ValueError(f"{name} must be positive definite")
-    return m
 
 
 @dataclass(frozen=True)
@@ -45,30 +35,34 @@ class Material:
     T0: float = 300.0
 
     def __post_init__(self):
-        object.__setattr__(self, "sigma", _sym_pd(self.sigma, "sigma"))
-        object.__setattr__(self, "kappa", _sym_pd(self.kappa, "kappa"))
+        object.__setattr__(self, "sigma", check_spd2(self.sigma, "sigma"))
+        object.__setattr__(self, "kappa", check_spd2(self.kappa, "kappa"))
         seebeck = np.asarray(self.seebeck, dtype=float).reshape(2, 2)
         if not (np.isfinite(seebeck).all() and np.isfinite(self.T0)):
             raise ValueError("seebeck and T0 must be finite")
         object.__setattr__(self, "seebeck", seebeck)
         if self.T0 <= 0:
-            raise ValueError("T0 must be positive")
+            raise DomainError("T0 must be positive")
 
 
 def canon_from_physical(m):
-    """Canonical tensor of a material; positive definite by construction."""
+    """Canonical tensor of a material; positive definite by construction,
+    and a DomainError where it overflows."""
     s, S, k, T0 = m.sigma, m.seebeck, m.kappa, m.T0
     L11 = T0 * s
     L12 = -T0 ** 2 * (s @ S)
     L22 = T0 ** 2 * (k + T0 * S.T @ s @ S)
-    return block_from_parts(L11, L12, L22)
+    L = block_from_parts(L11, L12, L22)
+    if not np.isfinite(L).all():
+        raise DomainError("canonical tensor overflows")
+    return L
 
 
 def physical_from_canon(L, T0):
     """Recover (sigma, S, kappa) from a canonical tensor at temperature T0."""
     L = check_block(L)
     if not block_is_pd(L):
-        raise ValueError("canonical tensor must be positive definite")
+        raise DomainError("canonical tensor must be positive definite")
     L11, L12, L22 = block_parts(L)
     b0 = 1.0 / T0
     sigma = b0 * L11
@@ -85,14 +79,14 @@ def figure_of_merit(L):
     """
     L = check_block(L)
     if not block_is_pd(L):
-        raise ValueError("tensor must be positive definite")
+        raise DomainError("tensor must be positive definite")
     L11, L12, L22 = block_parts(L)
     M = inv2(L22) @ L12.T @ inv2(L11) @ L12
     tr, d = M[0, 0] + M[1, 1], det2(M)
     disc = max(tr * tr / 4.0 - d, 0.0)
     lam = tr / 2.0 + np.sqrt(disc)
     if lam >= 1.0:
-        raise ValueError("figure-of-merit eigenvalue reached 1; tensor not PD")
+        raise DomainError("figure-of-merit eigenvalue reached 1; tensor not PD")
     return float(lam / (1.0 - lam))
 
 

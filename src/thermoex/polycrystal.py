@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import (KTensor, RPERP, cof2, det2, inv2, is_positive_definite,
-                      pd2, spd_sqrt_2x2)
+from .tensor4 import (DomainError, KTensor, RPERP, cof2, det2, inv2,
+                      is_positive_definite, pd2, spd_sqrt_2x2)
 
 __all__ = [
     "HERM_BASIS", "hvec", "hunvec", "b_op", "b_charpoly", "PolyResult",
@@ -145,7 +145,7 @@ def solve_isotropic(k0):
     if k0.X.shape != (2, 2) or k0.Y.shape != (2, 2):
         raise ValueError("crystallite must be one operator with 2x2 X and Y")
     if not is_positive_definite(k0):
-        raise ValueError("crystallite tensor must be positive definite")
+        raise DomainError("crystallite tensor must be positive definite")
     X = k0.X
     # theta scales as 1/s^2 and Z as s under (X, Y) -> s (X, Y); solving for
     # (X, Y) / s keeps the coefficients of F in floating-point range, and a
@@ -183,7 +183,7 @@ def solve_isotropic(k0):
     start = np.sort(r.real[(r.real > 0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))])
     start = start[np.diff(start, prepend=-np.inf) > 1e-9 * start]
     ths, zs, res = _polish(start, Bm, rhs)
-    ths, zs = ths / s ** 2, zs * s
+    ths, zs = ths / s / s, zs * s          # s ** 2 may overflow
     flagged = []
     best = None
     for i in np.argsort(ths):
@@ -252,7 +252,7 @@ def special_quartic(s1, s2):
     """
     s1, s2 = abs(float(s1)), abs(float(s2))
     if s1 <= 1.0 or s2 <= 1.0:
-        raise ValueError("positive definiteness requires |s_j| > 1")
+        raise DomainError("positive definiteness requires |s_j| > 1")
     coeffs = (-0.25, s1 * s2, 2.0 * s1 * s2 - (s1 + s2) ** 2 + 0.5,
               s1 * s2, -0.25)
     # palindromic: u = t + 1/t solves u^2 - 4 s1 s2 u - 4 (c2 + 1/2) = 0 with

@@ -20,11 +20,14 @@ np.kron(A, B) = [[a11*B, a12*B], [a21*B, a22*B]].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
-    "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "E11", "E22",
-    "KTensor", "phi", "psi", "cof2", "inv2", "det2", "pd2", "spd_sqrt_2x2",
+    "DomainError", "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "E11", "E22",
+    "KTensor", "phi", "psi", "cof2", "inv2", "det2", "pd2", "check_spd2",
+    "spd_sqrt_2x2",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "congruence", "block_parts", "block_from_parts",
     "check_block", "is_positive_definite", "block_is_pd", "resolvent", "mobius",
@@ -44,6 +47,11 @@ Z0 = np.outer(Z0_VEC, Z0_VEC.conj())      # Hermitian, Z0^2 = 2 Z0
 Z0SYM = np.outer(Z0_VEC, Z0_VEC)          # complex symmetric, Z0SYM^2 = 0
 
 DEFAULT_TOL = 1e-10
+
+
+class DomainError(ValueError):
+    """Well-formed input outside the mathematical domain of an operation: not
+    positive definite, at a formula's pole, or overflowing the float range."""
 
 
 def phi(z):
@@ -85,12 +93,31 @@ def pd2(m, tol=0.0, scale=1.0):
     return m[0, 0].real > tol * scale and det2(m).real > tol * scale ** 2
 
 
+def check_spd2(m, name="matrix"):
+    """Validate and symmetrize an SPD 2x2: another shape, an infinite entry or
+    a relative asymmetry above DEFAULT_TOL raise ValueError; a matrix that is
+    not positive definite (NaN entries included) raises DomainError."""
+    m = np.asarray(m, dtype=float)
+    e = [abs(v) for v in m.ravel().tolist()]
+    if m.shape != (2, 2) or math.inf in e \
+            or abs(m[0, 1] - m[1, 0]) > DEFAULT_TOL * (1.0 + max(e)):
+        raise ValueError(f"{name} must be a finite symmetric 2x2 matrix")
+    m = (m + m.T) / 2.0
+    if not pd2(m):
+        raise DomainError(f"{name} must be positive definite")
+    return m
+
+
 def spd_sqrt_2x2(s):
-    """Unique SPD square root of an SPD 2x2 matrix, closed form."""
-    if not pd2(s):
-        raise ValueError("matrix is not symmetric positive definite")
-    r = np.sqrt(det2(s))
-    return (s + r * I2) / np.sqrt(s[0, 0] + s[1, 1] + 2.0 * r)
+    """Unique SPD square root of an SPD 2x2 matrix, closed form, taken of
+    t = s / 4^k with max(t11, t22) in [1/2, 2) and scaled back by 2^k: both
+    scalings are exact, and det(t) stays in range for any finite s."""
+    k = math.frexp(max(s[0, 0], s[1, 1]))[1] // 2
+    t = np.ldexp(s, -2 * k)
+    if not pd2(t):
+        raise DomainError("matrix is not symmetric positive definite")
+    r = np.sqrt(det2(t))
+    return np.ldexp((t + r * I2) / np.sqrt(t[0, 0] + t[1, 1] + 2.0 * r), k)
 
 
 class KTensor:

@@ -25,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, T4, block_parts, cof2, congruence, det2,
-                      inv2, mobius, pd2, spd_sqrt_2x2)
+from .tensor4 import (I2, RPERP, T4, DomainError, block_parts, check_spd2, cof2,
+                      congruence, det2, inv2, mobius, spd_sqrt_2x2)
 
 __all__ = [
     "IsoPhase", "IsoPhasePair", "Reduced", "CaseTag", "EffectiveResult",
@@ -45,12 +45,13 @@ class IsoPhase:
     r: float = 0.0
 
     def __post_init__(self):
-        s = np.asarray(self.sig, dtype=float).reshape(2, 2)
-        s = (s + s.T) / 2.0
+        s = check_spd2(self.sig, "sigma")
         object.__setattr__(self, "sig", s)
-        # X part of sig (x) I + r T; its determinant is det(sig) - r^2
-        if not pd2(s + 1j * self.r * RPERP):
-            raise ValueError("phase violates r^2 < det(sig) with sig PD")
+        if abs(self.r) == np.inf:
+            raise ValueError("r must be finite")
+        # sig (x) I + r T is PD exactly when sig is and r^2 < det(sig)
+        if not det2(s) > self.r * self.r:
+            raise DomainError("phase violates r^2 < det(sig)")
 
     def tensor(self):
         return np.kron(self.sig, I2) + self.r * T4
@@ -109,7 +110,7 @@ def s_matrices(pair):
     red = pair._reduced
     s1, s2 = pair.phase1.sig, pair.phase2.sig
     if abs(red.lam1 - red.lam2) < 1e-12 * (1.0 + red.lam1):
-        raise ValueError("S matrices are undefined for proportional pairs")
+        raise DomainError("S matrices are undefined for proportional pairs")
     S1 = (s2 - red.lam1 * s1) / (red.lam2 - red.lam1)
     S2 = (s2 - red.lam2 * s1) / (red.lam1 - red.lam2)
     return S1, S2
@@ -189,7 +190,7 @@ def strong_ab(pair):
     d1, d2 = det2(pair.phase1.sig), det2(pair.phase2.sig)
     dr = r2 - r1
     if dr == 0.0:
-        raise ValueError("strong coupling requires r1 != r2")
+        raise DomainError("strong coupling requires r1 != r2")
     num = (dr ** 2 - (np.sqrt(d1) - np.sqrt(d2)) ** 2) \
         * ((np.sqrt(d1) + np.sqrt(d2)) ** 2 - dr ** 2)
     a0 = abs(dr) / np.sqrt(num) if num > 0 else np.nan
@@ -218,7 +219,7 @@ def _pick_a0(det_sigma, rho):
     """Root of the decoupling quadratic giving a PD image; |a0| <= 1 first."""
     roots = a0_roots(det_sigma, rho)
     if roots is None:
-        raise ValueError("no real decoupling root: pair is strongly coupled")
+        raise DomainError("no real decoupling root: pair is strongly coupled")
     good = []
     for a0 in roots:
         if not np.isfinite(a0):
@@ -227,7 +228,7 @@ def _pick_a0(det_sigma, rho):
         if den != 0 and (1.0 - a0 ** 2) / den > 0:
             good.append(a0)
     if not good:
-        raise ValueError("decoupling roots hit the transform pole")
+        raise DomainError("decoupling roots hit the transform pole")
     return min(good, key=abs)
 
 

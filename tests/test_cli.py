@@ -122,12 +122,28 @@ def test_exit_codes(tmp_path, capsys):
         (["two-phase"], "pair_2a.json", ("micro", "normal"), [0.0, 0.0],
          cli.EXIT_INPUT),
         (["two-phase"], "pair_2a.json", ("micro",), 5, cli.EXIT_INPUT),
+        # Inf in a phase and an asymmetric sigma are input errors, as is a
+        # zero layer normal in a laminate and in two-phase
+        (["two-phase"], "pair_2a.json", ("phase1", "sigma", 0, 0), inf,
+         cli.EXIT_INPUT),
+        (["two-phase"], "pair_2a.json", ("phase1", "r"), inf, cli.EXIT_INPUT),
+        (["two-phase"], "pair_2a.json", ("phase1", "sigma", 0, 1), 0.5,
+         cli.EXIT_INPUT),
+        (["laminate"], "tree_rank1.json", ("mix", "n"), [0.0, 0.0],
+         cli.EXIT_INPUT),
+        # a microstructure "f" that differs from the top-level one
+        (["two-phase"], "pair_2a.json", ("micro", "f"), 0.9, cli.EXIT_INPUT),
     ]
     for argv, name, path, value, code in cases:
         capsys.readouterr()
         assert cli.main(argv + [_with_value(tmp_path, name, path, value)]) == code
         assert capsys.readouterr().out == ""
     capsys.readouterr()
+
+
+SIGMA2 = np.array(json.loads((DATA / "pair_2a.json").read_text())["phase2"]["sigma"])
+S2_X = np.array(json.loads((DATA / "crystallite_s2.json").read_text())["X"])
+EXTREME = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
 @pytest.mark.parametrize("argv,name,path,value,code", [
@@ -141,14 +157,33 @@ def test_exit_codes(tmp_path, capsys):
     (["laminate"], "tree_leaf.json", ("leaf",), [1.0], cli.EXIT_INPUT),
     (["er", "--er", "22"], "tensor_identity.json", ("L", 0, 2), {"a": 1},
      cli.EXIT_INPUT),
+    # extreme scales: a formula at its pole, a result that overflows to NaN
+    # and a canonical tensor that overflows are domain errors; the
+    # polycrystal root scales exactly and stays finite
+    pytest.param(["two-phase"], "pair_2a.json", ("phase2", "sigma"),
+                 (SIGMA2 * 1e100).tolist(), cli.EXIT_DOMAIN, marks=EXTREME),
+    pytest.param(["two-phase"], "pair_2a.json", ("phase2", "sigma"),
+                 (SIGMA2 * 1e200).tolist(), cli.EXIT_DOMAIN, marks=EXTREME),
+    pytest.param(["er", "--er", "22"], "tensor_identity.json", ("L",),
+                 (np.eye(4) * 1e160).tolist(), cli.EXIT_DOMAIN, marks=EXTREME),
+    pytest.param(["zt"], "material_iso.json", ("seebeck",),
+                 [[1e200, 0.0], [0.0, 1e200]], cli.EXIT_DOMAIN, marks=EXTREME),
+    pytest.param(["polycrystal"], "crystallite_s2.json", ("X",),
+                 (S2_X * 1e160).tolist(), cli.EXIT_OK, marks=EXTREME),
 ])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_wrong_typed_values_exit_2_or_3(tmp_path, capsys, argv, name, path,
                                         value, code):
     """A JSON value of the wrong type or shape is an input error, and one the
-    arithmetic cannot carry (T0 = 1e308 overflows T0**2) a domain error."""
+    arithmetic cannot carry (T0 = 1e308 overflows T0**2) a domain error.
+    Stdout is empty unless the exit code is 0, and then strict JSON, which
+    has no nan or inf."""
     assert cli.main(argv + [_with_value(tmp_path, name, path, value)]) == code
-    assert capsys.readouterr().out == ""
+    out = capsys.readouterr().out
+    if code == cli.EXIT_OK:
+        json.loads(out)
+    else:
+        assert out == ""
 
 
 FUZZ_ARGV = {"tensor": ["er", "--er", "8"], "tree": ["laminate"],
@@ -282,6 +317,20 @@ def test_two_phase_overrides(tmp_path):
     for flags in (["--f", "0.9"], ["--normal", "0,1"]):
         assert run(["two-phase", *flags, rank2]) == (cli.EXIT_INPUT, "")
     assert run(["two-phase", rank2])[0] == cli.EXIT_OK
+    # without a top-level "f" the microstructure's own is used; --f
+    # overrides both, also where they differ
+    obj = json.loads((DATA / "pair_2a.json").read_text())
+    del obj["f"]
+    outs = []
+    for f in ("0.9", "0.1"):
+        obj["micro"]["f"] = float(f)
+        path = tmp_path / f"micro_f_{f}.json"
+        path.write_text(json.dumps(obj))
+        outs.append(run(["two-phase", str(path)]))
+        assert outs[-1] == run(["two-phase", "--f", f, str(DATA / "pair_2a.json")])
+    assert outs[0] != outs[1]
+    differ = _with_value(tmp_path, "pair_2a.json", ("micro", "f"), 0.9)
+    assert run(["two-phase", "--f", "0.1", differ]) == outs[1]
 
 
 def test_two_phase_case_fields():

@@ -6,7 +6,7 @@ from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, E11, E22, KTensor,
                               kt_from_block, kt_mul, kt_transpose, kt_inverse,
                               block_inverse, congruence, is_positive_definite,
                               rotate, rotate_block, jordan_star, check_block,
-                              block_is_pd, pd2)
+                              block_is_pd, pd2, check_spd2, DomainError)
 from conftest import rand_herm, rand_kt, rand_pd_kt, rand_pd_block, rand_sym_c
 
 
@@ -278,6 +278,47 @@ def test_spd_sqrt(rng):
         assert np.allclose(R, R.T) and np.linalg.eigvalsh(R).min() > 0
     with pytest.raises(ValueError):
         spd_sqrt_2x2(np.array([[1.0, 0.0], [0.0, -1.0]]))
+    # the root is taken at unit scale: scaling S by 4^k scales it by 2^k
+    # exactly, also where det S overflows or underflows
+    for k in (-266, 266):
+        assert np.array_equal(spd_sqrt_2x2(np.ldexp(S, 2 * k)),
+                              np.ldexp(spd_sqrt_2x2(S), k))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_domain_error_sites():
+    """Well-formed input outside the mathematical domain raises DomainError,
+    a ValueError, at each site; malformed input raises plain ValueError."""
+    from thermoex import laminate, materials, polycrystal, twophase as tp
+    assert issubclass(DomainError, ValueError)
+
+    def pair(r1, r2):
+        return tp.IsoPhasePair(tp.IsoPhase(I2, r1), tp.IsoPhase(2 * I2, r2), 0.5)
+
+    sites = [
+        lambda: check_spd2(-I2), lambda: spd_sqrt_2x2(-I2),
+        lambda: tp.IsoPhase(I2, 1.5),                     # r^2 >= det sigma
+        lambda: materials.Material(-I2, 0 * I2, I2),
+        lambda: materials.Material(I2, 0 * I2, I2, T0=-1.0),
+        lambda: materials.canon_from_physical(             # overflow
+            materials.Material(I2, 1e200 * I2, I2)),
+        lambda: materials.figure_of_merit(-I4),
+        lambda: materials.physical_from_canon(-I4, 1.0),
+        lambda: tp._pick_a0(2.0, 1.0),                    # no real root
+        lambda: tp._pick_a0(9.0, 2.0),                    # root at the pole
+        lambda: tp.s_matrices(pair(0.1, 0.2)),            # proportional
+        lambda: tp.strong_ab(pair(0.1, 0.1)),
+        lambda: laminate.sigma_star_rank1(-1.0, 0.5, (1.0, 0.0)),
+        lambda: polycrystal.solve_isotropic(KTensor(-I2, 0 * I2)),
+        lambda: polycrystal.special_quartic(0.5, 2.0),
+    ]
+    for site in sites:
+        with pytest.raises(DomainError):
+            site()
+    for bad in (np.eye(3), [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]):
+        with pytest.raises(ValueError) as info:
+            check_spd2(bad)
+        assert info.type is ValueError
 
 
 def test_stacked_ktensor_ops(rng):
