@@ -21,9 +21,9 @@ import numpy as np
 from .algebra import (DEFAULT_SEED, KEY_HALF_I, KEY_ZERO, AlgebraSpec,
                       algebra_by_id)
 # gamma0 is layer geometry from tensor4, re-exported here
-from .tensor4 import (I2, I4, RPERP, T4, KTensor, block_is_pd, block_parts,
-                      cof2, congruence, det2, gamma0, inv2, kt_from_block,
-                      kt_to_block, pd2, resolvent, spd_sqrt_2x2)
+from .tensor4 import (I2, I4, RPERP, T4, DomainError, KTensor, block_is_pd,
+                      block_parts, cof2, congruence, det2, gamma0, inv2,
+                      kt_from_block, kt_to_block, pd2, resolvent, spd_sqrt_2x2)
 
 __all__ = [
     "ER_IDS", "ERSpec", "er_spec", "gamma0", "w_transform",
@@ -183,13 +183,16 @@ def er_member(ident, L, tol=1e-9):
     Returns the scaled residual of the defining equations together with
     the side constraints (positivity, determinant inequalities).  The
     tensor must be symmetric; non-PD input is reported as a failed
-    constraint rather than an error.
+    constraint rather than an error; a residual that is not finite (NaN
+    entries, or products that overflow) raises DomainError.
     """
     residual_fn = _relation(ident)[1]
     L = np.asarray(L, dtype=float)
     L11, L12, L22 = block_parts(L)
     sc = (1.0 + np.linalg.norm(L)) ** 2
     res, extra = residual_fn(L, L11, L12, L22, sc)
+    if not abs(res) < np.inf:
+        raise DomainError(f"membership residual of relation {ident} is {res}")
     cons = (("positive_definite", block_is_pd(L)),) + extra
     return MembershipResult(ident, res <= tol and all(v for _, v in cons),
                             res, cons)

@@ -17,12 +17,16 @@ The roots are enumerated, not scanned for: Cayley-Hamilton on the closed-form
 characteristic polynomial of B_Y gives Z(theta) = W(theta) / p(theta) with
 p = det(I + theta B_Y) quartic and W cubic, so theta det Z = 1 becomes
 F(theta) = theta det W - p^2 = 0 of degree <= 8, solved from the companion
-matrices of F and of its reversal and polished by Newton on the original
-residual.
+matrices of F and of its reversal.  Each root is polished by Newton on
+theta det(W / p) - 1, with W, p and their derivatives evaluated by Horner on
+Python floats; above theta = 1 on the reversed polynomials in 1 / theta,
+whose terms shrink with their power there.  An iterate on an exact pole,
+where p evaluates to 0, is dropped.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,41 +99,96 @@ class PolyResult:
         }
 
 
-def _polish(th, Bm, rhs):
+def _z_polys(Y, R):
+    """Z(theta) = (I + theta B)^-1 hvec(R) as W(theta) / p(theta), for B =
+    b_op(Y) and a Hermitian R: returns the rows of ``w``, the cubics of
+    hvec(W), ``p`` = det(I + theta B), both with descending coefficients,
+    and the system B, rhs = hvec(R) they solve."""
+    Bm, rhs = b_op(Y), hvec(R)
+    _, c1, c2, c3, c4 = b_charpoly(Y)
+    # p = 1 - c1 theta + c2 theta^2 - c3 theta^3 + c4 theta^4, and by
+    # Cayley-Hamilton W = sum_k (-theta)^k v_k with v_k = B v_k-1 + c_k rhs.
+    # B v_3 = -c4 rhs gives v_3 = -c4 B^-1 rhs = |det Y|^2 hvec(Y^H adj(R) Y)
+    # without the cancellation of the last recurrence step, which would set
+    # Z at large theta.  A det Y below 1e-8 of the products it is the
+    # difference of is known to no better than the roots' tolerance: Y
+    # counts as singular, and c3 = c4 = v_3 = 0.
+    d2 = (-c4) ** 0.5                                    # |det Y|^2
+    if d2 <= (1e-8 * (abs(Y[0, 0] * Y[1, 1]) + abs(Y[0, 1] * Y[1, 0]))) ** 2:
+        c3 = c4 = d2 = 0.0
+    v1 = Bm @ rhs + c1 * rhs
+    v2 = Bm @ v1 + c2 * rhs
+    v3 = d2 * hvec(Y.conj().T @ cof2(R).T @ Y)
+    w = np.stack([-v3, v2, -v1, rhs], axis=1)            # descending powers
+    return w, np.array([c4, -c3, c2, -c1, 1.0]), Bm, rhs
+
+
+def _horner(c, x):
+    """Value and derivative at ``x`` of the polynomial with descending
+    coefficients ``c``, on Python floats."""
+    v, d = c[0], 0.0
+    for a in c[1:]:
+        d = d * x + v
+        v = v * x + a
+    return v, d
+
+
+def _polish(th, w, p):
     """Newton on g(theta) = theta det Z(theta) - 1 from each start in ``th``.
 
-    The derivative uses Z' = -(I + theta B)^-1 B z.  Iterates are kept while
-    |g| does not grow and stepped from while it shrinks, so one step at its
-    noise floor is still taken; no step leaves theta > 0.  Returns the kept
-    thetas, their hvec(Z) and |g| relative to the size of the terms that
-    cancel in it, 1 + theta (|Z11 Z22| + |Z12|^2) (inf where none was kept).
+    Z = W / p, with the rows of ``w`` the cubics of hvec(W) and ``p`` the
+    quartic (descending coefficients, see :func:`_z_polys`), and Z' =
+    (W' - Z p') / p come from Horner on Python floats, one start at a time.
+    Above theta = 1 they come from the reversed polynomials in u = 1 / theta,
+    Z = u W~(u) / p~(u), whose terms shrink with their power there instead
+    of growing.  Iterates are kept while |g| does not grow and stepped from
+    while it shrinks, so one step at its noise floor is still taken; at most
+    8 iterates, and no step leaves theta > 0 or goes non-finite.  An iterate
+    where p evaluates to exactly 0 sits on a pole and is dropped.  Returns
+    the kept thetas, their hvec(Z) and |g| relative to the size of the terms
+    that cancel in it, 1 + theta (|Z11 Z22| + |Z12|^2) (inf where none was
+    kept).
     """
-    th = np.array(th, float)
-    res, zs = np.full(th.size, np.inf), np.zeros((th.size, 4))
-    act, t = np.arange(th.size), th.copy()
-    for _ in range(8):
-        M = np.eye(4) + t[:, None, None] * Bm
-        try:
-            z = np.linalg.solve(M, rhs[:, None])[..., 0]
-            dz = -np.linalg.solve(M, (z @ Bm.T)[..., None])[..., 0]
-        except np.linalg.LinAlgError:       # an iterate sits exactly on a pole
-            keep = np.linalg.slogdet(M)[0] != 0.0
-            act, t = act[keep], t[keep]
-            continue
-        det = det2(hunvec(z.T)).real
-        g = t * det - 1.0
-        ag = np.abs(g)
-        dg = det + t * (dz[:, 0] * z[:, 1] + z[:, 0] * dz[:, 1]
-                        - 2.0 * (z[:, 2] * dz[:, 2] + z[:, 3] * dz[:, 3]))
-        ok, shrinks = ag <= res[act], ag < res[act]
-        res[act[ok]], th[act[ok]], zs[act[ok]] = ag[ok], t[ok], z[ok]
-        t = t - g / np.where(dg == 0.0, np.nan, dg)
-        move = shrinks & (t > 0.0) & np.isfinite(t)
-        act, t = act[move], t[move]
-        if not act.size:
-            break
-    size = 1.0 + th * (np.abs(zs[:, 0] * zs[:, 1]) + zs[:, 2] ** 2 + zs[:, 3] ** 2)
-    return th, zs, res / size
+    w, p = w.tolist(), p.tolist()
+    rw, rp = [c[::-1] for c in w], p[::-1]
+    ths, zs, res = [], [], []
+    for t in map(float, th):
+        kept = (math.inf, t, (0.0, 0.0, 0.0, 0.0))
+        for _ in range(8):
+            rev = t > 1.0
+            x = 1.0 / t if rev else t
+            q, dq = _horner(rp if rev else p, x)
+            if q == 0.0:
+                break
+            z, dz = [], []
+            for c in rw if rev else w:
+                v, dv = _horner(c, x)
+                if rev:                 # dz/dtheta = -u^2 dz/du
+                    zi = x * v / q
+                    dz.append(-x * x * (v + x * dv - zi * dq) / q)
+                else:
+                    zi = v / q
+                    dz.append((dv - zi * dq) / q)
+                z.append(zi)
+            z0, z1, z2, z3 = z
+            det = z0 * z1 - (z2 * z2 + z3 * z3)
+            g = t * det - 1.0
+            dg = det + t * (dz[0] * z1 + z0 * dz[1]
+                            - 2.0 * (z2 * dz[2] + z3 * dz[3]))
+            shrinks = abs(g) < kept[0]
+            if abs(g) <= kept[0]:
+                kept = (abs(g), t, z)
+            if not shrinks or dg == 0.0:
+                break
+            t -= g / dg
+            if not 0.0 < t < math.inf:
+                break
+        r, t, z = kept
+        z0, z1, z2, z3 = z
+        ths.append(t)
+        zs.append(z)
+        res.append(r / (1.0 + t * (abs(z0 * z1) + z2 * z2 + z3 * z3)))
+    return np.array(ths), np.array(zs).reshape(-1, 4), np.array(res)
 
 
 def solve_isotropic(k0):
@@ -151,18 +210,7 @@ def solve_isotropic(k0):
     # (X, Y) / s keeps the coefficients of F in floating-point range, and a
     # power of two s scales exactly
     s = 2.0 ** np.round(np.log2(np.abs(X).max()))
-    Y = k0.Y / s
-    Bm = b_op(Y)
-    rhs = hvec(X + X.conj()) / s
-
-    # p = det(I + theta B) = 1 - c1 theta + c2 theta^2 - c3 theta^3 + c4 theta^4,
-    # adj(I + theta B) rhs = sum_k (-theta)^k v_k with v_k = B v_k-1 + c_k rhs
-    _, c1, c2, c3, c4 = b_charpoly(Y)
-    v = [rhs]
-    for c in (c1, c2, c3):
-        v.append(Bm @ v[-1] + c * rhs)
-    w = np.stack([-v[3], v[2], -v[1], v[0]], axis=1)     # descending powers
-    p = np.array([c4, -c3, c2, -c1, 1.0])
+    w, p, Bm, rhs = _z_polys(k0.Y / s, (X + X.conj()) / s)
     q = np.convolve(w[0], w[1]) - np.convolve(w[2], w[2]) - np.convolve(w[3], w[3])
     F = np.concatenate(([0.0], q, [0.0])) - np.convolve(p, p)
     # leading coefficients below 1e-300 of the largest only add roots far
@@ -182,13 +230,24 @@ def solve_isotropic(k0):
     # both polynomials give alike is polished once
     start = np.sort(r.real[(r.real > 0) & (np.abs(r.imag) <= 1e-6 * np.abs(r))])
     start = start[np.diff(start, prepend=-np.inf) > 1e-9 * start]
-    ths, zs, res = _polish(start, Bm, rhs)
+    ths, zs, res = _polish(start, w, p)
+    # the rounding of the powers of B swamps the coefficients of W that
+    # vanish for a singular Y (v_2 for a rank-one Y), and Newton then also
+    # converges on roots of W / p alone, far out, where Z does not solve the
+    # system it stands for: a root counts where Z solves (I + theta B) Z = rhs
+    # to a normwise backward error of 1e-8
+    keep = np.flatnonzero(res <= 1e-8)
+    t, z = ths[keep], zs[keep]
+    b_inf = np.abs(Bm).sum(axis=1).max()
+    back = (np.abs(z + t[:, None] * (z @ Bm.T) - rhs).max(axis=1)
+            / (np.abs(rhs).max() + np.abs(z).max(axis=1) * (1.0 + t * b_inf)))
+    keep = keep[back <= 1e-8]
     ths, zs = ths / s / s, zs * s          # s ** 2 may overflow
     flagged = []
     best = None
-    for i in np.argsort(ths):
+    for i in keep[np.argsort(ths[keep])]:
         th = float(ths[i])
-        if res[i] > 1e-8 or (flagged and th - flagged[-1][0] <= 1e-9 * th):
+        if flagged and th - flagged[-1][0] <= 1e-9 * th:
             continue
         Z = hunvec(zs[i])
         Lh = Z - X.conj()

@@ -26,8 +26,8 @@ import numpy as np
 
 __all__ = [
     "DomainError", "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "E11", "E22",
-    "KTensor", "phi", "psi", "cof2", "inv2", "det2", "pd2", "check_spd2",
-    "spd_sqrt_2x2",
+    "KTensor", "phi", "psi", "cof2", "kron2", "inv2", "det2", "pd2",
+    "check_spd2", "spd_sqrt_2x2",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "congruence", "block_parts", "block_from_parts",
     "check_block", "is_positive_definite", "block_is_pd", "resolvent", "mobius",
@@ -71,6 +71,11 @@ def cof2(m):
     return np.array([[m[1, 1], -m[1, 0]], [-m[0, 1], m[0, 0]]])
 
 
+def kron2(a, b):
+    """Kronecker product of two 2x2 matrices, bit-identical to np.kron(a, b)."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(4, 4)
+
+
 def det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
@@ -88,9 +93,18 @@ def pd2(m, tol=0.0, scale=1.0):
 
     The cutoffs respect the homogeneity of each minor: tol*scale for the
     corner entry, tol*scale^2 for the determinant.  Both comparisons are
-    strict, so NaN entries fail the test.
+    strict, so NaN entries fail the test.  A matrix with max|m| outside
+    [2^-500, 2^500] is tested as m / 4^k with max|m| / 4^k in [1/4, 1), its
+    cutoffs scaled alike, so the determinant neither overflows nor
+    underflows; a power of two scales exactly, so the test is the same.
     """
-    return m[0, 0].real > tol * scale and det2(m).real > tol * scale ** 2
+    (a, b), (c, d) = m.tolist()
+    big = max(abs(a), abs(b), abs(c), abs(d))
+    if 2.0 ** -500 <= big <= 2.0 ** 500:
+        return a.real > tol * scale and (a * d - b * c).real > tol * scale ** 2
+    h = 2.0 ** -(math.frexp(big)[1] // 2)    # 1.0 when big is 0, Inf or NaN
+    a, b, c, d, s = (v * h * h for v in (a, b, c, d, float(scale)))
+    return a.real > tol * s and (a * d - b * c).real > tol * s * s
 
 
 def check_spd2(m, name="matrix"):
@@ -246,8 +260,7 @@ def block_inverse(B):
 
 def congruence(B, L):
     """(B (x) I) L (B (x) I)^T for a 2x2 B; L may be a (..., 4, 4) stack."""
-    B = np.asarray(B, dtype=float)
-    BI = (B[:, None, :, None] * I2[:, None, :]).reshape(4, 4)
+    BI = kron2(np.asarray(B, dtype=float), I2)
     return BI @ L @ BI.T
 
 

@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor4 import (I2, RPERP, T4, DomainError, block_parts, check_spd2, cof2,
-                      congruence, det2, inv2, mobius, spd_sqrt_2x2)
+                      congruence, det2, inv2, kron2, mobius, spd_sqrt_2x2)
 
 __all__ = [
     "IsoPhase", "IsoPhasePair", "Reduced", "CaseTag", "EffectiveResult",
@@ -54,7 +54,7 @@ class IsoPhase:
             raise DomainError("phase violates r^2 < det(sig)")
 
     def tensor(self):
-        return np.kron(self.sig, I2) + self.r * T4
+        return kron2(self.sig, I2) + self.r * T4
 
 
 @dataclass(frozen=True)
@@ -264,7 +264,7 @@ def effective(pair, tol=1e-10):
         r_star = (wgt1 * r1 + wgt2 * r2) / (wgt1 + wgt2)
         meta["sigma_star"] = sig_star
         meta["r_star"] = r_star
-        L = np.kron(sig_star, I2) + r_star * T4
+        L = kron2(sig_star, I2) + r_star * T4
         return EffectiveResult(tag, "explicit", L, meta)
 
     if tag.tag == "1cii":
@@ -272,7 +272,7 @@ def effective(pair, tol=1e-10):
         S1, S2 = s_matrices(pair)
         sig_star = micro.sigma_star(red.lam1)
         ds = det2(sig_star)
-        L = r1 * T4 + np.kron(S1 / ds + S2, sig_star)
+        L = r1 * T4 + kron2(S1 / ds + S2, sig_star)
         meta["sigma_star"] = sig_star
         return EffectiveResult(tag, "explicit", L, meta)
 
@@ -311,7 +311,7 @@ def effective(pair, tol=1e-10):
         sig_star = micro.sigma_star(h)
         ds = det2(sig_star)
         sd1 = np.sqrt(det2(s1))
-        L = (1.0 - a0 ** 2) * np.kron(s1, sig_star) / (ds - a0 ** 2) \
+        L = (1.0 - a0 ** 2) * kron2(s1, sig_star) / (ds - a0 ** 2) \
             + (r1 + a0 * (1.0 - ds) * sd1 / (ds - a0 ** 2)) * T4
         meta.update(a0=a0, h=h, sigma_star=sig_star)
         return EffectiveResult(tag, "explicit", L, meta)
@@ -327,7 +327,7 @@ def effective(pair, tol=1e-10):
             Lp = sum(s1[i, j] * rem[2 * i:2 * i + 2, 2 * j:2 * j + 2]
                      for i in range(2) for j in range(2)) / (s1 * s1).sum()
             nrm = (1.0 + np.linalg.norm(L)) ** 2
-            struct = np.linalg.norm(rem - np.kron(s1, Lp))
+            struct = np.linalg.norm(rem - kron2(s1, Lp))
             cons = abs(det2(s1) * det2(Lp) - ((t + A) ** 2 + B))
             return (struct + cons) / nrm
 
@@ -337,11 +337,12 @@ def effective(pair, tol=1e-10):
         a, b, A, B = strong_ab(pair)
         S1, S2 = s_matrices(pair)
         Z0 = S2 @ RPERP @ S1 - S1 @ RPERP @ S2
+        ZR = kron2(Z0, RPERP)
         meta.update(a=a, b=b, A=A, B=B, Z0=Z0)
 
         def residual_1b(L):
             sh = L + A * T4
-            r = sh @ T4 @ np.kron(Z0, RPERP) @ T4 @ sh + B * np.kron(Z0, RPERP)
+            r = sh @ T4 @ ZR @ T4 @ sh + B * ZR
             return float(np.linalg.norm(r) / (1.0 + np.linalg.norm(L)) ** 2)
 
         return EffectiveResult(tag, "implicit", None, meta, residual_1b)
@@ -372,8 +373,8 @@ def effective(pair, tol=1e-10):
         Astar = cof2(Lp) @ sig_star - 0.5 * np.trace(cof2(Lp) @ sig_star) * I2
         astar = 0.5 * np.trace(cof2(Lp) @ sig_star)
         beta = r1 + alpha * (astar - 1.0)
-        L = np.kron(S1, sig_star @ cof2(Lp) @ sig_star) + np.kron(S2, Lp) \
-            + alpha * T4 @ np.kron(inv2(s1) @ (S1 - S2), Astar) + beta * T4
+        L = kron2(S1, sig_star @ cof2(Lp) @ sig_star) + kron2(S2, Lp) \
+            + alpha * T4 @ kron2(inv2(s1) @ (S1 - S2), Astar) + beta * T4
         return (L + L.T) / 2.0
 
     result = EffectiveResult(tag, "link", None, meta)
@@ -405,7 +406,7 @@ def formula_1aii(r1, s1, S1, S2, a0, sig_star):
     sd1 = np.sqrt(det2(s1))
     return (r1 + a0 * ((1.0 - a0 ** 2) * (xs - a0 ** 2) / den - 1.0) * sd1) * T4 \
         + (1.0 - a0 ** 2) / den * (
-            np.kron(S1, sig_star - a0 ** 2 * I2)
-            + np.kron(S2, ds * I2 - a0 ** 2 * sig_star)
-            + a0 * sd1 * T4 @ np.kron(inv2(s1) @ (S1 - S2),
-                                      sig_star - xs * I2))
+            kron2(S1, sig_star - a0 ** 2 * I2)
+            + kron2(S2, ds * I2 - a0 ** 2 * sig_star)
+            + a0 * sd1 * T4 @ kron2(inv2(s1) @ (S1 - S2),
+                                    sig_star - xs * I2))

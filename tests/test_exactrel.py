@@ -5,8 +5,8 @@ import pytest
 
 from thermoex import algebra as alg
 from thermoex import exactrel as er
-from thermoex.tensor4 import (I2, I4, RPERP, T4, KTensor, block_parts,
-                              block_is_pd, det2, kt_to_block)
+from thermoex.tensor4 import (I2, I4, RPERP, T4, DomainError, KTensor,
+                              block_parts, block_is_pd, det2, kt_to_block)
 from conftest import rand_spd, rand_pd_block
 
 
@@ -113,6 +113,20 @@ def test_member_non_pd_flagged():
     res = er.er_member(22, bad)
     assert not res.member
     assert dict(res.constraints)["positive_definite"] is False
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("ident", er.ER_IDS)
+def test_member_non_finite_residual_raises(ident):
+    """Products that overflow or a NaN entry are a domain error, not a
+    non-member with residual nan."""
+    for L in (1e160 * (I4 + np.diag([0.1, -0.05, 0.03, 0.02])),
+              I4 + np.diag([np.nan, 0.0, 0.0, 0.0])):
+        with pytest.raises(DomainError, match="residual"):
+            er.er_member(ident, L)
+    if ident == 22:
+        with pytest.raises(DomainError, match="residual"):
+            er.er_member(22, 1e160 * I4)
 
 
 def test_sample_membership(rng):

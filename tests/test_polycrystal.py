@@ -170,15 +170,56 @@ def test_weak_coupling(rng):
 
 
 def test_iterates_on_a_pole_are_dropped():
-    """Newton iterates where I + theta B is exactly singular."""
+    """Newton iterates where p(theta) = det(I + theta B) is exactly 0."""
     # Y = I: the pole theta = 1 is exactly representable
-    th, _, res = pc._polish([1.0, 0.07], pc.b_op(I2), pc.hvec(4.0 * I2))
+    w, p, _, _ = pc._z_polys(I2, 4.0 * I2)
+    th, _, res = pc._polish([1.0, 0.07], w, p)
     assert res[0] == np.inf
     assert abs(th[1] - (7 - 4 * np.sqrt(3))) < 1e-15 and res[1] < 1e-15
     # Y = diag(-3, 3): pole at 1/9 with 9 * fl(1/9) == 1; the roots are
     # t = theta |det Y| = 1/9 and 9 of the quartic with s1 = s2 = 5/3
     res = pc.solve_isotropic(KTensor(5 * I2, np.diag([-3.0, 3.0])))
     assert np.allclose([t for t, _ in res.roots], [1 / 81, 1.0], rtol=1e-14, atol=0)
+
+
+def test_huge_crystallite_warns_nowhere():
+    """crystallite_s2 with X x 1e160: the feasibility tests of the roots
+    scale before their determinants, so nothing overflows (pytest turns
+    warnings into errors)."""
+    res = pc.solve_isotropic(KTensor(2e160 * I2, I2))
+    assert [f for _, f in res.roots] == [True] and 0.0 < res.theta < 1e-320
+    assert np.isfinite(res.B).all() and np.isfinite(res.Lstar).all()
+
+
+def test_roots_agree_with_a_dense_solve():
+    """Every reported root is a root of the original problem, Z from a dense
+    solve of (I + theta B) Z = hvec(X + conj X), over bench-style, strongly
+    coupled and det Y ~ 0 crystallites, and ones scaled by 2^300 whole or in
+    X alone.  Near-singular Y puts roots near 1 / |det Y|, where W / p holds
+    only if its cubic coefficient does not come from cancellation."""
+    rng = np.random.default_rng(20131)
+    ks = [rand_pd_crystallite(rng) for _ in range(150)]
+    ks += [rand_pd_crystallite(rng, coupling=2.5) for _ in range(150)]
+    while len(ks) < 500:        # Y rank one up to rounding, then up to 1e-6
+        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        Y = np.outer(u, u) + (len(ks) >= 400) * 1e-6 * rand_sym_c(rng)
+        k = KTensor(rand_herm(rng) + 3 * I2, rng.uniform(0.2, 1.5) * Y)
+        if is_positive_definite(k):
+            ks.append(k)
+    # 2^-300 crystallites fail the absolute floor of the PD test
+    ks += [2.0 ** 300 * rand_pd_crystallite(rng) for _ in range(50)]
+    ks += [KTensor(2.0 ** 300 * k.X, k.Y) for k in
+           (rand_pd_crystallite(rng) for _ in range(50))]
+    above_one = 0
+    for k in ks:
+        res = pc.solve_isotropic(k)
+        Bm, rhs = pc.b_op(k.Y), pc.hvec(k.X + k.X.conj())
+        for th, _ in res.roots:
+            z = np.linalg.solve(np.eye(4) + th * Bm, rhs)
+            size = 1.0 + th * (abs(z[0] * z[1]) + z[2] ** 2 + z[3] ** 2)
+            assert abs(th * (z[0] * z[1] - z[2] ** 2 - z[3] ** 2) - 1.0) <= 1e-9 * size
+            above_one += th > 1.0
+    assert above_one >= 1
 
 
 def test_golden_thetas_within_one_ulp():

@@ -6,7 +6,7 @@ from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, E11, E22, KTensor,
                               kt_from_block, kt_mul, kt_transpose, kt_inverse,
                               block_inverse, congruence, is_positive_definite,
                               rotate, rotate_block, jordan_star, check_block,
-                              block_is_pd, pd2, check_spd2, DomainError)
+                              block_is_pd, pd2, check_spd2, kron2, DomainError)
 from conftest import rand_herm, rand_kt, rand_pd_kt, rand_pd_block, rand_sym_c
 
 
@@ -152,6 +152,37 @@ def test_congruence_matches_kron(rng):
         out = congruence(B, Ls)
         assert out.shape == (2, 3, 4, 4)
         assert out.tobytes() == (BI @ Ls @ BI.T).tobytes()
+
+
+def test_kron2_matches_np_kron_bit_for_bit(rng):
+    """Signed zeros included: -0.0 entries and products of opposite-signed
+    zeros land where np.kron puts them."""
+    specials = [I2, RPERP, -RPERP, np.array([[0.0, -0.0], [-0.0, 0.0]]),
+                np.array([[-1.0, 0.0], [0.0, -2.0]])]
+    draws = [rng.standard_normal((2, 2)) for _ in range(200)]
+    for a in specials + draws[:100]:
+        for b in specials + draws[100:110]:
+            got, want = kron2(a, b), np.kron(a, b)
+            assert got.tobytes() == want.tobytes()
+            assert (np.signbit(got) == np.signbit(want)).all()
+
+
+def test_pd2_beyond_the_float_range_of_the_determinant(rng):
+    """max|m| outside [2^-500, 2^500] is tested on m / 4^k: an exact scaling,
+    so det2 neither overflows nor underflows and the answer is unchanged."""
+    assert pd2(np.array([[1e160, 5e159], [5e159, 2e160]]))
+    assert pd2(np.array([[1e-160, 5e-161], [5e-161, 2e-160]]))
+    assert not pd2(np.array([[1e160, 2e160], [2e160, 1e160]]))
+    assert pd2(np.array([[1e300, 0.0], [0.0, 1e300]]), 1e-12, 1.0 + 1e300)
+    assert not pd2(np.full((2, 2), np.nan)) and not pd2(np.zeros((2, 2)))
+    for _ in range(500):
+        M = rand_herm(rng) + rng.uniform(-1.0, 2.0) * I2
+        for m in (M, M.real):
+            want = pd2(m)
+            for k in (-500, 500):
+                assert pd2(np.ldexp(1.0, k) * m) == want
+                assert pd2(np.ldexp(1.0, k) * m, 1e-3, np.ldexp(3.0, k)) \
+                    == pd2(m, 1e-3, 3.0)
 
 
 def test_pd_criterion(rng):
