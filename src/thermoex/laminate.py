@@ -23,6 +23,7 @@ and a normal per pair: ``laminate2`` calls it on one pair, and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -80,40 +81,59 @@ def laminate2(L1, L2, f, n):
     return _mix(L1, L2, _fraction(f), gamma0(n))
 
 
+_DONE = object()         # stack marker: the mix below it has both children placed
+
+
 def laminate_tree(node):
     """Bottom-up evaluation of a laminate hierarchy, one stacked step per height.
 
-    A walk without recursion gives every distinct node object a row in
-    post-order and a height (0 for a leaf, one more than its taller child
-    for a mix), so a node reachable along several paths is evaluated once.
+    One walk without recursion numbers every distinct node object in
+    post-order and gives it a height (0 for a leaf, one more than its
+    taller child for a mix), so a node reachable along several paths is
+    evaluated once.  One stable sort groups the mixes by height, keeping
+    post-order within a height; the leaves fill the first rows of the
+    value stack and each height's mixes the next contiguous rows.
     """
-    row, levels = {}, {}                  # id -> (row, height); height -> entries
+    index, heights = {}, []               # id -> post-order number; number -> height
+    leaves, mixes = [], []                # (number, rotation, tensor); (height, number, n1, n2, f, n)
     stack = [node]
+    pop, push = stack.pop, stack.extend
+    k = 0                                 # next post-order number
     while stack:
-        nd = stack.pop()
-        if id(nd) in row:
+        nd = pop()
+        if nd is _DONE:
+            nd = pop()
+            i1, i2 = index[id(nd.child1)], index[id(nd.child2)]
+            h1, h2 = heights[i1], heights[i2]
+            h = 1 + (h1 if h1 > h2 else h2)
+            mixes.append((h, k, i1, i2, nd.f, nd.n))
+        elif id(nd) in index:
             continue
-        if isinstance(nd, Leaf):
-            h, entry = 0, (nd.rotation, nd.tensor)
-        elif not isinstance(nd, Mix):
+        elif isinstance(nd, Leaf):
+            h = 0
+            leaves.append((k, nd.rotation, nd.tensor))
+        elif isinstance(nd, Mix):         # children first, then nd
+            push((nd, _DONE, nd.child2, nd.child1))
+            continue
+        else:
             raise TypeError(f"not a laminate node: {nd!r}")
-        elif id(nd.child1) in row and id(nd.child2) in row:
-            (r1, h1), (r2, h2) = row[id(nd.child1)], row[id(nd.child2)]
-            h, entry = 1 + max(h1, h2), (r1, r2, nd.f, nd.n)
-        else:                             # children first, then nd again
-            stack += [nd, nd.child2, nd.child1]
-            continue
-        levels.setdefault(h, []).append((len(row),) + entry)
-        row[id(nd)] = (len(row), h)
-    leaves, *mixes = (levels[h] for h in range(len(levels)))
-    rows, rotation, tensor = zip(*leaves)
-    vals = np.empty((len(row), 4, 4))
-    vals[list(rows)] = rotate_block(np.array(rotation, float), np.array(tensor, float))
+        index[id(nd)] = k
+        heights.append(h)
+        k += 1
+    nl = len(leaves)
+    numbers, rotation, tensor = zip(*leaves)
+    vals = np.empty((k, 4, 4))
+    vals[:nl] = rotate_block(np.array(rotation, float), np.array(tensor, float))
     if mixes:
-        rows, r1, r2, f, n = map(np.array, zip(*(e for m in mixes for e in m)))
-        G, end = gamma0(n), np.cumsum([len(m) for m in mixes]).tolist()
+        mixes.sort(key=itemgetter(0))
+        h, mixed, n1, n2, f, n = zip(*mixes)
+        row = np.empty(k, int)                    # post-order number -> row of vals
+        row[list(numbers)] = np.arange(nl)
+        row[list(mixed)] = np.arange(nl, k)
+        (r1, r2), f, G = row[[n1, n2]], np.array(f), gamma0(n)
+        end = np.cumsum(np.bincount(h)[1:]).tolist()
         for a, b in zip([0] + end, end):
-            vals[rows[a:b]] = _mix(vals[r1[a:b]], vals[r2[a:b]], f[a:b], G[a:b])
+            vals[nl + a:nl + b] = _mix(vals[r1[a:b]], vals[r2[a:b]], f[a:b], G[a:b])
     return vals[-1].copy()
 
 

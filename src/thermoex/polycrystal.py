@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor4 import (DomainError, KTensor, RPERP, cof2, det2, inv2,
-                      is_positive_definite, pd2, spd_sqrt_2x2)
+from .tensor4 import (DomainError, KTensor, RPERP, block_is_pd, cof2, det2,
+                      inv2, kt_to_block, pd2, spd_sqrt_2x2)
 
 __all__ = [
     "HERM_BASIS", "hvec", "hunvec", "b_op", "b_charpoly", "PolyResult",
@@ -203,13 +203,17 @@ def solve_isotropic(k0):
         raise TypeError("crystallite must be a KTensor")
     if k0.X.shape != (2, 2) or k0.Y.shape != (2, 2):
         raise ValueError("crystallite must be one operator with 2x2 X and Y")
-    if not is_positive_definite(k0):
-        raise DomainError("crystallite tensor must be positive definite")
     X = k0.X
     # theta scales as 1/s^2 and Z as s under (X, Y) -> s (X, Y); solving for
     # (X, Y) / s keeps the coefficients of F in floating-point range, and a
-    # power of two s scales exactly
-    s = 2.0 ** np.round(np.log2(np.abs(X).max()))
+    # power of two s scales exactly.  The PD test takes the block / s too, so
+    # the absolute floor of block_is_pd rejects no small crystallite; a Y / s
+    # that overflows is not PD.
+    big = np.abs(X).max()
+    s = 2.0 ** np.round(np.log2(big)) if 0.0 < big < np.inf else 1.0
+    with np.errstate(over="ignore"):
+        if not block_is_pd(kt_to_block(k0) / s):
+            raise DomainError("crystallite tensor must be positive definite")
     w, p, Bm, rhs = _z_polys(k0.Y / s, (X + X.conj()) / s)
     q = np.convolve(w[0], w[1]) - np.convolve(w[2], w[2]) - np.convolve(w[3], w[3])
     F = np.concatenate(([0.0], q, [0.0])) - np.convolve(p, p)

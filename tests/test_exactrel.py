@@ -171,6 +171,20 @@ def test_sample_draw_order(ident):
     assert hashlib.sha256(L.tobytes()).hexdigest()[:16] == SAMPLE_DIGESTS[ident]
 
 
+@pytest.mark.parametrize("ident", er.ER_IDS)
+def test_sample_block_equals_block_of_sample(ident):
+    """The draw from the cached basis blocks equals the block of the (X, Y)
+    sample byte for byte, signed zeros included, and consumes the same rng
+    draws."""
+    spec = er.er_spec(ident)
+    for seed in range(200):
+        a, b = np.random.default_rng([seed, ident]), np.random.default_rng([seed, ident])
+        for scale in (0.5, 1.0, 4.0):
+            W = spec.sample_block(a, scale)
+            assert W.tobytes() == kt_to_block(spec.algebra.sample(b, scale)).tobytes()
+        assert a.uniform() == b.uniform()
+
+
 def test_sample_scale_zero():
     assert np.allclose(er.er_sample(22, scale=0.0), I4)
 

@@ -191,6 +191,25 @@ def test_huge_crystallite_warns_nowhere():
     assert np.isfinite(res.B).all() and np.isfinite(res.Lstar).all()
 
 
+def test_power_of_two_scaling(rng):
+    """For a power of two c, theta(c k0) = theta(k0) / c^2 and Z(c k0) =
+    c Z(k0), both exactly: the solver and its PD test run on k0 / s with s a
+    power of two, so small crystallites do not fail the absolute floor of
+    block_is_pd."""
+    for _ in range(20):
+        k = rand_pd_crystallite(rng)
+        ref = pc.solve_isotropic(k)
+        for c in (2.0 ** -300, 2.0 ** -40):
+            res = pc.solve_isotropic(KTensor(c * k.X, c * k.Y))
+            assert res.theta == ref.theta / c / c
+            assert np.array_equal(res.Z, c * ref.Z)
+            assert np.array_equal(res.Lstar, c * ref.Lstar)
+    small = pc.solve_isotropic(KTensor(3e-13 * I2, 5e-14 * I2))
+    unit = pc.solve_isotropic(KTensor(3.0 * I2, 0.5 * I2))
+    assert abs(small.theta * 1e-26 - unit.theta) <= 1e-12 * unit.theta
+    assert np.abs(small.Lstar * 1e13 - unit.Lstar).max() <= 1e-12
+
+
 def test_roots_agree_with_a_dense_solve():
     """Every reported root is a root of the original problem, Z from a dense
     solve of (I + theta B) Z = hvec(X + conj X), over bench-style, strongly
@@ -206,7 +225,7 @@ def test_roots_agree_with_a_dense_solve():
         k = KTensor(rand_herm(rng) + 3 * I2, rng.uniform(0.2, 1.5) * Y)
         if is_positive_definite(k):
             ks.append(k)
-    # 2^-300 crystallites fail the absolute floor of the PD test
+    # (2^-300 crystallites: test_power_of_two_scaling)
     ks += [2.0 ** 300 * rand_pd_crystallite(rng) for _ in range(50)]
     ks += [KTensor(2.0 ** 300 * k.X, k.Y) for k in
            (rand_pd_crystallite(rng) for _ in range(50))]
