@@ -89,7 +89,7 @@ def inv2(m):
 
 
 def pd2(m, tol=0.0, scale=1.0):
-    """Positive definiteness of a symmetric or Hermitian 2x2 via leading minors.
+    """Positive definiteness of a Hermitian 2x2, array or rows, by its minors.
 
     The cutoffs respect the homogeneity of each minor: tol*scale for the
     corner entry, tol*scale^2 for the determinant.  Both comparisons are
@@ -98,7 +98,7 @@ def pd2(m, tol=0.0, scale=1.0):
     cutoffs scaled alike, so the determinant neither overflows nor
     underflows; a power of two scales exactly, so the test is the same.
     """
-    (a, b), (c, d) = m.tolist()
+    (a, b), (c, d) = m.tolist() if isinstance(m, np.ndarray) else m
     big = max(abs(a), abs(b), abs(c), abs(d))
     if 2.0 ** -500 <= big <= 2.0 ** 500:
         return a.real > tol * scale and (a * d - b * c).real > tol * scale ** 2
@@ -277,7 +277,11 @@ def block_is_pd(B, tol=1e-12):
     big = np.abs(B).max(axis=(-2, -1))           # NaN or Inf with such an entry
     try:
         w = np.linalg.eigvalsh(B + np.swapaxes(B, -1, -2))[..., 0]      # smallest
-    except np.linalg.LinAlgError:                # Inf entries: -I replaces those blocks
+    except np.linalg.LinAlgError:
+        # Inf entries: -I replaces those blocks.  A finite B + B^T overflows
+        # only where max|B| >= 2^1023: those blocks are tested halved, which
+        # is exact and halves their cutoff up to its 1, far below rounding
+        B = np.where((big < 2.0 ** 1023)[..., None, None], B, B / 2.0)
         return block_is_pd(np.where((big < np.inf)[..., None, None], B, -I4), tol)
     pd = w > 2.0 * tol * (1.0 + big)             # False where big is NaN or Inf
     return bool(pd) if pd.ndim == 0 else pd

@@ -10,12 +10,13 @@ from thermoex import exactrel as er
 from thermoex import linkgroup as lg
 from thermoex import polycrystal as pc
 from thermoex.laminate import Leaf, Mix, laminate_tree
-from thermoex.tensor4 import (I2, RPERP, KTensor, det2, kt_from_block,
+from thermoex.tensor4 import (I2, RPERP, KTensor, cof2, det2, kt_from_block,
                               kt_to_block, rotate, is_positive_definite,
                               spd_sqrt_2x2)
 from conftest import rand_herm, rand_sym_c
 
 GOLDEN = Path(__file__).parent / "golden"
+EPS = np.finfo(float).eps
 
 
 def rand_pd_crystallite(rng, coupling=0.7):
@@ -41,6 +42,19 @@ def test_b_op_action_matches_definition(rng):
         direct = Y @ np.array([[Z[1, 1], -Z[0, 1]], [-Z[1, 0], Z[0, 0]]]) @ Y.conj().T
         via = pc.hunvec(pc.b_op(Y) @ pc.hvec(Z))
         assert np.abs(direct - via).max() < 1e-12
+
+
+def test_b_op_rows_match_stacked_definition(rng):
+    """Column k of b_op(Y), built from Python floats, is hvec(Y adj(E_k) Y^H)
+    of the stacked product over HERM_BASIS to 8 eps |Y|^2, for symmetric
+    and general complex Y of several scales."""
+    adj = np.array([cof2(E).T for E in pc.HERM_BASIS])
+    for c in (1e-3, 1.0, 1e3):
+        for _ in range(100):
+            for Y in (c * rand_sym_c(rng), c * (rng.standard_normal((2, 2))
+                                                + 1j * rng.standard_normal((2, 2)))):
+                want = pc.hvec(np.moveaxis(Y @ adj @ Y.conj().T, 0, -1))
+                assert np.abs(pc.b_op(Y) - want).max() <= 8 * EPS * np.abs(Y).max() ** 2
 
 
 def test_b_op_detY_eigenpair(rng):
@@ -158,6 +172,24 @@ def test_rank_one_coupling():
                        rtol=1e-12, atol=0)
 
 
+def test_rank_one_w_has_no_cubic_or_quadratic_term():
+    """Y = c u u^T, rank one up to rounding: B^2 = tr(B) B makes v_2 = 0 and
+    det Y = 0 makes v_3 = 0, so the theta^3 and theta^2 coefficients of
+    every row of W are exactly 0, not rounding noise (draws built as in
+    test_roots_agree_with_a_dense_solve)."""
+    rng = np.random.default_rng(20131)
+    rounded = 0
+    for _ in range(300):
+        u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        Y = rng.uniform(0.2, 1.5) * np.outer(u, u)
+        X = rand_herm(rng) + 3 * I2
+        w, p, _ = pc._z_polys(Y.ravel().tolist(), pc.hvec(X + X.conj()).tolist())
+        assert [row[:2] for row in w] == [[0.0, 0.0]] * 4
+        assert p[:2] == [0.0, 0.0]
+        rounded += det2(Y) != 0
+    assert rounded > 100
+
+
 def test_weak_coupling(rng):
     """|Y| ~ 1e-9 |X|: the feasible root is the uncoupled 1 / det(X + conj X)
     to O(|Y|^2), although the other roots sit ~1e17 times further out."""
@@ -172,7 +204,7 @@ def test_weak_coupling(rng):
 def test_iterates_on_a_pole_are_dropped():
     """Newton iterates where p(theta) = det(I + theta B) is exactly 0."""
     # Y = I: the pole theta = 1 is exactly representable
-    w, p, _, _ = pc._z_polys(I2, 4.0 * I2)
+    w, p, _ = pc._z_polys([1.0, 0.0, 0.0, 1.0], [4.0, 4.0, 0.0, 0.0])
     th, _, res = pc._polish([1.0, 0.07], w, p)
     assert res[0] == np.inf
     assert abs(th[1] - (7 - 4 * np.sqrt(3))) < 1e-15 and res[1] < 1e-15

@@ -228,6 +228,19 @@ def test_block_pd_non_finite():
     assert stack.tolist() == [False, True, False, True]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_block_pd_huge_entries():
+    """A finite block whose B + B^T overflows is tested halved, alone and in
+    a stack with an Inf block; testing it again as it was recursed until
+    RecursionError."""
+    huge = 1.6e308 * I4
+    inf_diag = I4.copy()
+    inf_diag[2, 2] = np.inf
+    assert block_is_pd(huge) is True
+    assert block_is_pd(-huge) is False
+    assert block_is_pd(np.stack([huge, I4, inf_diag])).tolist() == [True, True, False]
+
+
 def test_block_pd_matches_schur_form():
     """On 10^4 seeded draws away from the boundary, the eigenvalue test of
     the 4x4 block agrees with the (X, Y) Schur-complement test."""
