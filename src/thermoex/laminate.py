@@ -145,14 +145,18 @@ def conduct2(s1, s2, f, n):
 
 def sigma_star_rank1(h, f, n):
     """Closed-form conductivity of the rank-one mix of 1 and h."""
-    n = unit_normal(n)
-    m = np.array([-n[1], n[0]])
+    return _rank1_closed(h, _fraction(f), *unit_normal(n).tolist())
+
+
+def _rank1_closed(h, f, n0, n1):
+    """through n n^T + along m m^T, m = (-n1, n0), on floats in np.outer's order."""
     if h <= 0:
         raise DomainError("phase contrast must be positive")
-    f = _fraction(f)
     through = 1.0 / (f + (1.0 - f) / h)
     along = f + (1.0 - f) * h
-    return through * np.outer(n, n) + along * np.outer(m, m)
+    off = through * (n0 * n1) + along * (-n1 * n0)
+    return np.array(((through * (n0 * n0) + along * (n1 * n1), off),
+                     (off, through * (n1 * n1) + along * (n0 * n0))))
 
 
 class RankOneModel:
@@ -168,7 +172,7 @@ class RankOneModel:
 
     def sigma_star(self, h):
         """Effective conductivity with phases I and h I."""
-        return sigma_star_rank1(h, self.f, self.n)
+        return _rank1_closed(h, self.f, *self.n.tolist())
 
     def tensor(self, L1, L2):
         return laminate2(L1, L2, self.f, self.n)

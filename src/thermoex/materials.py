@@ -12,6 +12,7 @@ The Seebeck tensor is kept as a general (not necessarily symmetric)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,20 +75,19 @@ def physical_from_canon(L, T0):
 def figure_of_merit(L):
     """Dimensionless figure of merit ZT = lam / (1 - lam).
 
-    ``lam`` is the largest eigenvalue of L22^-1 L12^T L11^-1 L12, computed
-    from the closed-form trace/determinant of the 2x2 product.
+    ``lam`` is the largest eigenvalue of M = L22^-1 L12^T L11^-1 L12, taken as
+    tr/2 + sqrt(((m11 - m22) / 2)^2 + m12 m21): it does not cancel at a double one.
     """
     L = check_block(L)
     if not block_is_pd(L):
         raise DomainError("tensor must be positive definite")
     L11, L12, L22 = block_parts(L)
-    M = inv2(L22) @ L12.T @ inv2(L11) @ L12
-    tr, d = M[0, 0] + M[1, 1], det2(M)
-    disc = max(tr * tr / 4.0 - d, 0.0)
-    lam = tr / 2.0 + np.sqrt(disc)
+    (m00, m01), (m10, m11) = (inv2(L22) @ L12.T @ inv2(L11) @ L12).tolist()
+    half = (m00 - m11) / 2.0
+    lam = (m00 + m11) / 2.0 + math.sqrt(max(half * half + m01 * m10, 0.0))
     if lam >= 1.0:
         raise DomainError("figure-of-merit eigenvalue reached 1; tensor not PD")
-    return float(lam / (1.0 - lam))
+    return lam / (1.0 - lam)
 
 
 def zt_isotropic(lam):

@@ -45,7 +45,7 @@ import numpy as np
 # det2 is unused here, but bound: the bench tracer counts calls of
 # polycrystal.det2
 from .tensor4 import (DomainError, KTensor, block_is_pd, det2,  # noqa: F401
-                      inv2, kt_to_block, pd2, spd_sqrt_2x2)
+                      inv2, kt_to_block, pd2, spd_sqrt_rows)
 
 __all__ = [
     "HERM_BASIS", "hvec", "hunvec", "b_op", "b_charpoly", "PolyResult",
@@ -332,7 +332,7 @@ def solve_isotropic(k0):
     (l00, l01), (l10, l11) = Lh
     alpha = -l01.imag
     sym = (l01.real + l10.real) / 2.0
-    B = inv2(spd_sqrt_2x2(np.array([[l00.real, sym], [sym, l11.real]])))
+    B = inv2(spd_sqrt_rows(((l00.real, sym), (sym, l11.real))))
     return PolyResult(theta, np.array(Z), np.array(Lh), alpha, B, tuple(flagged),
                       smallest_root_conjectural=n_feas > 1)
 

@@ -27,7 +27,7 @@ import numpy as np
 __all__ = [
     "DomainError", "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "E11", "E22",
     "KTensor", "phi", "psi", "cof2", "kron2", "inv2", "det2", "pd2",
-    "check_spd2", "spd_sqrt_2x2",
+    "check_spd2", "spd_sqrt_rows", "spd_sqrt_2x2",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "congruence", "block_parts", "block_from_parts",
     "check_block", "is_positive_definite", "block_is_pd", "resolvent", "mobius",
@@ -81,11 +81,12 @@ def det2(m):
 
 
 def inv2(m):
-    """Closed-form inverse of a 2x2 (real or complex)."""
-    d = det2(m)
-    if d == 0:
+    """Closed-form inverse of a 2x2 (real or complex), an array or its rows."""
+    (a, b), (c, d) = m.tolist() if isinstance(m, np.ndarray) else m
+    det = a * d - b * c
+    if det == 0:
         raise np.linalg.LinAlgError("singular 2x2 matrix")
-    return cof2(m).T / d
+    return np.array(((d / det, -b / det), (-c / det, a / det)))
 
 
 def pd2(m, tol=0.0, scale=1.0):
@@ -122,16 +123,24 @@ def check_spd2(m, name="matrix"):
     return m
 
 
-def spd_sqrt_2x2(s):
-    """Unique SPD square root of an SPD 2x2 matrix, closed form, taken of
-    t = s / 4^k with max(t11, t22) in [1/2, 2) and scaled back by 2^k: both
-    scalings are exact, and det(t) stays in range for any finite s."""
-    k = math.frexp(max(s[0, 0], s[1, 1]))[1] // 2
-    t = np.ldexp(s, -2 * k)
-    if not pd2(t):
+def spd_sqrt_rows(rows):
+    """Unique SPD square root of the rows ((a, b), (c, d)) of an SPD 2x2, as rows,
+    taken of s / 4^k with max(a, d) / 4^k in [1/2, 2): exact scalings, no overflow."""
+    (a, b), (c, d) = rows
+    k = math.frexp(max(a, d))[1] // 2
+    a, b, c, d = (math.ldexp(v, -2 * k) for v in (a, b, c, d))
+    if not pd2(((a, b), (c, d))):
         raise DomainError("matrix is not symmetric positive definite")
-    r = np.sqrt(det2(t))
-    return np.ldexp((t + r * I2) / np.sqrt(t[0, 0] + t[1, 1] + 2.0 * r), k)
+    r = math.sqrt(a * d - b * c)
+    q = math.sqrt(a + d + 2.0 * r)
+    z = r * 0.0        # the off-diagonal of r I: t + r I keeps no -0.0
+    return ((math.ldexp((a + r) / q, k), math.ldexp((b + z) / q, k)),
+            (math.ldexp((c + z) / q, k), math.ldexp((d + r) / q, k)))
+
+
+def spd_sqrt_2x2(s):
+    """:func:`spd_sqrt_rows` of a 2x2 array, as an array."""
+    return np.array(spd_sqrt_rows(s.tolist()))
 
 
 class KTensor:
@@ -293,7 +302,7 @@ def resolvent(D, M):
     L0 + resolvent(W, -M) inverts W = resolvent(L - L0, M).  D and M may be
     (..., n, n) stacks, evaluated entry by entry.
     """
-    eye = I4 if D.shape[-1] == 4 else np.eye(D.shape[-1])   # np.eye costs 1/5 of this
+    eye = I4 if D.shape[-1] == 4 else I2 if D.shape[-1] == 2 else np.eye(D.shape[-1])
     return D @ np.linalg.inv(eye + M @ D)
 
 
@@ -323,8 +332,13 @@ def unit_normal(n):
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (2,):
         raise ValueError("layer normal must have 2 entries")
-    norm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
-    if not ((norm > 0.0) & (norm < np.inf)).all():
+    if n.ndim == 1:         # one normal: n @ n is the same dot, unbroadcast
+        norm = math.sqrt(n @ n)
+        ok = 0.0 < norm < math.inf
+    else:
+        norm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
+        ok = ((norm > 0.0) & (norm < np.inf)).all()
+    if not ok:
         raise ValueError("layer normal must be nonzero and of finite length")
     return n / norm
 

@@ -14,11 +14,15 @@ constraints; case 1ci returns a link structure with one free SPD matrix.
 
 Every formula is stated in a rotated "pair frame" diagonalizing
 sig1^-1/2 sig2 sig1^-1/2 but is evaluated here in covariant form, so
-results live in the caller's frame directly.
+results live in the caller's frame directly.  The scalar work (square
+roots, determinants, the case tree, a0) runs on Python floats.  numpy keeps
+the 2x2 products and eigh, whose BLAS (FMA) and LAPACK rounding the results
+print, and the 4x4 case formulas.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor4 import (I2, RPERP, T4, DomainError, block_parts, check_spd2, cof2,
-                      congruence, det2, inv2, kron2, mobius, spd_sqrt_2x2)
+                      congruence, det2, inv2, kron2, mobius, spd_sqrt_rows)
 
 __all__ = [
     "IsoPhase", "IsoPhasePair", "Reduced", "CaseTag", "EffectiveResult",
@@ -43,15 +47,20 @@ class BranchWarning(UserWarning):
 class IsoPhase:
     sig: np.ndarray
     r: float = 0.0
+    abd: tuple = field(init=False, repr=False)   # sig's (s11, s12, s22), floats
+    det: float = field(init=False, repr=False)   # det(sig)
 
     def __post_init__(self):
         s = check_spd2(self.sig, "sigma")
-        object.__setattr__(self, "sig", s)
-        if abs(self.r) == np.inf:
+        (a, b), (_, d) = s.tolist()
+        r, det = float(self.r), a * d - b * b
+        if abs(r) == math.inf:
             raise ValueError("r must be finite")
         # sig (x) I + r T is PD exactly when sig is and r^2 < det(sig)
-        if not det2(s) > self.r * self.r:
+        if not det > r * r:
             raise DomainError("phase violates r^2 < det(sig)")
+        for name, v in (("sig", s), ("r", r), ("abd", (a, b, d)), ("det", det)):
+            object.__setattr__(self, name, v)
 
     def tensor(self):
         return kron2(self.sig, I2) + self.r * T4
@@ -77,36 +86,41 @@ class IsoPhasePair:
 
 @dataclass(frozen=True)
 class Reduced:
-    """Pair frame data: diagonalized contrast and coupling scalar."""
+    """Pair frame data: diagonalized contrast, its mean and coupling scalar."""
 
-    sigma: np.ndarray         # diagonal contrast diag(lam1, lam2), lam1 >= lam2
     rho: float
-    lam1: float
+    lam1: float               # eigenvalues of s1^-1/2 s2 s1^-1/2, lam1 >= lam2
     lam2: float
+    theta: float              # tr(s1^-1 s2) / 2
     frame: np.ndarray         # rotation V with V^T (s1^-1/2 s2 s1^-1/2) V diagonal
     s1_half: np.ndarray
     s1_half_inv: np.ndarray
 
+    @property
+    def sigma(self):          # diagonal contrast diag(lam1, lam2)
+        return np.diag((self.lam1, self.lam2))
+
 
 def reduce_pair(pair):
-    s1, s2 = pair.phase1.sig, pair.phase2.sig
-    s1h = spd_sqrt_2x2(s1)
-    s1hi = inv2(s1h)
+    (a, b, d), s2 = pair.phase1.abd, pair.phase2.sig
+    h = spd_sqrt_rows(((a, b), (b, d)))
+    s1hi = inv2(h)
     sig = s1hi @ s2 @ s1hi
-    sig = (sig + sig.T) / 2.0
-    w, V = np.linalg.eigh(sig)
-    order = np.argsort(w)[::-1]
-    w, V = w[order], V[:, order]
-    if det2(V) < 0:
-        V = V.copy()
-        V[:, 1] = -V[:, 1]
-    rho = (pair.phase2.r - pair.phase1.r) / np.sqrt(det2(s1))
-    return Reduced(np.diag(w), rho, float(w[0]), float(w[1]), V, s1h, s1hi)
+    w, V = np.linalg.eigh((sig + sig.T) / 2.0)
+    # eigh sorts ascending: swap the columns, then flip the second one if
+    # that makes the frame improper
+    (lam2, lam1), ((v00, v01), (v10, v11)) = w.tolist(), V.tolist()
+    if v01 * v10 - v00 * v11 < 0:
+        v00, v10 = -v00, -v10
+    (p00, _), (_, p11) = (inv2(((a, b), (b, d))) @ s2).tolist()
+    rho = (pair.phase2.r - pair.phase1.r) / math.sqrt(pair.phase1.det)
+    frame = np.array(((v01, v00), (v11, v10)))
+    return Reduced(rho, lam1, lam2, 0.5 * (p00 + p11), frame, np.array(h), s1hi)
 
 
 def s_matrices(pair):
     """Spectral split of the pair: S1 + S2 = sig1, with the property
-    sig2 = lam1 S1 + lam2 S2; undefined for proportional pairs."""
+    sig2 = lam2 S1 + lam1 S2; undefined for proportional pairs."""
     red = pair._reduced
     s1, s2 = pair.phase1.sig, pair.phase2.sig
     if abs(red.lam1 - red.lam2) < 1e-12 * (1.0 + red.lam1):
@@ -133,32 +147,25 @@ def a0_roots(det_sigma, rho):
     pair is reported as (0.0, inf).
     """
     if rho == 0.0:
-        return (0.0, np.inf)
+        return (0.0, math.inf)
     c = (det_sigma - rho ** 2 - 1.0) / rho
     disc = c * c - 4.0
     if disc < 0:
         return None
-    r1 = (c - np.sqrt(disc)) / 2.0
-    r2 = (c + np.sqrt(disc)) / 2.0
+    r1 = (c - math.sqrt(disc)) / 2.0
+    r2 = (c + math.sqrt(disc)) / 2.0
     return (r1, r2)
-
-
-def _boundary_scale(pair):
-    return 1.0 + max(np.abs(pair.phase1.sig).max(), np.abs(pair.phase2.sig).max(),
-                     abs(pair.phase1.r), abs(pair.phase2.r))
 
 
 def classify(pair, tol=1e-10):
     """Resolve the case tree; boundary equalities use a relative band."""
-    s1, s2 = pair.phase1.sig, pair.phase2.sig
-    r1, r2 = pair.phase1.r, pair.phase2.r
+    p1, p2 = pair.phase1, pair.phase2
+    (a1, b1, e1), (a2, b2, e2), r1, r2 = p1.abd, p2.abd, p1.r, p2.r
     red = pair._reduced
-    scale = _boundary_scale(pair)
-    d1, d2 = det2(s1), det2(s2)
+    scale = 1.0 + max(a1, abs(b1), e1, a2, abs(b2), e2, abs(r1), abs(r2))
     dr = abs(r1 - r2)
-    gap = dr - abs(np.sqrt(d1) - np.sqrt(d2))
-    theta = 0.5 * np.trace(inv2(s1) @ s2)
-    prop_defect = np.linalg.norm(s2 - theta * s1)
+    gap = dr - abs(math.sqrt(p1.det) - math.sqrt(p2.det))
+    prop_defect = np.linalg.norm(p2.sig - red.theta * p1.sig)
     scalars = {
         "rho": red.rho, "det_sigma": red.lam1 * red.lam2,
         "lam1": red.lam1, "lam2": red.lam2, "gap": gap,
@@ -177,7 +184,7 @@ def classify(pair, tol=1e-10):
         return CaseTag("1ci", scalars)
     if gap > 0:
         return CaseTag("1b", scalars)
-    split = dr ** 2 - det2(s1 - s2)
+    split = dr ** 2 - ((a1 - a2) * (e1 - e2) - (b1 - b2) * (b1 - b2))
     scalars["decoupling_defect"] = split
     if abs(split) <= tol * scale ** 2:
         return CaseTag("1aii", scalars)
@@ -187,14 +194,14 @@ def classify(pair, tol=1e-10):
 def strong_ab(pair):
     """Scaling (a, b) and invariants (A, B) of the strongly coupled map."""
     r1, r2 = pair.phase1.r, pair.phase2.r
-    d1, d2 = det2(pair.phase1.sig), det2(pair.phase2.sig)
+    d1, d2 = pair.phase1.det, pair.phase2.det
     dr = r2 - r1
     if dr == 0.0:
         raise DomainError("strong coupling requires r1 != r2")
-    num = (dr ** 2 - (np.sqrt(d1) - np.sqrt(d2)) ** 2) \
-        * ((np.sqrt(d1) + np.sqrt(d2)) ** 2 - dr ** 2)
-    a0 = abs(dr) / np.sqrt(num) if num > 0 else np.nan
-    a = 2.0 * a0 * np.sqrt(d1)
+    num = (dr ** 2 - (math.sqrt(d1) - math.sqrt(d2)) ** 2) \
+        * ((math.sqrt(d1) + math.sqrt(d2)) ** 2 - dr ** 2)
+    a0 = abs(dr) / math.sqrt(num) if num > 0 else math.nan
+    a = 2.0 * a0 * math.sqrt(d1)
     b = a0 * (d2 + r1 ** 2 - r2 ** 2) / dr
     A = (d2 - d1 + r1 ** 2 - r2 ** 2) / (2.0 * dr)
     B = num / (4.0 * dr ** 2)
@@ -222,7 +229,7 @@ def _pick_a0(det_sigma, rho):
         raise DomainError("no real decoupling root: pair is strongly coupled")
     good = []
     for a0 in roots:
-        if not np.isfinite(a0):
+        if not math.isfinite(a0):
             continue
         den = det_sigma - (rho + a0) ** 2
         if den != 0 and (1.0 - a0 ** 2) / den > 0:
@@ -258,9 +265,7 @@ def effective(pair, tol=1e-10):
         if pair.micro is not None and hasattr(pair.micro, "phase1_fraction"):
             f = pair.micro.phase1_fraction
         sig_star = inv2(f * inv2(s1) + (1.0 - f) * inv2(s2))
-        th1 = 1.0
-        th2 = 0.5 * np.trace(inv2(s1) @ s2)
-        wgt1, wgt2 = f / th1, (1.0 - f) / th2
+        wgt1, wgt2 = f, (1.0 - f) / red.theta      # f / theta1, theta1 = 1
         r_star = (wgt1 * r1 + wgt2 * r2) / (wgt1 + wgt2)
         meta["sigma_star"] = sig_star
         meta["r_star"] = r_star
@@ -293,7 +298,8 @@ def effective(pair, tol=1e-10):
         ell1, ell2 = scalefac * red.lam1, scalefac * red.lam2
         S11 = micro.sigma_star(ell1)
         S22 = micro.sigma_star(ell2)
-        L0s = np.block([[S11, np.zeros((2, 2))], [np.zeros((2, 2)), S22]])
+        L0s = np.zeros((4, 4))
+        L0s[:2, :2], L0s[2:, 2:] = S11, S22
         back = mobius(np.array([[-a0, 1.0], [1.0, -a0]]), L0s)
         back = (back + back.T) / 2.0
         L = congruence(red.s1_half, congruence(red.frame, back)) + r1 * T4
@@ -306,11 +312,10 @@ def effective(pair, tol=1e-10):
         dets = tag.scalars["det_sigma"]
         a0 = _pick_a0(dets, red.rho)
         # contrast of the decoupled conductivity problem
-        lam = 0.5 * np.trace(inv2(s1) @ s2)
-        h = (red.rho * a0 + 1.0) / lam
+        h = (red.rho * a0 + 1.0) / red.theta
         sig_star = micro.sigma_star(h)
         ds = det2(sig_star)
-        sd1 = np.sqrt(det2(s1))
+        sd1 = math.sqrt(pair.phase1.det)
         L = (1.0 - a0 ** 2) * kron2(s1, sig_star) / (ds - a0 ** 2) \
             + (r1 + a0 * (1.0 - ds) * sd1 / (ds - a0 ** 2)) * T4
         meta.update(a0=a0, h=h, sigma_star=sig_star)
@@ -350,10 +355,10 @@ def effective(pair, tol=1e-10):
     # 1ci: borderline with r1 != r2; one free SPD parameter remains
     micro = _require_micro(pair)
     S1, S2 = s_matrices(pair)
-    sig_star = micro.sigma_star(np.sqrt(red.lam2 / red.lam1))
-    d1, d2 = det2(s1), det2(s2)
-    branch = -1.0 if (r2 - r1) * (np.sqrt(d2) - np.sqrt(d1)) > 0 else 1.0
-    alpha = (np.sqrt(d1) - np.sqrt(d2)) / (r1 - r2) * np.sqrt(d1)
+    sig_star = micro.sigma_star(math.sqrt(red.lam2 / red.lam1))
+    sd1, sd2 = math.sqrt(pair.phase1.det), math.sqrt(pair.phase2.det)
+    branch = -1.0 if (r2 - r1) * (sd2 - sd1) > 0 else 1.0
+    alpha = (sd1 - sd2) / (r1 - r2) * sd1
     meta.update(sigma_star=sig_star, branch=branch, alpha=alpha)
 
     def extract(L):

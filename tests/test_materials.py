@@ -4,8 +4,8 @@ import pytest
 from thermoex.materials import (Material, canon_from_physical,
                                 physical_from_canon, figure_of_merit,
                                 zt_isotropic)
-from thermoex.tensor4 import (I2, I4, block_parts, block_inverse,
-                              block_is_pd, rotate_block)
+from thermoex.tensor4 import (I2, I4, block_from_parts, block_parts,
+                              block_inverse, block_is_pd, rotate_block)
 from conftest import rand_spd, rand_pd_block
 
 
@@ -92,6 +92,19 @@ def test_zt_eig_oracle(rng):
         lam = np.linalg.eigvals(M).real.max()
         zt = figure_of_merit(L)
         assert abs(zt - lam / (1 - lam)) < 1e-9 * (1 + zt)
+
+
+def test_zt_at_a_near_double_eigenvalue():
+    """L11 = L22 = I and L12 = diag(sqrt l, sqrt(l (1 + 1e-9))), rotated: M has
+    the eigenvalues l and l (1 + 1e-9), so ZT is known.  tr/2 + sqrt(tr^2/4 -
+    det) cancels there and keeps only about sqrt(eps) of the larger one."""
+    for l in (0.05, 0.3, 0.6):
+        lam = l * (1.0 + 1e-9)
+        want = lam / (1.0 - lam)
+        L12 = np.diag([np.sqrt(l), np.sqrt(lam)])
+        for th in np.linspace(0.1, 3.0, 7):
+            L = rotate_block(th, block_from_parts(I2, L12, I2))
+            assert abs(figure_of_merit(L) - want) <= 1e-14 * want, (l, th)
 
 
 def test_zt_blowup():

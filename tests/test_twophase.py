@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from thermoex import linkgroup as lg
 from thermoex import twophase as tp
 from thermoex.laminate import RankOneModel, IteratedRank2Model, laminate2
-from thermoex.tensor4 import I2, I4, det2
+from thermoex.tensor4 import I2, I4, cof2, det2
 from conftest import rel_err
 
 SIG0 = np.array([[2.0, 0.3], [0.3, 1.5]])
@@ -260,3 +263,187 @@ def test_effective_requires_micro():
     p2c = pair_for("2c")
     bare2c = tp.IsoPhasePair(p2c.phase1, p2c.phase2, p2c.f, None)
     assert tp.effective(bare2c).Lstar is not None
+
+
+# -- seeded pairs of every case ------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _spd(rng, floor=0.3):
+    A = rng.standard_normal((2, 2))
+    return A @ A.T + floor * I2
+
+
+def draw_pair(rng, tag):
+    """(s1, r1, s2, r2) landing in case ``tag`` by construction, away from
+    every case boundary it is not on."""
+    while True:
+        s1 = _spd(rng)
+        sd1 = np.sqrt(det2(s1))
+        r1 = float(rng.uniform(-0.5, 0.5) * sd1)
+        if tag in ("2c", "2a", "2b"):
+            theta = rng.uniform(1.5, 4.0)
+            s2, step = theta * s1, (theta - 1.0) * sd1
+            r2 = r1 + {"2c": step,
+                       "2a": rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 0.8) * step,
+                       "2b": step + rng.uniform(0.2, 0.8) * (sd1 - r1)}[tag]
+        else:
+            s2 = s1 + _spd(rng, 0.2) if tag == "1aii" else _spd(rng)
+            theta = 0.5 * np.trace(np.linalg.solve(s1, s2))
+            if np.linalg.norm(s2 - theta * s1) < 0.1 * np.abs(s2).max():
+                continue                   # nearly proportional
+            gap = abs(sd1 - np.sqrt(det2(s2)))
+            if tag == "1cii":
+                s2, r2 = s2 * (sd1 / np.sqrt(det2(s2))), r1
+            elif tag == "1ci" and gap < 0.05:
+                continue
+            else:
+                dr = {"1ai": rng.uniform(0.2, 0.8) * gap,
+                      "1aii": np.sqrt(max(det2(s2 - s1), 0.0)),
+                      "1b": gap + rng.uniform(0.1, 0.6) * sd1, "1ci": gap}[tag]
+                r2 = r1 + rng.choice((-1.0, 1.0)) * dr
+        if r2 ** 2 < 0.9 * det2(s2):
+            return s1, r1, s2, float(r2)
+
+
+def draw_model(rng, rank):
+    def normal():
+        a = rng.uniform(0.0, np.pi)
+        return (math.cos(a), math.sin(a))
+
+    if rank == 1:
+        return RankOneModel(rng.uniform(0.15, 0.85), normal())
+    return IteratedRank2Model(rng.uniform(0.2, 0.8), normal(),
+                              rng.uniform(0.2, 0.8), normal())
+
+
+def make_pair(s1, r1, s2, r2, micro=None):
+    f = 0.5 if micro is None else micro.phase1_fraction
+    return tp.IsoPhasePair(tp.IsoPhase(s1, r1), tp.IsoPhase(s2, r2), f, micro)
+
+
+# -- the float boundary ---------------------------------------------------------
+
+def _numpy_frame(pair):
+    """reduce_pair and the classify scalars as the numpy expressions that the
+    Python-float code replaced: spd_sqrt_2x2 by np.ldexp, inv2 by cof2,
+    the descending reorder by argsort and the sign flip by det2(V)."""
+    s1, s2 = pair.phase1.sig, pair.phase2.sig
+    r1, r2 = pair.phase1.r, pair.phase2.r
+    k = math.frexp(max(s1[0, 0], s1[1, 1]))[1] // 2
+    t = np.ldexp(s1, -2 * k)
+    q = np.sqrt(det2(t))
+    s1h = np.ldexp((t + q * I2) / np.sqrt(t[0, 0] + t[1, 1] + 2.0 * q), k)
+    s1hi = cof2(s1h).T / det2(s1h)
+    sig = s1hi @ s2 @ s1hi
+    w, V = np.linalg.eigh((sig + sig.T) / 2.0)
+    order = np.argsort(w)[::-1]
+    w, V = w[order], V[:, order]
+    if det2(V) < 0:
+        V = V.copy()
+        V[:, 1] = -V[:, 1]
+    rho = (r2 - r1) / np.sqrt(det2(s1))
+    theta = 0.5 * np.trace(cof2(s1).T / det2(s1) @ s2)
+    d1, d2 = det2(s1), det2(s2)
+    dr = abs(r1 - r2)
+    scalars = {"rho": rho, "det_sigma": float(w[0]) * float(w[1]),
+               "lam1": float(w[0]), "lam2": float(w[1]),
+               "gap": dr - abs(np.sqrt(d1) - np.sqrt(d2)),
+               "proportional_defect": np.linalg.norm(s2 - theta * s1),
+               "decoupling_defect": dr ** 2 - det2(s1 - s2)}
+    if rho == 0.0:
+        scalars["a0_roots"] = (0.0, np.inf)
+    else:
+        c = (scalars["det_sigma"] - rho ** 2 - 1.0) / rho
+        disc = c * c - 4.0
+        if disc >= 0:
+            scalars["a0_roots"] = ((c - np.sqrt(disc)) / 2.0, (c + np.sqrt(disc)) / 2.0)
+    arrays = {"s1_half": s1h, "s1_half_inv": s1hi, "frame": V}
+    return scalars, arrays, theta
+
+
+def test_float_boundary_matches_numpy_bit_for_bit():
+    """reduce_pair and classify run on Python floats: every scalar equals,
+    and every array has the bytes of, the numpy form it replaced, on seeded
+    pairs of all 8 cases, on exactly proportional pairs, whose lam1 and lam2
+    differ only by rounding, and on diagonal sig with -0.0 off the diagonal."""
+    rng = np.random.default_rng(17)
+    draws = [draw_pair(rng, tag) for tag in ALL_TAGS for _ in range(25)]
+    for _ in range(25):
+        s1 = _spd(rng) * 10.0 ** rng.uniform(-3, 3)
+        sd1 = np.sqrt(det2(s1))
+        r1 = float(rng.uniform(-0.5, 0.5) * sd1)
+        for theta in (2.0, 4.0, 3.0):              # s2 = 2 s1 and 4 s1 exactly
+            for r2 in (r1, r1 + (np.sqrt(theta) - 1.0) * sd1, r1 + 1.2 * sd1):
+                draws.append((s1, r1, theta * s1, float(r2)))
+    diag = np.array([[2.0, -0.0], [-0.0, 0.5]])      # -0.0 entries: t + r I clears them
+    draws += [(diag, 0.1, np.array([[1.0, -0.0], [-0.0, 3.0]]), 0.4),
+              (diag, 0.1, 4.0 * diag, 0.6), (diag, -0.3, I2, 0.2)]
+    exactly_proportional, tags = 0, set()
+    for s1, r1, s2, r2 in draws:
+        pair = make_pair(s1, r1, s2, r2)
+        scalars, arrays, theta = _numpy_frame(pair)
+        red, tag = tp.reduce_pair(pair), tp.classify(pair)
+        assert (red.rho, red.lam1, red.lam2, red.theta) == \
+            (scalars["rho"], scalars["lam1"], scalars["lam2"], theta)
+        for name, want in arrays.items():
+            assert getattr(red, name).tobytes() == want.tobytes(), name
+        for name, got in tag.scalars.items():
+            assert got == scalars[name], (tag.tag, name)
+        assert ("a0_roots" in tag.scalars) == ("a0_roots" in scalars)
+        exactly_proportional += tag.scalars["proportional_defect"] == 0.0
+        tags.add(tag.tag)
+    assert tags == set(ALL_TAGS) and exactly_proportional >= 100
+
+
+# -- link covariance --------------------------------------------------------------
+
+def _well_conditioned_basis(rng):
+    """R(a) diag(s) R(b) with singular values s in [1/2, 2]; a reflection
+    half of the time, so det B < 0 flips the sign of every r."""
+    def rot(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    B = rot(rng.uniform(0, np.pi)) @ np.diag(rng.uniform(0.5, 2.0, 2)) \
+        @ rot(rng.uniform(0, np.pi))
+    return B if rng.uniform() < 0.5 else B @ np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("link", ["translation", "basis_change"])
+def test_two_phase_link_covariance(link, rank):
+    """A link maps isotropic pairs to isotropic pairs and transports effective
+    tensors: t_translation(beta) sends r to r + beta, basis_change(B) sends sig
+    to B sig B^T and r to det(B) r.  The case tag is kept; the explicit Lstar
+    (and the laminate of case 1ci) moves by the same link to 1e2 eps times the
+    largest condition number of the four phase tensors (worst seen: 3.6 over
+    five seeds of 400 draws), and the residual of cases 1b and 2b on the
+    mapped laminate stays at or below 1e-9."""
+    rng = np.random.default_rng([2010, rank, ("translation", "basis_change").index(link)])
+    for k in range(48):
+        tag = ALL_TAGS[k % 8]
+        s1, r1, s2, r2 = draw_pair(rng, tag)
+        micro = draw_model(rng, rank)
+        if link == "translation":
+            lo = max(-np.sqrt(det2(s1)) - r1, -np.sqrt(det2(s2)) - r2)
+            hi = min(np.sqrt(det2(s1)) - r1, np.sqrt(det2(s2)) - r2)
+            beta = 0.9 * rng.uniform(lo, hi)          # both images stay PD
+            m = lg.t_translation(beta)
+            image = (s1, r1 + beta, s2, r2 + beta)
+        else:
+            B = _well_conditioned_basis(rng)
+            m, dB = lg.basis_change(B), det2(B)
+            image = (B @ s1 @ B.T, dB * r1, B @ s2 @ B.T, dB * r2)
+        pair, mapped = make_pair(s1, r1, s2, r2, micro), make_pair(*image, micro)
+        res, got = tp.effective(pair), tp.effective(mapped)
+        assert (res.case.tag, got.case.tag) == (tag, tag)
+        if res.kind == "implicit":
+            L = micro.tensor(pair.phase1.tensor(), pair.phase2.tensor())
+            assert got.residual(lg.psi_apply(m, L)) <= 1e-9, tag
+            continue
+        want = lg.psi_apply(m, res.Lstar)
+        cond = max(np.linalg.cond(ph.tensor()) for p in (pair, mapped)
+                   for ph in (p.phase1, p.phase2))
+        err = np.abs(got.Lstar - want).max() / np.abs(want).max()
+        assert err <= 1e2 * EPS * cond, (tag, err / (EPS * cond))
