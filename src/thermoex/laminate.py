@@ -18,12 +18,13 @@ phases neither inverse taken is singular: their n-n blocks are L_nn and
 One mixing step, ``_mix``, takes stacks of phase pairs with a fraction
 and a normal per pair: ``laminate2`` calls it on one pair, and
 ``laminate_tree`` once per tree height, on all the mixes of that height.
+Tree nodes are read-only and carry their height from construction, so
+``laminate_tree`` visits each distinct node once and orders rows by height.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter
 
 import numpy as np
 
@@ -36,22 +37,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Leaf:
-    tensor: np.ndarray
-    rotation: float = 0.0
+    """A phase: ``tensor`` in a frame rotated by ``rotation``; height 0."""
+
+    __slots__ = ("_tensor", "_rotation")
+    _height = 0
+    tensor = property(attrgetter("_tensor"))
+    rotation = property(attrgetter("_rotation"))
+    height = property(attrgetter("_height"))
+
+    def __init__(self, tensor, rotation=0.0):
+        self._tensor, self._rotation = tensor, rotation
 
 
-@dataclass(frozen=True)
 class Mix:
-    child1: object
-    child2: object
-    f: float           # volume fraction of child1
-    n: tuple           # layer normal
+    """Fraction ``f`` of ``child1`` layered with ``child2`` along the normal
+    ``n``.  Its height, one more than its taller child's, is set here."""
 
-    def __post_init__(self):
-        if not 0.0 <= self.f <= 1.0:
+    __slots__ = ("_child1", "_child2", "_f", "_n", "_height")
+    child1 = property(attrgetter("_child1"))
+    child2 = property(attrgetter("_child2"))
+    f = property(attrgetter("_f"))
+    n = property(attrgetter("_n"))
+    height = property(attrgetter("_height"))
+
+    def __init__(self, child1, child2, f, n):
+        if not 0.0 <= f <= 1.0:
             raise ValueError("volume fraction must lie in [0, 1]")
+        try:
+            h1, h2 = child1._height, child2._height
+        except AttributeError:
+            raise TypeError("laminate children must be Leaf or Mix nodes") from None
+        self._child1, self._child2, self._f, self._n = child1, child2, f, n
+        self._height = 1 + (h1 if h1 > h2 else h2)
 
 
 def _fraction(f):
@@ -62,13 +80,13 @@ def _fraction(f):
     return f
 
 
-def _mix(A, B, f, G):
-    """Mix fraction ``f`` of A with B: the average W = <resolvent(L - I, G)>,
-    one stacked call for both, mapped back by I + resolvent(W, -G) and
-    symmetrized.  A, B and G may be (..., n, n) stacks, ``f`` of shape (...)."""
-    eye = I4 if np.shape(A)[-1] == 4 else I2
-    f = np.asarray(f, dtype=float)[..., None, None]
-    R = resolvent(np.array((A, B), dtype=float) - eye, G)
+def _mix(AB, f, G):
+    """Mix fraction ``f`` of A with B, stacked as AB = (A, B): the average
+    W = <resolvent(L - I, G)>, one stacked call for both, mapped back by
+    I + resolvent(W, -G) and symmetrized.  A, B and G may be (..., n, n)
+    stacks, ``f`` a float or of shape (..., 1, 1)."""
+    eye = I4 if AB.shape[-1] == 4 else I2
+    R = resolvent(AB - eye, G)
     out = eye + resolvent(f * R[0] + (1.0 - f) * R[1], -G)
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
@@ -78,69 +96,57 @@ def laminate2(L1, L2, f, n):
 
     ``f`` is the volume fraction of phase 1 and ``n`` the layer normal.
     """
-    return _mix(L1, L2, _fraction(f), gamma0(n))
+    return _mix(np.array((L1, L2), dtype=float), _fraction(f), gamma0(n))
 
 
-_DONE = object()         # stack marker: the mix below it has both children placed
+_TENSOR, _ROTATION, _F, _N, _CHILD1, _CHILD2 = map(attrgetter, (
+    "_tensor", "_rotation", "_f", "_n", "_child1", "_child2"))
 
 
 def laminate_tree(node):
     """Bottom-up evaluation of a laminate hierarchy, one stacked step per height.
 
-    One walk without recursion numbers every distinct node object in
-    post-order and gives it a height (0 for a leaf, one more than its
-    taller child for a mix), so a node reachable along several paths is
-    evaluated once.  One stable sort groups the mixes by height, keeping
-    post-order within a height; the leaves fill the first rows of the
-    value stack and each height's mixes the next contiguous rows.
+    Heights come from construction (0 for a leaf, one more than the taller
+    child for a mix).  One walk without recursion visits each distinct node
+    object once, so a node reachable along several paths is evaluated once,
+    and files it under its height.  The leaves fill the first rows of the
+    value stack and each height's mixes the next contiguous rows, so rows
+    are ordered by height; a height is one ``_mix`` of its (2, b, 4, 4)
+    child stack, gathered by one index.
     """
-    index, heights = {}, []               # id -> post-order number; number -> height
-    leaves, mixes = [], []                # (number, rotation, tensor); (height, number, n1, n2, f, n)
-    stack = [node]
-    pop, push = stack.pop, stack.extend
-    k = 0                                 # next post-order number
-    while stack:
-        nd = pop()
-        if nd is _DONE:
-            nd = pop()
-            i1, i2 = index[id(nd.child1)], index[id(nd.child2)]
-            h1, h2 = heights[i1], heights[i2]
-            h = 1 + (h1 if h1 > h2 else h2)
-            mixes.append((h, k, i1, i2, nd.f, nd.n))
-        elif id(nd) in index:
-            continue
-        elif isinstance(nd, Leaf):
-            h = 0
-            leaves.append((k, nd.rotation, nd.tensor))
-        elif isinstance(nd, Mix):         # children first, then nd
-            push((nd, _DONE, nd.child2, nd.child1))
-            continue
-        else:
-            raise TypeError(f"not a laminate node: {nd!r}")
-        index[id(nd)] = k
-        heights.append(h)
-        k += 1
+    if not isinstance(node, (Leaf, Mix)):
+        raise TypeError(f"not a laminate node: {node!r}")
+    levels = [[] for _ in range(node._height + 1)]    # distinct nodes by height
+    seen, todo = set(), [node]
+    for nd in todo:                       # todo grows while it is read
+        if id(nd) not in seen:
+            seen.add(id(nd))
+            levels[nd._height].append(nd)
+            if nd._height:
+                todo += nd._child1, nd._child2
+    leaves, mixes = levels[0], [nd for lvl in levels[1:] for nd in lvl]
     nl = len(leaves)
-    numbers, rotation, tensor = zip(*leaves)
-    vals = np.empty((k, 4, 4))
-    vals[:nl] = rotate_block(np.array(rotation, float), np.array(tensor, float))
+    vals = np.empty((nl + len(mixes), 4, 4))
+    vals[:nl] = rotate_block(np.array(list(map(_ROTATION, leaves)), float),
+                             np.array(list(map(_TENSOR, leaves)), float))
     if mixes:
-        mixes.sort(key=itemgetter(0))
-        h, mixed, n1, n2, f, n = zip(*mixes)
-        row = np.empty(k, int)                    # post-order number -> row of vals
-        row[list(numbers)] = np.arange(nl)
-        row[list(mixed)] = np.arange(nl, k)
-        (r1, r2), f, G = row[[n1, n2]], np.array(f), gamma0(n)
-        end = np.cumsum(np.bincount(h)[1:]).tolist()
-        for a, b in zip([0] + end, end):
-            vals[nl + a:nl + b] = _mix(vals[r1[a:b]], vals[r2[a:b]], f[a:b], G[a:b])
+        row = dict(zip(map(id, leaves + mixes), range(len(vals))))
+        pair = np.array([list(map(row.__getitem__, map(id, map(c, mixes))))
+                         for c in (_CHILD1, _CHILD2)])
+        f = np.array(list(map(_F, mixes)), float)[:, None, None]
+        G = gamma0(list(map(_N, mixes)))
+        a = 0
+        for lvl in levels[1:]:
+            b = a + len(lvl)
+            vals[nl + a:nl + b] = _mix(vals[pair[:, a:b]], f[a:b], G[a:b])
+            a = b
     return vals[-1].copy()
 
 
 def conduct2(s1, s2, f, n):
     """Rank-one laminate of two 2x2 conductivities (same W-additivity)."""
     n = unit_normal(n)
-    return _mix(s1, s2, _fraction(f), np.outer(n, n))
+    return _mix(np.array((s1, s2), dtype=float), _fraction(f), np.outer(n, n))
 
 
 def sigma_star_rank1(h, f, n):

@@ -316,12 +316,21 @@ def rotate(theta, k):
     return KTensor(k.X, np.exp(2j * theta) * k.Y)
 
 
+_I2_KRON = np.array([0, 1, 4, 5, 2, 3, 6, 7, 4, 5, 0, 1, 6, 7, 2, 3])
+
+
+def _i2_kron(m):
+    """I2 (x) M of 2x2 matrices M flattened to (..., 4), with 0.0 * M in the
+    off-diagonal blocks (signed zeros as in np.kron), by one gather."""
+    out = np.concatenate((m, 0.0 * m), -1).take(_I2_KRON, -1)
+    return out.reshape(m.shape[:-1] + (4, 4))
+
+
 def rotate_block(theta, B):
     """Same rotation applied to the 4x4 block form by spatial conjugation;
     angles of shape (...) rotate a (..., 4, 4) stack entry by entry."""
     c, s = np.cos(theta), np.sin(theta)
-    R = np.stack([c, -s, s, c], -1).reshape(np.shape(c) + (1, 2, 1, 2))
-    Rhat = (I2[:, None, :, None] * R).reshape(np.shape(c) + (4, 4))   # I2 (x) R
+    Rhat = _i2_kron(np.stack([c, -s, s, c], -1))
     return Rhat @ np.asarray(B, float) @ np.swapaxes(Rhat, -1, -2)
 
 
@@ -346,8 +355,7 @@ def unit_normal(n):
 def gamma0(n):
     """Reference operator I (x) (n (x) n) for layer normals of shape (..., 2)."""
     n = unit_normal(n)
-    nn = (n[..., :, None] * n[..., None, :])[..., None, :, None, :]
-    return (I2[:, None, :, None] * nn).reshape(n.shape[:-1] + (4, 4))
+    return _i2_kron((n[..., :, None] * n[..., None, :]).reshape(n.shape[:-1] + (4,)))
 
 
 def jordan_star(k1, a, k2):

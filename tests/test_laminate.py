@@ -193,15 +193,61 @@ def test_tree_equals_pairwise_fold(rng):
         assert np.array_equal(laminate_tree(leaf), fold(leaf))
 
 
+def test_tree_equals_pairwise_fold_at_bench_scale(rng):
+    """Trees of 128-255 mixes, the bench's large size, over three shared
+    leaves and with one subtree object reached twice, are bit-identical to
+    one laminate2 per mix, although their stack rows are ordered by height."""
+    for _ in range(6):
+        leaves = [Leaf(rand_pd_block(rng), rng.uniform(0, np.pi) if i % 2 else 0.0)
+                  for i in range(3)]
+        m_sub = int(rng.integers(8, 32))
+        m_big = int(rng.integers(128, 256)) - m_sub - 2
+        sub = random_tree(rng, m_sub, leaves)
+        big = random_tree(rng, m_big, leaves)
+        t = Mix(Mix(big, sub, rng.uniform(), (1.0, 2.0)), sub, rng.uniform(), (0.0, 1.0))
+        assert np.array_equal(laminate_tree(t), fold(t))
+
+
 def test_tree_deeper_than_the_recursion_limit(rng):
-    """A chain of 1500 mixes is evaluated without recursion and matches the
-    pairwise fold done by a loop."""
+    """A chain of 1500 mixes gets height 1500 as it is built, is evaluated
+    without recursion and matches the pairwise fold done by a loop."""
     L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
     t, ref = Leaf(L1, 0.4), rotate_block(0.4, L1)
     for _ in range(1500):
         f, n = rng.uniform(), tuple(rng.standard_normal(2))
         t, ref = Mix(t, Leaf(L2), f, n), laminate2(ref, L2, f, n)
+    assert t.height == 1500
     assert np.array_equal(laminate_tree(t), ref)
+
+
+def test_nodes_are_read_only(rng):
+    """Assigning a node field raises AttributeError, as the frozen
+    dataclasses they replace did; a leaf has height 0, a mix one more than
+    its taller child."""
+    leaf = Leaf(rand_pd_block(rng), 0.3)
+    mix = Mix(leaf, Mix(leaf, leaf, 0.2, (1.0, 0.0)), 0.5, (0.0, 1.0))
+    for node, names in ((leaf, ("tensor", "rotation", "height")),
+                        (mix, ("child1", "child2", "f", "n", "height"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(node, name, getattr(node, name))
+        with pytest.raises(AttributeError):
+            node.extra = 1
+    assert (leaf.height, mix.child2.height, mix.height) == (0, 1, 2)
+    assert mix.child1 is leaf and (mix.f, mix.n) == (0.5, (0.0, 1.0))
+
+
+def test_non_node_raises_type_error(rng):
+    """A child that is not a node is refused when the Mix is built, and a
+    root that is not a node by laminate_tree."""
+    leaf = Leaf(rand_pd_block(rng))
+    for bad in (rand_pd_block(rng), None, "leaf", (leaf, leaf)):
+        with pytest.raises(TypeError):
+            Mix(leaf, bad, 0.5, (1.0, 0.0))
+        with pytest.raises(TypeError):
+            Mix(bad, leaf, 0.5, (1.0, 0.0))
+        with pytest.raises(TypeError):
+            laminate_tree(bad)
 
 
 def test_tree_one_mix_call_per_height(rng, monkeypatch):
@@ -209,9 +255,9 @@ def test_tree_one_mix_call_per_height(rng, monkeypatch):
     mix exactly once."""
     mix, calls = lam._mix, []
 
-    def counting(A, B, f, G):
-        calls.append(len(A))
-        return mix(A, B, f, G)
+    def counting(AB, f, G):
+        calls.append(AB.shape[1])
+        return mix(AB, f, G)
 
     monkeypatch.setattr(lam, "_mix", counting)
     leaves = [Leaf(rand_pd_block(rng), 0.5)]

@@ -421,3 +421,43 @@ def test_texture_converges_to_unique_point():
         errs.append(err)
         assert err < 3.0 * defect + 1e-9
     assert errs[-1] < 5e-3 < errs[0] * 10
+
+
+def _well_conditioned_basis(rng):
+    """R(a) diag(s) R(b) with singular values s in [1/2, 2], a reflection
+    half of the time."""
+    def rot(t):
+        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+
+    B = rot(rng.uniform(0, np.pi)) @ np.diag(rng.uniform(0.5, 2.0, 2)) \
+        @ rot(rng.uniform(0, np.pi))
+    return B if rng.uniform() < 0.5 else B @ np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize("link", ["translation", "basis_change"])
+def test_polycrystal_link_covariance(link):
+    """A link whose image of the crystallite is positive definite transports
+    the isotropic point: solve_isotropic(Psi(K)).Lstar is Psi applied to
+    solve_isotropic(K).Lstar, both as isotropic tensors K(Lstar, 0).  The
+    pencil a1 L + b1 T of a translation or a basis change is T itself, so
+    the bound scales with the larger condition number of K and Psi(K):
+    1e2 eps cond (worst seen: 1.24 over five seeds of 200 draws each)."""
+    rng = np.random.default_rng([2010, ("translation", "basis_change").index(link)])
+    zero, checked = np.zeros((2, 2)), 0
+    for _ in range(60):
+        k = rand_pd_crystallite(rng, coupling=rng.uniform(0.1, 1.5))
+        if link == "translation":
+            m = lg.t_translation(rng.uniform(-1.5, 1.5))
+        else:
+            m = lg.basis_change(_well_conditioned_basis(rng))
+        L = kt_to_block(k)
+        image = lg.psi_apply(m, L)
+        if not is_positive_definite(kt_from_block(image)):
+            continue
+        got = kt_to_block(KTensor(pc.solve_isotropic(kt_from_block(image)).Lstar, zero))
+        want = lg.psi_apply(m, kt_to_block(KTensor(pc.solve_isotropic(k).Lstar, zero)))
+        cond = max(np.linalg.cond(L), np.linalg.cond(image))
+        err = np.abs(got - want).max() / np.abs(want).max()
+        assert err <= 1e2 * EPS * cond, err / (EPS * cond)
+        checked += 1
+    assert checked >= 40

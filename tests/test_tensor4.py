@@ -167,6 +167,36 @@ def test_kron2_matches_np_kron_bit_for_bit(rng):
             assert (np.signbit(got) == np.signbit(want)).all()
 
 
+def test_i2_kron_matches_the_broadcast_product(rng):
+    """The one-gather I2 (x) M behind rotate_block and gamma0 equals np.kron
+    and the broadcast product I2[:, None, :, None] * M, signed zeros
+    included, for one M and for stacks; so do rotate_block's Rhat and
+    gamma0 for angles and normals of every sign."""
+    from thermoex.tensor4 import _i2_kron, gamma0, unit_normal
+
+    def broadcast(M):
+        return (I2[:, None, :, None] * M[..., None, :, None, :]).reshape(
+            M.shape[:-2] + (4, 4))
+
+    specials = np.array([RPERP, -RPERP, [[0.0, -0.0], [-0.0, 0.0]],
+                         [[-1.0, 0.0], [0.0, -2.0]]])
+    M = np.concatenate([specials, rng.standard_normal((60, 2, 2))])
+    for got, want in ((_i2_kron(M.reshape(-1, 4)), broadcast(M)),
+                      (_i2_kron(M[5].ravel()), np.kron(I2, M[5])),
+                      (_i2_kron(M[2].ravel()), np.kron(I2, M[2]))):
+        assert got.tobytes() == want.tobytes()
+    th = np.concatenate([[0.0, -0.0, np.pi, -np.pi / 2], rng.uniform(-4, 4, 40)])
+    c, s = np.cos(th), np.sin(th)
+    Rhat = broadcast(np.stack([c, -s, s, c], -1).reshape(-1, 2, 2))
+    B = rng.standard_normal((len(th), 4, 4))
+    assert rotate_block(th, B).tobytes() == (Rhat @ B @ np.swapaxes(Rhat, -1, -2)).tobytes()
+    n = np.concatenate([[[1.0, 0.0], [-0.0, -1.0], [-3.0, 4.0]],
+                        rng.standard_normal((40, 2))])
+    u = unit_normal(n)
+    assert gamma0(n).tobytes() == broadcast(u[:, :, None] * u[:, None, :]).tobytes()
+    assert gamma0(n[2]).tobytes() == broadcast(u[2][:, None] * u[2][None, :]).tobytes()
+
+
 def test_pd2_beyond_the_float_range_of_the_determinant(rng):
     """max|m| outside [2^-500, 2^500] is tested on m / 4^k: an exact scaling,
     so det2 neither overflows nor underflows and the answer is unchanged."""
