@@ -12,8 +12,8 @@ The module provides randomized checkers for this closure condition, for
 the subalgebra/ideal/square tables, for 3- and 4-chain properties, and
 the search for the inversion key of each entry.  Randomized checks draw
 coefficients uniformly from [-1, 1] with a fixed default seed.
-Each audit draws all its trials as one coefficient block and evaluates
-them as one stack of (X, Y) pairs, taking the worst per-trial residual.
+Each audit draws its trials as one coefficient block and evaluates one stack;
+operator products (kt_mul) are real 4x4 block products, one matmul per stack.
 """
 
 from __future__ import annotations
@@ -335,8 +335,9 @@ def sample_a0(rng, scale=1.0):
 
 
 def is_subalgebra(sub, spec, tol=1e-10):
-    """Spanwise containment of ``sub`` in ``spec``."""
-    return all(spec.residual(k) <= tol for k in sub.k_basis())
+    """Spanwise containment of ``sub`` in ``spec``: its basis as one stack."""
+    XY = np.reshape([(k.X, k.Y) for k in sub.k_basis()], (-1, 2, 2, 2))
+    return bool((spec.residual(KTensor(XY[:, 0], XY[:, 1])) <= tol).all())
 
 
 def check_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):

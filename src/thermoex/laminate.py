@@ -16,8 +16,8 @@ phases neither inverse taken is singular: their n-n blocks are L_nn and
 <L_nn^-1>.  Non-positive-definite phases may raise LinAlgError.
 
 One mixing step, ``_mix``, takes stacks of phase pairs with a fraction
-and a normal per pair: ``laminate2`` calls it on one pair, and
-``laminate_tree`` once per tree height, on all the mixes of that height.
+and a normal per pair: ``laminate2`` and the models call it on one pair
+(a model at its once-normalized normal), ``laminate_tree`` once per height.
 Tree nodes are read-only and carry their height from construction, so
 ``laminate_tree`` visits each distinct node once and orders rows by height.
 """
@@ -28,8 +28,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .tensor4 import (I2, I4, DomainError, gamma0, resolvent, rotate_block,
-                      unit_normal)
+from .tensor4 import (I2, I4, DomainError, gamma0, kron2, resolvent,
+                      rotate_block, unit_normal)
 
 __all__ = [
     "Leaf", "Mix", "laminate2", "laminate_tree", "conduct2",
@@ -171,6 +171,7 @@ class RankOneModel:
     def __init__(self, f, n=(1.0, 0.0)):
         self.f = _fraction(f)
         self.n = unit_normal(n)
+        self._gamma = kron2(I2, np.outer(self.n, self.n))   # Gamma0 of n as stored
 
     @property
     def phase1_fraction(self):
@@ -181,7 +182,7 @@ class RankOneModel:
         return _rank1_closed(h, self.f, *self.n.tolist())
 
     def tensor(self, L1, L2):
-        return laminate2(L1, L2, self.f, self.n)
+        return _mix(np.array((L1, L2), dtype=float), self.f, self._gamma)
 
     def tree(self, L1, L2):
         return Mix(Leaf(L1), Leaf(L2), self.f, tuple(self.n))
@@ -199,6 +200,8 @@ class IteratedRank2Model:
         self.inner = RankOneModel(f_inner, n_inner)
         self.f_outer = _fraction(f_outer)
         self.n_outer = unit_normal(n_outer)
+        self._nn = np.outer(self.n_outer, self.n_outer)
+        self._gamma = kron2(I2, self._nn)
 
     @property
     def phase1_fraction(self):
@@ -206,11 +209,11 @@ class IteratedRank2Model:
 
     def sigma_star(self, h):
         s_in = self.inner.sigma_star(h)
-        return conduct2(s_in, h * I2, self.f_outer, self.n_outer)
+        return _mix(np.array((s_in, h * I2)), self.f_outer, self._nn)
 
     def tensor(self, L1, L2):
-        return laminate2(self.inner.tensor(L1, L2), L2,
-                         self.f_outer, self.n_outer)
+        return _mix(np.array((self.inner.tensor(L1, L2), L2), dtype=float),
+                    self.f_outer, self._gamma)
 
     def tree(self, L1, L2):
         return Mix(self.inner.tree(L1, L2), Leaf(L2),

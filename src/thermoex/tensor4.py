@@ -8,10 +8,10 @@ symmetric, and every such operator also has a real 4x4 block form
     [[phi(X11) + psi(Y11), phi(X12) + psi(Y12)],
      [phi(X21) + psi(Y21), phi(X22) + psi(Y22)]]
 
-with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  The 2x2
-kernels here are closed form, 4x4 inverses dense numpy.linalg, and block_is_pd
-(eigenvalues of the real block or stack) is the one 4x4 positive definiteness
-test.  The change of field-pair basis L -> (B (x) I) L (B (x) I)^T is congruence.
+with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  Operator
+products are real 4x4 products of the block forms, one matmul for a stack; the
+2x2 kernels are closed form, 4x4 inverses dense numpy.linalg, and block_is_pd is
+the one 4x4 PD test.  A basis change (B (x) I) L (B (x) I)^T is congruence.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.
@@ -210,22 +210,23 @@ _TO_BLOCK = np.stack([np.kron(E, f(z)).ravel() for f in (phi, psi)
 
 
 def kt_to_block(k):
-    """4x4 real block form of an operator in (X, Y) coordinates."""
-    v = np.concatenate((k.X.ravel(), k.Y.ravel())).view(float)
-    return (_TO_BLOCK @ v).reshape(4, 4)
+    """4x4 real block form of (X, Y), or of (..., 2, 2) stacks broadcast together."""
+    X, Y = (k.X, k.Y) if k.X.shape == k.Y.shape else np.broadcast_arrays(k.X, k.Y)
+    v = np.concatenate((X, Y), -2).reshape(X.shape[:-2] + (8,)).view(float)
+    return (v @ _TO_BLOCK.T).reshape(X.shape[:-2] + (4, 4))
 
 
 def kt_from_block(B):
-    """Inverse of :func:`kt_to_block`; exact for any real 4x4 matrix."""
-    v = (_TO_BLOCK.T @ np.asarray(B, dtype=float).ravel()) / 2.0
-    z = v.view(complex)
-    return KTensor(z[:4].reshape(2, 2), z[4:].reshape(2, 2))
+    """Inverse of :func:`kt_to_block`; exact for any real 4x4 matrix or stack."""
+    B = np.asarray(B, dtype=float)
+    v = (B.reshape(B.shape[:-2] + (16,)) @ _TO_BLOCK) / 2.0
+    z = v.reshape(B.shape[:-2] + (2, 2, 4)).view(complex)
+    return KTensor(z[..., 0, :, :], z[..., 1, :, :])
 
 
 def kt_mul(a, b):
-    """Operator product; matches the 4x4 matrix product of the block forms."""
-    return KTensor(a.X @ b.X + a.Y @ b.Y.conj(),
-                   a.X @ b.Y + a.Y @ b.X.conj())
+    """Operator product, computed as the 4x4 matrix product of the block forms."""
+    return kt_from_block(kt_to_block(a) @ kt_to_block(b))
 
 
 def kt_transpose(a):

@@ -284,9 +284,14 @@ def effective(pair, tol=1e-10):
     if tag.tag == "1aii":
         micro = _require_micro(pair)
         S1, S2 = s_matrices(pair)
-        a0 = (red.lam1 - 1.0) / red.rho
         sig_star = micro.sigma_star(red.lam1 / red.lam2)
-        L = formula_1aii(r1, s1, S1, S2, a0, sig_star)
+        # rho = 0 has the roots 0 and inf (a0_roots): at lam1 = 1 take 0; at
+        # lam2 = 1 the root is inf, taken as 1/inf = 0 by the root pairing
+        a0 = (red.lam1 - 1.0) / red.rho if red.rho else 0.0
+        if not red.rho and abs(red.lam1 - 1.0) > abs(red.lam2 - 1.0):
+            L = formula_1aii(r1, s1, S2, S1, a0, sig_star / det2(sig_star))
+        else:
+            L = formula_1aii(r1, s1, S1, S2, a0, sig_star)
         meta.update(a0=a0, sigma_star=sig_star)
         return EffectiveResult(tag, "explicit", L, meta)
 

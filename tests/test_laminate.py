@@ -133,6 +133,24 @@ def test_model_embedding_consistency(rng):
             assert np.abs(full - tree_val).max() < 1e-12
 
 
+def test_models_mix_at_their_stored_normals(rng):
+    """A model normalizes each normal once, so ``tensor`` and ``sigma_star``
+    mix at the same normal bits: those of the stored unit normal."""
+    L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
+    for _ in range(200):
+        n, m = rng.standard_normal(2), rng.standard_normal(2)
+        one, two = RankOneModel(0.4, n), IteratedRank2Model(0.3, m, 0.6, n)
+        g = np.kron(I2, np.outer(one.n, one.n))
+        want = lam._mix(np.array((L1, L2)), 0.4, g)
+        assert one.tensor(L1, L2).tobytes() == want.tobytes()
+        nn = np.outer(two.n_outer, two.n_outer)
+        want = lam._mix(np.array((two.inner.tensor(L1, L2), L2)), 0.6, np.kron(I2, nn))
+        assert two.tensor(L1, L2).tobytes() == want.tobytes()
+        h = rng.uniform(0.3, 4.0)
+        want = lam._mix(np.array((two.inner.sigma_star(h), h * I2)), 0.6, nn)
+        assert two.sigma_star(h).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("f", [-0.1, 1.5, np.nan])
 def test_volume_fraction_outside_0_1_raises(f):
     """Every entry point that takes a volume fraction rejects one outside

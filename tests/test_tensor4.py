@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from thermoex import tensor4
 from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, E11, E22, KTensor,
                               phi, psi, cof2, det2, inv2, spd_sqrt_2x2, kt_to_block,
                               kt_from_block, kt_mul, kt_transpose, kt_inverse,
@@ -416,3 +417,55 @@ def test_stacked_ktensor_ops(rng):
     assert np.ndim(a.norm()) == 0
     t = kt_transpose(stack)
     assert np.array_equal(t.X[2], kt_transpose(ks[2]).X)
+
+
+def _with_zeros(rng, shape):
+    """Complex normal draws with about a third of the real and imaginary
+    parts set to +0.0 or -0.0."""
+    out = np.empty(shape, complex)
+    for part in ("real", "imag"):
+        x = rng.standard_normal(shape)
+        zero = np.copysign(0.0, rng.standard_normal(shape))
+        setattr(out, part, np.where(rng.random(shape) < 0.3, zero, x))
+    return out
+
+
+def _same(a, b):
+    return a.X.tobytes() == b.X.tobytes() and a.Y.tobytes() == b.Y.tobytes()
+
+
+def test_block_conversion_of_one_operator_is_pinned(rng):
+    """One operator converts by the bytes of one matrix-vector product with
+    the constant map, and back by its transpose, signed zeros included."""
+    for _ in range(500):
+        k = KTensor(_with_zeros(rng, (2, 2)), _with_zeros(rng, (2, 2)))
+        v = np.concatenate((k.X.ravel(), k.Y.ravel())).view(float)
+        B = kt_to_block(k)
+        assert B.tobytes() == (tensor4._TO_BLOCK @ v).reshape(4, 4).tobytes()
+        z = ((tensor4._TO_BLOCK.T @ B.ravel()) / 2.0).view(complex)
+        assert _same(kt_from_block(B), KTensor(z[:4].reshape(2, 2), z[4:].reshape(2, 2)))
+
+
+def test_stacked_conversions_and_products_match_single(rng):
+    """Stacks convert and multiply entry by entry with the bytes of single
+    operators; X and Y broadcast against each other, as do the factors."""
+    n = 9
+    X, Y = _with_zeros(rng, (n, 2, 2)), _with_zeros(rng, (n, 2, 2))
+    other = KTensor(_with_zeros(rng, (n, 2, 2)), _with_zeros(rng, (n, 2, 2)))
+    one = rand_kt(rng)
+    for k, entry in ((KTensor(X, Y), lambda i: KTensor(X[i], Y[i])),
+                     (KTensor(X[0], Y), lambda i: KTensor(X[0], Y[i])),
+                     (KTensor(X, Y[0]), lambda i: KTensor(X[i], Y[0]))):
+        B, prod, left = kt_to_block(k), kt_mul(k, other), kt_mul(one, k)
+        back = kt_from_block(B)
+        assert B.shape == (n, 4, 4) and prod.X.shape == left.Y.shape == (n, 2, 2)
+        for i in range(n):
+            ki, oi = entry(i), KTensor(other.X[i], other.Y[i])
+            assert B[i].tobytes() == kt_to_block(ki).tobytes()
+            assert _same(KTensor(back.X[i], back.Y[i]), kt_from_block(B[i]))
+            assert _same(KTensor(prod.X[i], prod.Y[i]), kt_mul(ki, oi))
+            assert _same(KTensor(left.X[i], left.Y[i]), kt_mul(one, ki))
+    empty = KTensor(np.zeros((0, 2, 2), complex), np.zeros((0, 2, 2), complex))
+    assert kt_to_block(empty).shape == (0, 4, 4)
+    assert kt_from_block(np.zeros((0, 4, 4))).Y.shape == (0, 2, 2)
+    assert kt_mul(empty, one).X.shape == kt_mul(one, empty).Y.shape == (0, 2, 2)

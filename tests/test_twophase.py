@@ -234,6 +234,26 @@ def test_root_pairing_invariance():
     assert rel_err(L, Lp) < 1e-10
 
 
+@pytest.mark.parametrize("micro", [
+    RankOneModel(0.3, (0.6, 0.8)),
+    IteratedRank2Model(0.4, (1.0, 0.3), 0.7, (0.2, 1.0))])
+def test_1aii_with_equal_couplings(micro):
+    """r1 = r2 gives rho = 0, where the decoupling roots are 0 and inf: the
+    1aii tensor is the laminate's, whichever contrast eigenvalue is 1."""
+    v = np.array([0.6, -0.8])
+    pairs = [(I2, np.diag([1.0, 2.0])),       # lam2 = 1
+             (I2, np.diag([1.0, 0.5])),       # lam1 = 1
+             (SIG0, SIG0 + 0.7 * np.outer(v, v)),
+             (SIG0, SIG0 - 0.4 * np.outer(v, v))]
+    for s1, s2 in pairs:
+        pair = tp.IsoPhasePair(tp.IsoPhase(s1, 0.1), tp.IsoPhase(s2, 0.1),
+                               micro.phase1_fraction, micro)
+        res = tp.effective(pair)
+        assert res.case.tag == "1aii" and res.metadata["a0"] == 0.0
+        ref = micro.tensor(pair.phase1.tensor(), pair.phase2.tensor())
+        assert rel_err(res.Lstar, ref) < 1e-9, (s1, s2)
+
+
 def test_classifier_matches_discriminant():
     """The weak/strong split coincides with the sign of the decoupling
     quadratic's discriminant on a parameter grid."""
