@@ -6,25 +6,28 @@ a complex-span basis W of symmetric 2x2 matrices (the Y part).  The
 multiplications are steered by the isotropic operators K(0, z*I); a
 subspace is closed under them exactly when
 
-    Y^2 + X X^T in W   and   Y X + X Y^H in V   for all X in V, Y in W.
+    Y^2 + X X^T in W   and   Y X + X Y^H in V   for all X in V, Y in W,
+
+i.e. when K K(0, I) K = (Y X + X Y^H, Y^2 + X X^T) stays in it for K in it.
 
 The module provides randomized checkers for this closure condition, for
 the subalgebra/ideal/square tables, for 3- and 4-chain properties, and
 the search for the inversion key of each entry.  Randomized checks draw
 coefficients uniformly from [-1, 1] with a fixed default seed.
-Each audit draws its trials as one coefficient block and evaluates one stack;
-operator products (kt_mul) are real 4x4 block products, one matmul per stack.
+The audits run on real 4x4 block forms: trials drawn as one coefficient block,
+products by matmul on block stacks, distances in the coordinates of _sym4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from operator import matmul
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, Z0, Z0SYM, E11, E22, KTensor, kt_mul,
-                      jordan_star, psi)
+from .tensor4 import (I2, RPERP, Z0, Z0SYM, E11, E22, KTensor, as_block,
+                      jordan_star, kt_from_block, kt_to_block, psi)
 
 __all__ = [
     "AlgebraSpec", "CheckReport", "catalog", "algebra_by_id",
@@ -50,26 +53,20 @@ KEY_ZERO = np.zeros((2, 2))
 KEY_E11 = E11 / 2.0
 KEY_E22 = E22 / 2.0
 KEY_HALF_I = I2 / 2.0
+_CONJ = np.kron(I2, PSI1)       # K(0, I): u -> conj(u), steers the closure audit
+
+# Isometric coordinates of a symmetric 4x4 for the trace inner product: the
+# diagonal, then sqrt(2) times each entry above it, as flat indices and
+# scales; _UNSYM4 puts the unscaled coordinates back at all 16 entries.
+_SYM4 = np.array([0, 5, 10, 15, 1, 2, 3, 6, 7, 11])
+_SYM4_SCALE = np.array([1.0] * 4 + [np.sqrt(2)] * 6)
+_UNSYM4 = np.array([0, 4, 5, 6, 4, 1, 7, 8, 5, 7, 2, 9, 6, 8, 9, 3])
 
 
-def _vec_herm(X):
-    """Isometric real coordinates of a Hermitian 2x2 (or a stack of them)."""
-    return np.stack([X[..., 0, 0].real, X[..., 1, 1].real,
-                     np.sqrt(2) * X[..., 0, 1].real,
-                     np.sqrt(2) * X[..., 0, 1].imag], axis=-1)
-
-
-def _vec_sym(Y):
-    """Isometric real coordinates of a complex symmetric 2x2 (or a stack)."""
-    return np.stack([Y[..., 0, 0].real, Y[..., 1, 1].real,
-                     np.sqrt(2) * Y[..., 0, 1].real, Y[..., 0, 0].imag,
-                     Y[..., 1, 1].imag, np.sqrt(2) * Y[..., 0, 1].imag], axis=-1)
-
-
-def _kt_vec(k):
-    """Real 10-coordinates of an operator, isometric for the trace inner
-    product of the 4x4 block forms."""
-    return np.sqrt(2) * np.concatenate([_vec_herm(k.X), _vec_sym(k.Y)], axis=-1)
+def _sym4(B):
+    """Coordinates of (..., 4, 4) symmetric blocks, by one take on the flat
+    blocks: C-contiguous, so a stack meets the projector rounded as one block."""
+    return B.reshape(B.shape[:-2] + (16,)).take(_SYM4, -1) * _SYM4_SCALE
 
 
 def _norm(v):
@@ -79,14 +76,6 @@ def _norm(v):
 
 def _defect(P, v):
     return _norm(v - (P @ v[..., None])[..., 0])
-
-
-def _proj_from_columns(cols, dim):
-    if not cols:
-        return np.zeros((dim, dim))
-    B = np.stack(cols, axis=1)
-    Q, _ = np.linalg.qr(B)
-    return Q @ Q.T
 
 
 @dataclass(frozen=True)
@@ -112,86 +101,63 @@ class AlgebraSpec:
             ks.append(KTensor(zero, 1j * np.asarray(w)))
         return ks
 
-    # -- projectors (cached) ----------------------------------------
+    @cached_property
+    def basis_blocks(self):
+        """(n_coeffs, 4, 4) block forms of :meth:`k_basis`, in coefficient
+        order: K(v, 0) per V element, then K(0, w) and K(0, i w) per W element."""
+        return np.array([kt_to_block(k) for k in self.k_basis()]).reshape(-1, 4, 4)
+
     @cached_property
     def _proj(self):
-        return _proj_from_columns([_kt_vec(k) for k in self.k_basis()], 10)
-
-    @cached_property
-    def _proj_v(self):
-        return _proj_from_columns([_vec_herm(v) for v in self.v_basis], 4)
-
-    @cached_property
-    def _proj_w(self):
-        cols = []
-        for w in self.w_basis:
-            cols.append(_vec_sym(w))
-            cols.append(_vec_sym(1j * np.asarray(w)))
-        return _proj_from_columns(cols, 6)
+        """Orthogonal projector onto the subspace in :func:`_sym4` coordinates."""
+        Q, _ = np.linalg.qr(_sym4(self.basis_blocks).T)
+        return Q @ Q.T
 
     # -- membership --------------------------------------------------
     def project(self, k):
-        """Orthogonal projection onto the subspace (trace inner product)."""
-        v = self._proj @ _kt_vec(k) / np.sqrt(2)
-        X = np.array([[v[0], (v[2] + 1j * v[3]) / np.sqrt(2)],
-                      [(v[2] - 1j * v[3]) / np.sqrt(2), v[1]]])
-        w = v[4:]
-        Y = np.array([[w[0] + 1j * w[3], (w[2] + 1j * w[5]) / np.sqrt(2)],
-                      [(w[2] + 1j * w[5]) / np.sqrt(2), w[1] + 1j * w[4]]])
-        return KTensor(X, Y)
+        """Orthogonal projection onto the subspace (trace inner product) of an
+        operator or of blocks, as an operator."""
+        v = _sym4(as_block(k)) @ self._proj / _SYM4_SCALE
+        return kt_from_block(v.take(_UNSYM4, -1).reshape(v.shape[:-1] + (4, 4)))
 
     def residual(self, k):
-        """Distance to the subspace relative to 1 + |k|, per stack entry."""
-        v = _kt_vec(k)
+        """Distance to the subspace relative to 1 + |k|, per stack entry, of
+        an operator or of (..., 4, 4) blocks."""
+        v = _sym4(as_block(k))
         return _defect(self._proj, v) / (1.0 + _norm(v))
-
-    def v_defect(self, X):
-        """Absolute distance of a Hermitian matrix from V."""
-        return _defect(self._proj_v, _vec_herm(X))
-
-    def w_defect(self, Y):
-        """Absolute distance of a symmetric matrix from W."""
-        return _defect(self._proj_w, _vec_sym(Y))
 
     def contains(self, k, tol=1e-10):
         return self.residual(k) <= tol
 
     # -- sampling ------------------------------------------------------
     # A coefficient row holds the V coefficients, then (re, im) per W
-    # element: the order of single scalar draws.
+    # element: the order of single scalar draws and of basis_blocks.
     @property
     def _n_coeffs(self):
         """Real coefficients one sample draws."""
         return len(self.v_basis) + 2 * len(self.w_basis)
 
-    @cached_property
-    def _bases(self):
-        return tuple(np.array(b, complex).reshape(-1, 2, 2)
-                     for b in (self.v_basis, self.w_basis))
-
     def _from_coeffs(self, c):
-        """Element with coefficient rows ``c`` of shape (..., _n_coeffs)."""
+        """Blocks of the elements with coefficient rows ``c`` (..., _n_coeffs).
+        The V terms and the W terms are each added in basis order, then the two
+        sums.  That rounds like the (X, Y) sum of scalar draws: a block entry is
+        one X plus one Y coordinate, and W basis entries are real or imaginary,
+        so each term rounds once.  ``+ 0.0`` clears signed zeros."""
         nv = len(self.v_basis)
-        bv, bw = self._bases
-        return KTensor(_combine(c[..., :nv], bv),
-                       _combine(c[..., nv::2] + 1j * c[..., nv + 1::2], bw))
+        terms = c[..., None, None] * self.basis_blocks
+        return (np.add.reduce(terms[..., :nv, :, :], -3)
+                + np.add.reduce(terms[..., nv:, :, :], -3) + 0.0)
+
+    def sample_block(self, rng, scale=1.0):
+        """Block of a random element, coefficients uniform in [-scale, scale]."""
+        return self._from_coeffs(rng.uniform(-scale, scale, self._n_coeffs))
 
     def sample(self, rng, scale=1.0):
-        """Random element with coefficients uniform in [-scale, scale]."""
-        return self._from_coeffs(rng.uniform(-scale, scale, self._n_coeffs))
+        """:meth:`sample_block` as an operator."""
+        return kt_from_block(self.sample_block(rng, scale))
 
     def __hash__(self):
         return hash((self.ident, self.name))
-
-
-def _combine(c, basis):
-    """sum_i c[..., i] basis[i], added from zero in basis order, so a stack
-    rounds exactly like single samples."""
-    terms = c[..., None, None] * basis
-    out = np.zeros(c.shape[:-1] + (2, 2), complex)
-    for i in range(len(basis)):
-        out = out + terms[..., i, :, :]
-    return out
 
 
 def _spec(ident, name, v, w):
@@ -225,6 +191,8 @@ _CATALOG = (
     _spec(22, "(Sym(C2),0)", (), (E1SYM, E2SYM, PSII)),
     _spec(23, "Sym(T)", (I2, PSI1, PSII, IRP), (E1SYM, E2SYM, PSII)),
 )
+
+_STEER = _CATALOG[2]      # (CI,0): the steering operators K(0, z*I)
 
 # concrete non-catalog representatives referenced by the subalgebra table
 EXTRA_SUBALGEBRAS = {
@@ -291,15 +259,14 @@ class CheckReport:
                 "pass": self.passed}
 
 
-def _draws(seed, trials, specs, n_a0=0):
-    """A stacked sample of each spec, then ``n_a0`` stacked steering
-    operators, split from one (trials, n) block; row t holds the draws of
-    trial t in the order of a loop over single draws."""
-    widths = [s._n_coeffs for s in specs] + [2] * n_a0
+def _draws(seed, trials, specs):
+    """A block stack of samples of each spec, split from one (trials, n)
+    block of draws; row t holds the draws of trial t in the order of a loop
+    over single draws."""
+    widths = [s._n_coeffs for s in specs]
     block = np.random.default_rng(seed).uniform(-1.0, 1.0, (trials, sum(widths)))
     parts = np.split(block, np.cumsum(widths)[:-1], axis=1)
-    return ([s._from_coeffs(c) for s, c in zip(specs, parts)]
-            + [_a0(c) for c in parts[len(specs):]])
+    return [s._from_coeffs(c) for s, c in zip(specs, parts)]
 
 
 def _report(ident, check, r, tol, ok=True):
@@ -309,41 +276,27 @@ def _report(ident, check, r, tol, ok=True):
 
 
 def check_closure(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
-    """Randomized closure audit of one catalog entry.
-
-    Residuals are scaled by 1 + max entry squared, matching the quadratic
-    growth of the products.
-    """
+    """Randomized closure audit of one catalog entry: the residual of
+    K K(0, I) K, whose (X, Y) is (Y X + X Y^H, Y^2 + X X^T)."""
     k, = _draws(seed + spec.ident, trials, [spec])
-    X, Y = k.X, k.Y
-    big = np.maximum(np.abs(X).max(axis=(-2, -1)), np.abs(Y).max(axis=(-2, -1)))
-    s = 1.0 + np.maximum(big, 1.0) ** 2
-    wy = Y @ Y + X @ np.swapaxes(X, -1, -2)
-    vx = Y @ X + X @ np.swapaxes(Y.conj(), -1, -2)
-    r = np.maximum(spec.w_defect(wy) / s, spec.v_defect(vx) / s)
-    return _report(spec.ident, "closure", r, tol)
-
-
-def _a0(c):
-    z = c[..., 0] + 1j * c[..., 1]
-    return KTensor(np.zeros(z.shape + (2, 2)), z[..., None, None] * I2)
+    return _report(spec.ident, "closure", spec.residual(k @ _CONJ @ k), tol)
 
 
 def sample_a0(rng, scale=1.0):
     """Random steering operator K(0, z*I)."""
-    return _a0(rng.uniform(-scale, scale, 2))
+    return _STEER.sample(rng, scale)
 
 
 def is_subalgebra(sub, spec, tol=1e-10):
     """Spanwise containment of ``sub`` in ``spec``: its basis as one stack."""
-    XY = np.reshape([(k.X, k.Y) for k in sub.k_basis()], (-1, 2, 2, 2))
-    return bool((spec.residual(KTensor(XY[:, 0], XY[:, 1])) <= tol).all())
+    return bool((spec.residual(sub.basis_blocks) <= tol).all())
 
 
 def check_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Randomized ideal audit: ``ideal`` is a subalgebra of ``spec`` and
     ideal-by-algebra products land in the ideal."""
-    j, k, a = _draws(seed + 131 * spec.ident + ideal.ident, trials, [ideal, spec], 1)
+    j, k, a = _draws(seed + 131 * spec.ident + ideal.ident, trials,
+                     [ideal, spec, _STEER])
     return _report(spec.ident, f"ideal:{ideal.ident}",
                    ideal.residual(jordan_star(j, a, k)), tol,
                    is_subalgebra(ideal, spec, tol))
@@ -356,7 +309,7 @@ def is_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
 
 def check_square(spec, target, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Steered products of ``spec`` elements land in ``target``."""
-    k1, k2, a = _draws(seed + 977 * spec.ident, trials, [spec, spec], 1)
+    k1, k2, a = _draws(seed + 977 * spec.ident, trials, [spec, spec, _STEER])
     return _report(spec.ident, f"square->{target.ident}",
                    target.residual(jordan_star(k1, a, k2)), tol)
 
@@ -377,9 +330,9 @@ def key_condition_residual(spec, key, trials=200, seed=DEFAULT_SEED):
     This is the defining condition for an inversion key; key = I/2 makes
     the middle factor vanish and holds trivially.
     """
-    mid = KTensor(I2 - 2.0 * np.asarray(key, float), np.zeros((2, 2)))
+    mid = np.kron(I2 - 2.0 * np.asarray(key, float), I2)     # K(I - 2 key, 0)
     k, = _draws(seed + 7919 * spec.ident, trials, [spec])
-    return float(np.max(spec.residual(kt_mul(kt_mul(k, mid), k)), initial=0.0))
+    return float(np.max(spec.residual(k @ mid @ k), initial=0.0))
 
 
 def find_inversion_key(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
@@ -401,7 +354,7 @@ def key_name(key):
 
 def _chain(*factors):
     """Chain product f1 f2 ... fn + fn ... f2 f1, multiplied left to right."""
-    return reduce(kt_mul, factors) + reduce(kt_mul, reversed(factors))
+    return reduce(matmul, factors) + reduce(matmul, reversed(factors))
 
 
 def check_chain(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10, target=None):
@@ -412,7 +365,7 @@ def check_chain(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10, target=None):
     """
     tgt = target if target is not None else spec
     k0, k1, k2, k3, a0, a1, a2 = _draws(seed + 4513 * spec.ident, trials,
-                                        [spec] * 4, 3)
+                                        [spec] * 4 + [_STEER] * 3)
     c3 = _chain(k0, a0, k1, a1, k2)
     c4 = _chain(k0, a0, k1, a1, k2, a2, k3)
     name = "chain" if target is None else f"chain->{tgt.ident}"
@@ -423,7 +376,7 @@ def check_chain(spec, trials=200, seed=DEFAULT_SEED, tol=1e-10, target=None):
 def check_chain_ideal(ideal, spec, trials=200, seed=DEFAULT_SEED, tol=1e-10):
     """Ideal version: chains with one factor in the ideal stay in it."""
     j, k0, k1, k2, a0, a1, a2 = _draws(seed + 6007 * spec.ident + ideal.ident,
-                                       trials, [ideal] + [spec] * 3, 3)
+                                       trials, [ideal] + [spec] * 3 + [_STEER] * 3)
     c3 = _chain(j, a0, k0, a1, k1)
     c4 = _chain(j, a0, k0, a1, k1, a2, k2)
     return _report(spec.ident, f"chain-ideal:{ideal.ident}",
@@ -522,7 +475,7 @@ def apply_automorphism(desc, k):
 def automorphism_defect(phi_map, spec, trials=200, seed=DEFAULT_SEED):
     """Worst defect of phi(K a K) - phi(K) a phi(K) over random draws;
     ``phi_map`` must map a stack of operators entry by entry."""
-    k, a = _draws(seed + 271 * spec.ident, trials, [spec], 1)
+    k, a = map(kt_from_block, _draws(seed + 271 * spec.ident, trials, [spec, _STEER]))
     lhs = phi_map(jordan_star(k, a, k))
     rhs = jordan_star(phi_map(k), a, phi_map(k))
     return float(np.max((lhs - rhs).norm() / (1.0 + k.norm() ** 2), initial=0.0))

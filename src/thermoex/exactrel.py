@@ -21,9 +21,10 @@ import numpy as np
 from .algebra import (DEFAULT_SEED, KEY_HALF_I, KEY_ZERO, AlgebraSpec,
                       algebra_by_id)
 # gamma0 is layer geometry from tensor4, re-exported here
-from .tensor4 import (I2, I4, RPERP, T4, DomainError, KTensor, block_is_pd,
-                      block_parts, cof2, congruence, det2, gamma0, inv2,
-                      kt_from_block, kt_to_block, pd2, resolvent, spd_sqrt_2x2)
+from .tensor4 import (I2, I4, RPERP, T4, DomainError, KTensor, as_block,
+                      block_is_pd, block_parts, cof2, congruence, det2, gamma0,
+                      inv2, kt_from_block, kt_to_block, pd2, resolvent,
+                      spd_sqrt_2x2)
 
 __all__ = [
     "ER_IDS", "ERSpec", "er_spec", "gamma0", "w_transform",
@@ -38,37 +39,15 @@ IRP4 = np.kron(I2, RPERP)            # I (x) Rperp
 
 @dataclass(frozen=True)
 class ERSpec:
-    """One exact relation: its subspace algebra, inversion key, key block,
-    and the cached 4x4 block images of the subspace basis.
-
-    ``basis_blocks`` holds ``kt_to_block`` of ``algebra.k_basis()``, in
-    coefficient order: K(v, 0) per V element, then K(0, w) and K(0, i w)
-    per W element.  :meth:`sample_block` draws from them the block of
-    ``algebra.sample`` byte for byte, without the (X, Y) round trip.
-    """
+    """One exact relation: its subspace algebra, inversion key and key block."""
     ident: int
     algebra: AlgebraSpec
     key: np.ndarray
     key_block: np.ndarray     # M = K(key, 0) as a 4x4 block
-    basis_blocks: np.ndarray  # (n_coeffs, 4, 4)
 
     @property
     def name(self):
         return self.algebra.name
-
-    def sample_block(self, rng, scale=1.0):
-        """``kt_to_block(self.algebra.sample(rng, scale))``, byte for byte,
-        from the same draws.  The coefficient row scales ``basis_blocks`` in
-        one product; the V terms and the W terms are each added in basis
-        order (a reduction over the first axis), then the two sums.  That
-        rounds like the (X, Y) sample: every block entry is one X coordinate
-        plus one Y coordinate, and every W basis entry is real or imaginary,
-        so each term rounds once, as in the complex product.  ``+ 0.0``
-        clears signed zeros."""
-        blocks = self.basis_blocks
-        nv = len(self.algebra.v_basis)
-        terms = rng.uniform(-scale, scale, len(blocks))[:, None, None] * blocks
-        return np.add.reduce(terms[:nv]) + np.add.reduce(terms[nv:]) + 0.0
 
 
 def _relation(ident):
@@ -81,8 +60,7 @@ def _relation(ident):
 def er_spec(ident):
     key = _relation(ident)[0]
     alg = algebra_by_id(ident)
-    return ERSpec(ident, alg, key, kt_to_block(KTensor(key, np.zeros((2, 2)))),
-                  np.array([kt_to_block(k) for k in alg.k_basis()]))
+    return ERSpec(ident, alg, key, kt_to_block(KTensor(key, np.zeros((2, 2)))))
 
 
 def w_transform(L, M):
@@ -97,7 +75,7 @@ def w_transform(L, M):
 
 def w_inverse(k, M):
     """Inverse of :func:`w_transform`: L = I + W (I - M W)^-1."""
-    W = kt_to_block(k) if isinstance(k, KTensor) else np.asarray(k, float)
+    W = as_block(k)
     return I4 + (resolvent(W, -M) if M.any() else W)     # resolvent(W, 0) is W
 
 
@@ -228,8 +206,7 @@ def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
     Draws a subspace element of the requested coefficient scale and maps
     it through the inverse transform, shrinking the scale until the image
     is positive definite (at most 100 attempts).  The element is drawn as a
-    4x4 block from the cached basis images (:meth:`ERSpec.sample_block`),
-    bit-identical to the block of ``AlgebraSpec.sample`` on the same rng.
+    4x4 block from the cached basis blocks (:meth:`AlgebraSpec.sample_block`).
     """
     spec = er_spec(ident)
     if rng is None:
@@ -238,7 +215,7 @@ def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
     if s == 0.0:
         return I4.copy()
     for _ in range(100):
-        L = w_inverse(spec.sample_block(rng, s), spec.key_block)
+        L = w_inverse(spec.algebra.sample_block(rng, s), spec.key_block)
         if block_is_pd(L, tol=1e-10):
             return (L + L.T) / 2.0
         s *= 0.7

@@ -144,6 +144,12 @@ class LinkMap:
     def __call__(self, L):
         return psi_apply(self, L)
 
+    def __eq__(self, other):    # by the canonical entries, not the arrays
+        return isinstance(other, LinkMap) and (self._a, self._b) == (other._a, other._b)
+
+    def __hash__(self):
+        return hash((*self._a, *self._b))
+
 
 def _from_entries(a, b):
     """Map of a product or inverse of canonical pairs.  Its determinants are

@@ -27,7 +27,7 @@ import numpy as np
 __all__ = [
     "DomainError", "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "E11", "E22",
     "KTensor", "phi", "psi", "cof2", "kron2", "inv2", "det2", "pd2",
-    "check_spd2", "spd_sqrt_rows", "spd_sqrt_2x2",
+    "check_spd2", "spd_sqrt_rows", "spd_sqrt_2x2", "as_block",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "congruence", "block_parts", "block_from_parts",
     "check_block", "is_positive_definite", "block_is_pd", "resolvent", "mobius",
@@ -224,6 +224,11 @@ def kt_from_block(B):
     return KTensor(z[..., 0, :, :], z[..., 1, :, :])
 
 
+def as_block(k):
+    """Block form of an operator or a stack; real (..., 4, 4) blocks pass."""
+    return kt_to_block(k) if isinstance(k, KTensor) else np.asarray(k, dtype=float)
+
+
 def kt_mul(a, b):
     """Operator product, computed as the 4x4 matrix product of the block forms."""
     return kt_from_block(kt_to_block(a) @ kt_to_block(b))
@@ -360,7 +365,6 @@ def gamma0(n):
 
 
 def jordan_star(k1, a, k2):
-    """Jordan product (k1 a k2 + k2 a k1) / 2 steered by the operator ``a``."""
-    p = kt_mul(kt_mul(k1, a), k2)
-    q = kt_mul(kt_mul(k2, a), k1)
-    return 0.5 * (p + q)
+    """Jordan product (k1 a k2 + k2 a k1) / 2 steered by ``a``, of operators
+    or of (..., 4, 4) block forms: ``@`` is the operator product of both."""
+    return 0.5 * (k1 @ a @ k2 + k2 @ a @ k1)

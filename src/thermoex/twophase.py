@@ -65,6 +65,13 @@ class IsoPhase:
     def tensor(self):
         return kron2(self.sig, I2) + self.r * T4
 
+    def __eq__(self, other):    # by the float entries, not the array sig
+        return (isinstance(other, IsoPhase)
+                and (self.abd, self.r) == (other.abd, other.r))
+
+    def __hash__(self):
+        return hash((self.abd, self.r))
+
 
 @dataclass(frozen=True)
 class IsoPhasePair:

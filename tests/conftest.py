@@ -57,3 +57,16 @@ def random_tree(rng, m, leaves):
 def rel_err(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return np.abs(a - b).max() / (1.0 + max(np.abs(a).max(), np.abs(b).max()))
+
+
+def scalar_sample(spec, rng, scale=1.0):
+    """(X, Y) of a catalog element from one scalar draw per coefficient: the V
+    coefficients, then (re, im) per W element, each added from zero in basis
+    order.  The reference of the algebra samplers."""
+    X = np.zeros((2, 2), complex)
+    for v in spec.v_basis:
+        X = X + rng.uniform(-scale, scale) * v
+    Y = np.zeros((2, 2), complex)
+    for w in spec.w_basis:
+        Y = Y + (rng.uniform(-scale, scale) + 1j * rng.uniform(-scale, scale)) * w
+    return KTensor(X, Y)

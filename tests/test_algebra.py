@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from thermoex import algebra as alg
-from thermoex.tensor4 import I2, KTensor, Z0, Z0SYM, kt_mul, kt_to_block
-from conftest import rand_kt
+from thermoex.tensor4 import (I2, KTensor, Z0, Z0SYM, jordan_star, kt_mul,
+                              kt_to_block)
+from conftest import rand_kt, scalar_sample
 
 EXPECTED_DIMS = {
     1: (0, 0), 2: (0, 1), 3: (1, 0), 4: (1, 1), 5: (1, 1), 6: (1, 1),
@@ -77,7 +78,8 @@ def test_closure_specifics(rng):
     assert np.abs(X.T @ X).max() < 1e-12
     # entry 3: squares of z*I stay in C*I
     z = 1.2 - 0.3j
-    assert alg.algebra_by_id(3).w_defect((z * I2) @ (z * I2)) < 1e-14
+    zero = np.zeros((2, 2))
+    assert alg.algebra_by_id(3).residual(KTensor(zero, (z * I2) @ (z * I2))) < 1e-14
 
 
 def test_closure_negative_control():
@@ -275,57 +277,63 @@ def test_orbit_variants():
 
 # -- stacked audits against per-trial loops --------------------------------
 # The audits draw all trials as one coefficient block and evaluate them as
-# one stack.  The references below redo each audit the unstacked way: one
-# trial at a time, single-operator products, and the residual as the norm
-# of one coordinate vector, np.linalg.norm(v - P @ v).
+# one stack of 4x4 blocks.  The references below redo each audit the
+# unstacked way: one trial at a time from scalar draws, single-block
+# products, and the residual as the norm of one coordinate vector,
+# np.linalg.norm(v - P @ v).
 
-def _ref_defect(P, v):
-    return float(np.linalg.norm(v - P @ v))
+STEER = alg.algebra_by_id(3)                     # the K(0, z I)
+CONJ = kt_to_block(KTensor(np.zeros((2, 2)), I2))  # K(0, I)
 
 
-def _ref_residual(spec, k):
-    v = alg._kt_vec(k)
-    return _ref_defect(spec._proj, v) / (1.0 + float(np.linalg.norm(v)))
+def _ref_draw(spec, rng):
+    return kt_to_block(scalar_sample(spec, rng))
+
+
+def _ref_residual(spec, B):
+    v = alg._sym4(B)
+    return float(np.linalg.norm(v - spec._proj @ v)) / (1.0 + float(np.linalg.norm(v)))
 
 
 def _ref_chain(*factors):
     fwd, bwd = factors[0], factors[-1]
     for f in factors[1:]:
-        fwd = kt_mul(fwd, f)
+        fwd = fwd @ f
     for f in factors[-2::-1]:
-        bwd = kt_mul(bwd, f)
+        bwd = bwd @ f
     return fwd + bwd
 
 
 def _ref_jordan(k1, a, k2):
-    return 0.5 * (kt_mul(kt_mul(k1, a), k2) + kt_mul(kt_mul(k2, a), k1))
+    return 0.5 * ((k1 @ a) @ k2 + (k2 @ a) @ k1)
 
 
 REF_TRIALS = 50
 
 
 def test_sample_matches_scalar_draws():
+    eps = np.finfo(float).eps
     for spec in list(alg.catalog()) + list(alg.EXTRA_SUBALGEBRAS.values()):
         for scale in (1.0, 0.7):
-            # one scalar draw per coefficient: V coefficients, then (re, im) per W
             r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
-            X = np.zeros((2, 2), complex)
-            for v in spec.v_basis:
-                X = X + r1.uniform(-scale, scale) * v
-            Y = np.zeros((2, 2), complex)
-            for w in spec.w_basis:
-                Y = Y + (r1.uniform(-scale, scale) + 1j * r1.uniform(-scale, scale)) * w
-            k = spec.sample(r2, scale)
-            assert k.X.tobytes() == X.tobytes() and k.Y.tobytes() == Y.tobytes()
+            want = scalar_sample(spec, r1, scale)
+            assert spec.sample_block(r2, scale).tobytes() == kt_to_block(want).tobytes()
             assert r1.uniform() == r2.uniform()      # same number of draws
+            r1, r2 = np.random.default_rng(11), np.random.default_rng(11)
+            k = spec.sample(r1, scale)
+            assert (k - scalar_sample(spec, r2, scale)).norm() <= 4 * eps * scale
+            assert r1.uniform() == r2.uniform()
         # an audit's stacked draws equal a loop of single draws, trial by trial
-        ks = alg._draws(7, 6, [spec, spec], 1)
+        ks = alg._draws(7, 6, [spec, spec, STEER])
         rng = np.random.default_rng(7)
         for t in range(6):
-            for got, want in zip(ks, (spec.sample(rng), spec.sample(rng),
-                                      alg.sample_a0(rng))):
-                assert got.X[t].tobytes() == want.X.tobytes()
-                assert got.Y[t].tobytes() == want.Y.tobytes()
+            for got, s in zip(ks, (spec, spec, STEER)):
+                assert got[t].tobytes() == _ref_draw(s, rng).tobytes()
+    # sample_a0 draws the steering operator K(0, z I) of one scalar pair
+    r1, r2 = np.random.default_rng(3), np.random.default_rng(3)
+    z = complex(*r2.uniform(-1.0, 1.0, 2))
+    a0 = alg.sample_a0(r1)
+    assert np.array_equal(a0.X, np.zeros((2, 2))) and np.array_equal(a0.Y, z * I2)
 
 
 def test_check_chain_matches_trial_loop():
@@ -334,8 +342,8 @@ def test_check_chain_matches_trial_loop():
         rng = np.random.default_rng(alg.DEFAULT_SEED + 4513 * ident)
         worst = 0.0
         for _ in range(REF_TRIALS):
-            k = [spec.sample(rng) for _ in range(4)]
-            a = [alg.sample_a0(rng) for _ in range(3)]
+            k = [_ref_draw(spec, rng) for _ in range(4)]
+            a = [_ref_draw(STEER, rng) for _ in range(3)]
             c3 = _ref_chain(k[0], a[0], k[1], a[1], k[2])
             c4 = _ref_chain(k[0], a[0], k[1], a[1], k[2], a[2], k[3])
             worst = max(worst, _ref_residual(spec, c3), _ref_residual(spec, c4))
@@ -349,14 +357,47 @@ def test_check_closure_matches_trial_loop():
         rng = np.random.default_rng(alg.DEFAULT_SEED + ident)
         worst = 0.0
         for _ in range(REF_TRIALS):
-            k = spec.sample(rng)
-            X, Y = k.X, k.Y
-            s = 1.0 + max(np.abs(X).max(), np.abs(Y).max(), 1.0) ** 2
-            wy = Y @ Y + X @ X.T
-            vx = Y @ X + X @ Y.conj().T
-            worst = max(worst, _ref_defect(spec._proj_w, alg._vec_sym(wy)) / s,
-                        _ref_defect(spec._proj_v, alg._vec_herm(vx)) / s)
+            k = _ref_draw(spec, rng)
+            worst = max(worst, _ref_residual(spec, (k @ CONJ) @ k))
         assert alg.check_closure(spec, trials=REF_TRIALS).max_residual == worst
+
+
+def _span_distance(basis, M):
+    """Frobenius distance of the complex 2x2 ``M`` from the real span of
+    ``basis``, by least squares on the real and imaginary parts."""
+    m = np.asarray(M, complex).ravel().view(float)
+    if not basis:
+        return float(np.linalg.norm(m))
+    A = np.stack([np.asarray(b, complex).ravel().view(float) for b in basis], 1)
+    return float(np.linalg.norm(m - A @ np.linalg.lstsq(A, m, rcond=None)[0]))
+
+
+def test_closure_matches_xy_reference():
+    """The closure audit measures the paper's (X, Y) condition: the distance
+    of the block K K(0, I) K from the subspace is sqrt(2) times that of
+    (Y X + X Y^H, Y^2 + X X^T) from V (+) W, each part projected by lstsq,
+    to 1e-12 of 1 + |K|^2.  It holds on every entry and on the broken one of
+    the negative control."""
+    bad = alg.AlgebraSpec(5, "broken", (np.array([[0, 1], [1, 0.3]], complex),),
+                          (I2.astype(complex),))
+    worst_bad = 0.0
+    for spec in list(alg.catalog()) + [bad]:
+        rng = np.random.default_rng(alg.DEFAULT_SEED + spec.ident)
+        w_span = list(spec.w_basis) + [1j * w for w in spec.w_basis]
+        for _ in range(REF_TRIALS):
+            k = scalar_sample(spec, rng)
+            X, Y = k.X, k.Y
+            v = _span_distance(spec.v_basis, Y @ X + X @ Y.conj().T)
+            w = _span_distance(w_span, Y @ Y + X @ X.T)
+            K = kt_to_block(k)
+            u = alg._sym4(K @ CONJ @ K)
+            block = float(np.linalg.norm(u - spec._proj @ u))
+            # relative to the quadratic scale of the product, as the audit
+            scale = 1.0 + np.linalg.norm(K) ** 2
+            assert abs(np.sqrt(2) * np.hypot(v, w) - block) <= 1e-12 * scale
+            if spec is bad:
+                worst_bad = max(worst_bad, block)
+    assert worst_bad > 1e-3
 
 
 def test_check_ideal_matches_trial_loop():
@@ -365,12 +406,35 @@ def test_check_ideal_matches_trial_loop():
         rng = np.random.default_rng(alg.DEFAULT_SEED + 131 * a + i)
         worst = 0.0
         for _ in range(REF_TRIALS):
-            j, k, a0 = ideal.sample(rng), spec.sample(rng), alg.sample_a0(rng)
+            j, k, a0 = (_ref_draw(s, rng) for s in (ideal, spec, STEER))
             worst = max(worst, _ref_residual(ideal, _ref_jordan(j, a0, k)))
         rep = alg.check_ideal(ideal, spec, trials=REF_TRIALS)
         assert rep.max_residual == worst and rep.passed
         assert rep.check == f"ideal:{i}" and rep.algebra_id == a
         assert alg.is_ideal(ideal, spec, trials=REF_TRIALS) is True
+
+
+def test_jordan_star_and_residual_take_operators_and_blocks(rng):
+    """jordan_star of operators is the kt_mul form byte for byte, and of
+    blocks the block of it to 4 eps; residual takes either form."""
+    eps = np.finfo(float).eps
+    spec = alg.algebra_by_id(23)
+    n = 40
+    ks = [[rand_kt(rng) for _ in range(n)] for _ in range(3)]
+    k1, a, k2 = (KTensor(np.stack([k.X for k in col]), np.stack([k.Y for k in col]))
+                 for col in ks)
+    for args in [(k1, a, k2)] + [tuple(col[t] for col in ks) for t in range(n)]:
+        star = jordan_star(*args)
+        p, q, r = args
+        ref = 0.5 * (kt_mul(kt_mul(p, q), r) + kt_mul(kt_mul(r, q), p))
+        assert star.X.tobytes() == ref.X.tobytes()
+        assert star.Y.tobytes() == ref.Y.tobytes()
+        B = jordan_star(*map(kt_to_block, args))
+        want = kt_to_block(star)
+        err = np.linalg.norm(B - want, axis=(-2, -1))
+        assert (err <= 4 * eps * np.linalg.norm(want, axis=(-2, -1))).all()
+        assert np.array_equal(spec.residual(star), spec.residual(want))
+        assert np.array_equal(spec.residual(p), spec.residual(kt_to_block(p)))
 
 
 def test_check_ideal_reports_failures():
@@ -386,12 +450,12 @@ def test_key_residual_matches_trial_loop():
     for ident in (8, 10, 15, 23):
         spec = alg.algebra_by_id(ident)
         for _, key in alg._KEY_CANDIDATES:
-            mid = KTensor(I2 - 2.0 * key, np.zeros((2, 2)))
+            mid = kt_to_block(KTensor(I2 - 2.0 * key, np.zeros((2, 2))))
             rng = np.random.default_rng(alg.DEFAULT_SEED + 7919 * ident)
             worst = 0.0
             for _ in range(REF_TRIALS):
-                k = spec.sample(rng)
-                worst = max(worst, _ref_residual(spec, kt_mul(kt_mul(k, mid), k)))
+                k = _ref_draw(spec, rng)
+                worst = max(worst, _ref_residual(spec, (k @ mid) @ k))
             got = alg.key_condition_residual(spec, key, trials=REF_TRIALS)
             assert got == worst, (ident, key)
 

@@ -7,7 +7,7 @@ from thermoex import algebra as alg
 from thermoex import exactrel as er
 from thermoex.tensor4 import (I2, I4, RPERP, T4, DomainError, KTensor,
                               block_parts, block_is_pd, det2, kt_to_block)
-from conftest import rand_spd, rand_pd_block
+from conftest import rand_spd, rand_pd_block, scalar_sample
 
 
 def test_gamma0_pinned():
@@ -174,14 +174,14 @@ def test_sample_draw_order(ident):
 @pytest.mark.parametrize("ident", er.ER_IDS)
 def test_sample_block_equals_block_of_sample(ident):
     """The draw from the cached basis blocks equals the block of the (X, Y)
-    sample byte for byte, signed zeros included, and consumes the same rng
-    draws."""
-    spec = er.er_spec(ident)
+    element of scalar coefficient draws byte for byte, signed zeros included,
+    and consumes the same rng draws."""
+    spec = er.er_spec(ident).algebra
     for seed in range(200):
         a, b = np.random.default_rng([seed, ident]), np.random.default_rng([seed, ident])
         for scale in (0.5, 1.0, 4.0):
             W = spec.sample_block(a, scale)
-            assert W.tobytes() == kt_to_block(spec.algebra.sample(b, scale)).tobytes()
+            assert W.tobytes() == kt_to_block(scalar_sample(spec, b, scale)).tobytes()
         assert a.uniform() == b.uniform()
 
 

@@ -481,6 +481,23 @@ def test_linkmap_is_immutable(rng):
             part[0, 0] = 1.0
 
 
+def test_linkmap_equality_and_hash(rng):
+    """Maps compare and hash by their canonical entries: the same map from
+    projectively equal pairs is equal, also as a dict key or set member."""
+    assert lg.t_translation(0.5) == lg.t_translation(0.5)
+    assert hash(lg.t_translation(0.5)) == hash(lg.t_translation(0.5))
+    assert lg.t_translation(0.5) != lg.t_translation(0.25)
+    assert lg.identity_map() != "identity"
+    for _ in range(20):
+        A, B = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
+        m = lg.LinkMap(A, B)
+        assert lg.LinkMap(2 * A, B) == m and hash(lg.LinkMap(2 * A, B)) == hash(m)
+        assert lg.LinkMap(-A, B) == m
+        assert len({m, lg.LinkMap(4 * A, B), lg.psi_inverse(m)}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lg.t_translation(0.5).b = I2
+
+
 def test_linkmap_zero_entries_are_positive_zero():
     """Feeding |det B| back into A is the product diag(|det B|, 1) @ A, so a
     -0.0 entry of A comes out as +0.0, as from a matrix product."""

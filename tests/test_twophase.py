@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -60,6 +61,15 @@ def test_phase_validation():
     L = ph.tensor()
     assert np.allclose(L, L.T)
     assert np.linalg.eigvalsh(L).min() > 0
+
+
+def test_phase_equality_and_hash():
+    ph = tp.IsoPhase(I2, 0.1)
+    assert ph == tp.IsoPhase(I2, 0.1) and hash(ph) == hash(tp.IsoPhase(I2, 0.1))
+    assert ph != tp.IsoPhase(I2, 0.2) and ph != tp.IsoPhase(2 * I2, 0.1)
+    assert len({ph, tp.IsoPhase(np.eye(2), 0.1)}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ph.r = 0.2
 
 
 def test_reduce(rng):
