@@ -78,7 +78,7 @@ def _defect(P, v):
     return _norm(v - (P @ v[..., None])[..., 0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraSpec:
     """One catalog entry: id, display name, and the two spanning bases."""
 
@@ -155,9 +155,6 @@ class AlgebraSpec:
     def sample(self, rng, scale=1.0):
         """:meth:`sample_block` as an operator."""
         return kt_from_block(self.sample_block(rng, scale))
-
-    def __hash__(self):
-        return hash((self.ident, self.name))
 
 
 def _spec(ident, name, v, w):
@@ -430,7 +427,7 @@ def transform_spec(spec, C, sign=1):
     return AlgebraSpec(spec.ident, spec.name + "~orbit", v, w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomorphismDesc:
     """Per-entry automorphism family.
 

@@ -133,43 +133,24 @@ def _tree(obj):
 def cmd_verify_algebras(args):
     import thermoex.algebra as algebra
     seed = algebra.DEFAULT_SEED if args.seed is None else args.seed
-    reports = []
-    ok = True
+    by_id, trials = algebra.algebra_by_id, args.trials
+    reports = [algebra.check_closure(spec, trials=trials, seed=seed,
+                                     tol=args.tol * 10)
+               for spec in algebra.catalog()]
+    reports += [algebra.CheckReport(i, f"subalgebra:{s}", 0, 0.0,
+                                    algebra.is_subalgebra(by_id(s), by_id(i)))
+                for i, subs in algebra.SUBALGEBRAS.items() for s in subs]
+    reports += [algebra.check_ideal(by_id(s), by_id(i), trials=trials, seed=seed)
+                for i, ideals in algebra.IDEALS.items() for s in ideals]
+    reports += [algebra.check_chain(by_id(i), trials=trials, seed=seed)
+                for i in (8, 9, 13, 17, 20, 21, 22)]
     for spec in algebra.catalog():
-        rep = algebra.check_closure(spec, trials=args.trials, seed=seed,
-                                    tol=args.tol * 10)
-        reports.append(rep.to_json())
-        ok &= rep.passed
-    for ident, subs in algebra.SUBALGEBRAS.items():
-        spec = algebra.algebra_by_id(ident)
-        for s in subs:
-            good = algebra.is_subalgebra(algebra.algebra_by_id(s), spec)
-            reports.append({"algebra_id": ident, "check": f"subalgebra:{s}",
-                            "trials": 0, "max_residual": 0.0, "pass": good})
-            ok &= good
-    for ident, ideals in algebra.IDEALS.items():
-        spec = algebra.algebra_by_id(ident)
-        for s in ideals:
-            rep = algebra.check_ideal(algebra.algebra_by_id(s), spec,
-                                      trials=args.trials, seed=seed)
-            reports.append(rep.to_json())
-            ok &= rep.passed
-    for ident in (8, 9, 13, 17, 20, 21, 22):
-        rep = algebra.check_chain(algebra.algebra_by_id(ident),
-                                  trials=args.trials, seed=seed)
-        reports.append(rep.to_json())
-        ok &= rep.passed
-    for spec in algebra.catalog():
-        key = algebra.find_inversion_key(spec, trials=args.trials,
-                                         seed=seed)
-        res = algebra.key_condition_residual(spec, key, trials=args.trials,
-                                             seed=seed)
-        reports.append({"algebra_id": spec.ident,
-                        "check": f"key:{algebra.key_name(key)}",
-                        "trials": args.trials, "max_residual": res,
-                        "pass": res <= 1e-10})
-        ok &= res <= 1e-10
-    _emit({"pass": ok, "reports": reports}, args.output)
+        key = algebra.find_inversion_key(spec, trials=trials, seed=seed)
+        res = algebra.key_condition_residual(spec, key, trials=trials, seed=seed)
+        reports.append(algebra.CheckReport(
+            spec.ident, f"key:{algebra.key_name(key)}", trials, res, res <= 1e-10))
+    ok = all(r.passed for r in reports)
+    _emit({"pass": ok, "reports": [r.to_json() for r in reports]}, args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -194,7 +175,9 @@ def cmd_laminate(args):
 def _pair(data, f=None, normal=None):
     """Phase pair of a two-phase object.  The fraction of phase 1 is ``f``,
     else the top-level or the microstructure's "f" (both must agree when
-    both are given), else 0.5; ``f`` and ``normal`` apply to rank1 only."""
+    both are given), else the model's: 0.5 for rank1, f_inner f_outer for
+    rank2, which a given "f" must match.  ``f`` and ``normal`` apply to
+    rank1 only."""
     from .laminate import IteratedRank2Model, RankOneModel
     from .twophase import IsoPhase, IsoPhasePair
     p1, p2 = (IsoPhase(data[k]["sigma"], float(data[k].get("r", 0.0)))
@@ -212,15 +195,15 @@ def _pair(data, f=None, normal=None):
         if len(given) == 2 and given[0] != given[1]:
             raise ValueError(f"top-level f {given[0]} and microstructure f "
                              f"{given[1]} differ")
-        f = given[0] if given else 0.5
+        f = given[0] if given else None
     if kind == "rank1":
-        model = RankOneModel(f, micro.get("normal", [1.0, 0.0])
-                             if normal is None else normal)
+        n = micro.get("normal", [1.0, 0.0]) if normal is None else normal
+        model = RankOneModel(0.5 if f is None else f, n)
     else:
         model = IteratedRank2Model(
             micro.get("f_inner", 0.5), micro.get("n_inner", [1.0, 0.0]),
             micro.get("f_outer", 0.5), micro.get("n_outer", [0.0, 1.0]))
-    return IsoPhasePair(p1, p2, f, model)
+    return IsoPhasePair(p1, p2, model.phase1_fraction if f is None else f, model)
 
 
 def cmd_two_phase(args):
@@ -250,10 +233,10 @@ def cmd_two_phase(args):
 
 
 def _crystallite(data):
-    """Symmetric operator of an {"X", "Y"} or a {"L"} object."""
-    k0 = (KTensor(_pairs(data["X"]), _pairs(data["Y"])) if "X" in data
-          else kt_from_block(_block(data)))
-    return KTensor.symmetric(k0.X, k0.Y)
+    """Symmetric operator of an {"X", "Y"} or a {"L"} object, checked once."""
+    if "X" in data:
+        return KTensor.symmetric(_pairs(data["X"]), _pairs(data["Y"]))
+    return kt_from_block(_block(data))
 
 
 def cmd_polycrystal(args):

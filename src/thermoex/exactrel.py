@@ -37,7 +37,7 @@ JRP = np.kron(PSI1, RPERP)           # psi(1) (x) Rperp
 IRP4 = np.kron(I2, RPERP)            # I (x) Rperp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ERSpec:
     """One exact relation: its subspace algebra, inversion key and key block."""
     ident: int

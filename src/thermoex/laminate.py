@@ -28,8 +28,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .tensor4 import (I2, I4, DomainError, gamma0, kron2, resolvent,
-                      rotate_block, unit_normal)
+from .tensor4 import (I2, I4, DomainError, check_fraction, gamma0, kron2,
+                      resolvent, rotate_block, unit_normal)
 
 __all__ = [
     "Leaf", "Mix", "laminate2", "laminate_tree", "conduct2",
@@ -62,22 +62,13 @@ class Mix:
     height = property(attrgetter("_height"))
 
     def __init__(self, child1, child2, f, n):
-        if not 0.0 <= f <= 1.0:
-            raise ValueError("volume fraction must lie in [0, 1]")
+        f = check_fraction(f)
         try:
             h1, h2 = child1._height, child2._height
         except AttributeError:
             raise TypeError("laminate children must be Leaf or Mix nodes") from None
         self._child1, self._child2, self._f, self._n = child1, child2, f, n
         self._height = 1 + (h1 if h1 > h2 else h2)
-
-
-def _fraction(f):
-    """``f`` as a float in [0, 1]; NaN and values outside raise."""
-    f = float(f)
-    if not 0.0 <= f <= 1.0:
-        raise ValueError("volume fraction must lie in [0, 1]")
-    return f
 
 
 def _mix(AB, f, G):
@@ -96,7 +87,7 @@ def laminate2(L1, L2, f, n):
 
     ``f`` is the volume fraction of phase 1 and ``n`` the layer normal.
     """
-    return _mix(np.array((L1, L2), dtype=float), _fraction(f), gamma0(n))
+    return _mix(np.array((L1, L2), dtype=float), check_fraction(f), gamma0(n))
 
 
 _TENSOR, _ROTATION, _F, _N, _CHILD1, _CHILD2 = map(attrgetter, (
@@ -146,12 +137,12 @@ def laminate_tree(node):
 def conduct2(s1, s2, f, n):
     """Rank-one laminate of two 2x2 conductivities (same W-additivity)."""
     n = unit_normal(n)
-    return _mix(np.array((s1, s2), dtype=float), _fraction(f), np.outer(n, n))
+    return _mix(np.array((s1, s2), dtype=float), check_fraction(f), np.outer(n, n))
 
 
 def sigma_star_rank1(h, f, n):
     """Closed-form conductivity of the rank-one mix of 1 and h."""
-    return _rank1_closed(h, _fraction(f), *unit_normal(n).tolist())
+    return _rank1_closed(h, check_fraction(f), *unit_normal(n).tolist())
 
 
 def _rank1_closed(h, f, n0, n1):
@@ -169,7 +160,7 @@ class RankOneModel:
     """Single lamination: fraction ``f`` of phase 1, layer normal ``n``."""
 
     def __init__(self, f, n=(1.0, 0.0)):
-        self.f = _fraction(f)
+        self.f = check_fraction(f)
         self.n = unit_normal(n)
         self._gamma = kron2(I2, np.outer(self.n, self.n))   # Gamma0 of n as stored
 
@@ -198,7 +189,7 @@ class IteratedRank2Model:
 
     def __init__(self, f_inner, n_inner, f_outer, n_outer):
         self.inner = RankOneModel(f_inner, n_inner)
-        self.f_outer = _fraction(f_outer)
+        self.f_outer = check_fraction(f_outer)
         self.n_outer = unit_normal(n_outer)
         self._nn = np.outer(self.n_outer, self.n_outer)
         self._gamma = kron2(I2, self._nn)

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, DomainError, det2, inv2, mobius, pd2,
-                      spd_sqrt_2x2)
+from .tensor4 import (I2, RPERP, DomainError, check_fraction, det2, inv2, mobius,
+                      pd2, spd_sqrt_2x2)
 from .exactrel import lm_par, lm_unpar, er_member
 
 __all__ = [
@@ -225,9 +225,9 @@ def link13_volume_fraction(phases):
     phases = list(phases)
     if not phases:
         raise ValueError("empty phase list")
-    fs = np.array([f for _, f in phases], dtype=float)
-    if np.any(fs < 0) or abs(fs.sum() - 1.0) > 1e-12:
-        raise ValueError("fractions must be nonnegative and sum to 1")
+    fs = np.array([check_fraction(f) for _, f in phases])
+    if abs(fs.sum() - 1.0) > 1e-12:
+        raise ValueError("volume fractions must sum to 1")
     acc = np.zeros((2, 2))
     for L, f in phases:
         acc = acc + f * inv2(np.asarray(L, float))

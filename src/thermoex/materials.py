@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Material:
     """Physical coefficients (sigma, S, kappa) at working temperature T0."""
 

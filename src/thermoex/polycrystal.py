@@ -112,7 +112,7 @@ def b_charpoly(Y):
     return np.array([1.0, g, 0.0, -g * d2, -d2 * d2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyResult:
     theta: float
     Z: np.ndarray

@@ -30,8 +30,9 @@ __all__ = [
     "check_spd2", "spd_sqrt_rows", "spd_sqrt_2x2", "as_block",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "congruence", "block_parts", "block_from_parts",
-    "check_block", "is_positive_definite", "block_is_pd", "resolvent", "mobius",
-    "rotate", "rotate_block", "unit_normal", "gamma0", "jordan_star",
+    "check_block", "check_fraction", "is_positive_definite", "block_is_pd",
+    "resolvent", "mobius", "rotate", "rotate_block", "unit_normal", "gamma0",
+    "jordan_star",
 ]
 
 I2 = np.eye(2)
@@ -150,8 +151,8 @@ class KTensor:
     intermediate non-symmetric operators can be represented; X and Y may
     be (..., 2, 2) stacks, on which products, sums and :meth:`norm` work
     entry by entry.  Use :meth:`symmetric` for one element of the
-    symmetric-operator space; it enforces X Hermitian and Y symmetric up to
-    a relative tolerance, symmetrizing small defects and rejecting large ones.
+    symmetric-operator space: it checks the block form by :func:`check_block`
+    and symmetrizes X and Y themselves, so a Y below eps |X| is not lost.
     """
 
     __slots__ = ("X", "Y")
@@ -164,14 +165,8 @@ class KTensor:
     def symmetric(cls, X, Y, tol=DEFAULT_TOL):
         X = np.asarray(X, dtype=complex).reshape(2, 2)
         Y = np.asarray(Y, dtype=complex).reshape(2, 2)
-        s = 1.0 + max(np.abs(X).max(), np.abs(Y).max())
-        dx = np.abs(X - X.conj().T).max()
-        dy = np.abs(Y - Y.T).max()
-        if dx > tol * s or dy > tol * s:
-            raise ValueError(
-                f"not a symmetric operator: hermiticity defect {dx:.3e}, "
-                f"symmetry defect {dy:.3e} at scale {s:.3e}"
-            )
+        with np.errstate(invalid="ignore", over="ignore"):    # Inf * 0, overflow
+            check_block(kt_to_block(cls(X, Y)), tol)
         return cls((X + X.conj().T) / 2.0, (Y + Y.T) / 2.0)
 
     # -- linear structure ------------------------------------------------
@@ -266,6 +261,14 @@ def check_block(B, tol=DEFAULT_TOL):
     if d > tol * (1.0 + np.abs(B).max()):
         raise ValueError(f"block tensor asymmetry {d:.3e} exceeds tolerance")
     return (B + B.T) / 2.0
+
+
+def check_fraction(f):
+    """``f`` as a float in [0, 1]; NaN and values outside raise ValueError."""
+    f = float(f)
+    if not 0.0 <= f <= 1.0:
+        raise ValueError("volume fraction must lie in [0, 1]")
+    return f
 
 
 def block_inverse(B):

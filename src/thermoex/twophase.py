@@ -29,8 +29,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, T4, DomainError, block_parts, check_spd2, cof2,
-                      congruence, det2, inv2, kron2, mobius, spd_sqrt_rows)
+from .tensor4 import (I2, RPERP, T4, DomainError, block_parts, check_fraction,
+                      check_spd2, cof2, congruence, det2, inv2, kron2, mobius,
+                      spd_sqrt_rows)
 
 __all__ = [
     "IsoPhase", "IsoPhasePair", "Reduced", "CaseTag", "EffectiveResult",
@@ -75,14 +76,23 @@ class IsoPhase:
 
 @dataclass(frozen=True)
 class IsoPhasePair:
+    """With a microstructure model, ``f`` is the model's ``phase1_fraction``:
+    a given ``f`` more than 1e-12 from it raises ValueError."""
+
     phase1: IsoPhase
     phase2: IsoPhase
     f: float                  # volume fraction of phase 1
-    micro: object = None      # model exposing sigma_star(h)
+    micro: object = None      # model: sigma_star(h), tensor, phase1_fraction
 
     def __post_init__(self):
-        if not 0.0 <= self.f <= 1.0:
-            raise ValueError("volume fraction must lie in [0, 1]")
+        f = check_fraction(self.f)
+        if self.micro is not None:
+            model_f = self.micro.phase1_fraction
+            if abs(f - model_f) > 1e-12:
+                raise ValueError(f"volume fraction {f} differs from the "
+                                 f"microstructure's {model_f}")
+            f = model_f
+        object.__setattr__(self, "f", f)
 
     @cached_property
     def _reduced(self):
@@ -91,7 +101,7 @@ class IsoPhasePair:
         return reduce_pair(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Reduced:
     """Pair frame data: diagonalized contrast, its mean and coupling scalar."""
 
@@ -215,7 +225,7 @@ def strong_ab(pair):
     return a, b, A, B
 
 
-@dataclass
+@dataclass(eq=False)
 class EffectiveResult:
     case: CaseTag
     kind: str                     # 'explicit' | 'implicit' | 'link'
@@ -263,14 +273,11 @@ def effective(pair, tol=1e-10):
     red = pair._reduced
     s1, s2 = pair.phase1.sig, pair.phase2.sig
     r1, r2 = pair.phase1.r, pair.phase2.r
-    f = pair.f
     meta = dict(tag.scalars)
 
     if tag.tag == "2c":
-        # microstructure independent; only the fractions enter, taken from
-        # the model when one is attached so both routes agree
-        if pair.micro is not None and hasattr(pair.micro, "phase1_fraction"):
-            f = pair.micro.phase1_fraction
+        # microstructure independent; only the fractions enter
+        f = pair.f
         sig_star = inv2(f * inv2(s1) + (1.0 - f) * inv2(s2))
         wgt1, wgt2 = f, (1.0 - f) / red.theta      # f / theta1, theta1 = 1
         r_star = (wgt1 * r1 + wgt2 * r2) / (wgt1 + wgt2)
@@ -394,19 +401,14 @@ def effective(pair, tol=1e-10):
             + alpha * T4 @ kron2(inv2(s1) @ (S1 - S2), Astar) + beta * T4
         return (L + L.T) / 2.0
 
-    result = EffectiveResult(tag, "link", None, meta)
-    result.metadata["extract"] = extract
-    result.metadata["reconstruct"] = reconstruct
-    if hasattr(micro, "tensor"):
-        L = micro.tensor(pair.phase1.tensor(), pair.phase2.tensor())
-        Lp, res = extract(L)
-        if res > 1e-6:
-            warnings.warn("1ci branch choice failed its laminate validation",
-                          BranchWarning)
-        result.Lstar = L
-        result.metadata["free_parameter"] = Lp
-        result.metadata["structure_residual"] = res
-    return result
+    L = micro.tensor(pair.phase1.tensor(), pair.phase2.tensor())
+    Lp, res = extract(L)
+    if res > 1e-6:
+        warnings.warn("1ci branch choice failed its laminate validation",
+                      BranchWarning)
+    meta.update(extract=extract, reconstruct=reconstruct, free_parameter=Lp,
+                structure_residual=res)
+    return EffectiveResult(tag, "link", L, meta)
 
 
 def formula_1aii(r1, s1, S1, S2, a0, sig_star):

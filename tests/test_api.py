@@ -79,8 +79,8 @@ def test_cli_path_does_not_load_numpy_polynomial():
     src = str(Path(thermoex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
 
 
@@ -95,8 +95,8 @@ def _python(code):
     src = str(Path(thermoex.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -155,3 +155,36 @@ def test_star_import_and_dir_give_every_name():
     assert set(names) <= set(fresh_dir) and set(names) <= set(full_dir)
     for name in names:
         assert getattr(thermoex, name) is not None
+
+
+def _instances():
+    import numpy as np
+    from thermoex import algebra, exactrel, materials, polycrystal, twophase
+    from thermoex.laminate import RankOneModel
+    I2 = np.eye(2)
+    pair = twophase.IsoPhasePair(twophase.IsoPhase(I2, 0.1),
+                                 twophase.IsoPhase(np.diag([2.0, 3.0]), 0.4),
+                                 0.5, RankOneModel(0.5))
+    return {
+        "AlgebraSpec": algebra.algebra_by_id(5),
+        "AutomorphismDesc": algebra.AutomorphismDesc("global", C=I2 + 0j),
+        "ERSpec": exactrel.er_spec(8),
+        "Material": materials.Material(I2, 0.1 * I2, 2.0 * I2, 300.0),
+        "PolyResult": polycrystal.solve_isotropic(thermoex.KTensor(2.0 * I2, I2)),
+        "Reduced": twophase.reduce_pair(pair),
+        "EffectiveResult": twophase.effective(pair),
+    }
+
+
+@pytest.mark.parametrize("name", ["AlgebraSpec", "AutomorphismDesc", "ERSpec",
+                                  "Material", "PolyResult", "Reduced",
+                                  "EffectiveResult"])
+def test_array_holders_compare_by_identity(name):
+    """Results and specs that hold arrays compare and hash by identity: a
+    field-wise == of arrays would raise for two equal instances."""
+    import dataclasses
+    a = _instances()[name]
+    b = dataclasses.replace(a)
+    assert type(a).__name__ == name
+    assert (a == b) is False and (a != b) is True and (a == a) is True
+    assert hash(a) == hash(a) and hash(a) != hash(b)

@@ -133,6 +133,15 @@ def test_exit_codes(tmp_path, capsys):
          cli.EXIT_INPUT),
         # a microstructure "f" that differs from the top-level one
         (["two-phase"], "pair_2a.json", ("micro", "f"), 0.9, cli.EXIT_INPUT),
+        # NaN or Inf in a crystallite's X or Y, as in its {"L"} form
+        (["polycrystal"], "crystallite_s2.json", ("X", 0, 0), nan,
+         cli.EXIT_INPUT),
+        (["polycrystal"], "crystallite_s2.json", ("X", 1, 1), inf,
+         cli.EXIT_INPUT),
+        (["polycrystal"], "crystallite_s2.json", ("Y", 3, 0), -inf,
+         cli.EXIT_INPUT),
+        (["polycrystal"], "crystallite_s2.json", ("Y", 1, 0), nan,
+         cli.EXIT_INPUT),
     ]
     for argv, name, path, value, code in cases:
         capsys.readouterr()
@@ -316,7 +325,17 @@ def test_two_phase_overrides(tmp_path):
     rank2 = _with_value(tmp_path, "pair_2c.json", ("micro",), {"type": "rank2"})
     for flags in (["--f", "0.9"], ["--normal", "0,1"]):
         assert run(["two-phase", *flags, rank2]) == (cli.EXIT_INPUT, "")
-    assert run(["two-phase", rank2])[0] == cli.EXIT_OK
+    # a rank2 fraction is f_inner f_outer (0.25 here): the file's "f": 0.3
+    # conflicts with it, and without "f", or with "f": 0.25, it is used
+    assert run(["two-phase", rank2]) == (cli.EXIT_INPUT, "")
+    obj = json.loads(Path(rank2).read_text())
+    del obj["f"]
+    Path(rank2).write_text(json.dumps(obj))
+    code, out = run(["two-phase", rank2])
+    assert code == cli.EXIT_OK and "Lstar" in json.loads(out)
+    obj["f"] = 0.25
+    Path(rank2).write_text(json.dumps(obj))
+    assert run(["two-phase", rank2]) == (code, out)
     # without a top-level "f" the microstructure's own is used; --f
     # overrides both, also where they differ
     obj = json.loads((DATA / "pair_2a.json").read_text())
@@ -375,6 +394,18 @@ def test_verify_algebras_fast(tmp_path):
     # the ideal reports carry the worst audited residual, not a placeholder
     assert all(0.0 <= r["max_residual"] <= 1e-10 for r in ideals)
     assert any(r["max_residual"] > 0.0 for r in ideals)
+
+
+def test_verify_algebras_rows_are_check_reports():
+    """Every row, audits and table lookups alike, is written by
+    CheckReport.to_json."""
+    from thermoex.algebra import CheckReport
+    code, out = run(["--trials", "2", "verify-algebras"])
+    keys = set(CheckReport(1, "closure", 2, 0.0, True).to_json())
+    rows = json.loads(out)["reports"]
+    assert code == 0 and {"subalgebra", "key"} <= {r["check"].split(":")[0]
+                                                  for r in rows}
+    assert all(set(r) == keys for r in rows)
 
 
 def test_verify_algebras_corrupted_catalog(monkeypatch, tmp_path):

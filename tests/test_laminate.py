@@ -8,6 +8,8 @@ from thermoex.laminate import (Leaf, Mix, laminate2, laminate_tree, conduct2,
                                sigma_star_rank1)
 from thermoex.tensor4 import (I2, I4, RPERP, block_is_pd, resolvent,
                               rotate_block)
+from thermoex.linkgroup import link13_volume_fraction
+from thermoex.twophase import IsoPhase, IsoPhasePair
 from conftest import rand_spd, rand_pd_block, random_tree
 
 
@@ -156,7 +158,10 @@ def test_volume_fraction_outside_0_1_raises(f):
     """Every entry point that takes a volume fraction rejects one outside
     [0, 1], NaN included, as Mix and laminate2 do."""
     n = (1.0, 0.0)
-    calls = [lambda: RankOneModel(f, n),
+    phase = IsoPhase(I2, 0.1)
+    calls = [lambda: IsoPhasePair(phase, phase, f),
+             lambda: link13_volume_fraction([(I2, f), (2.0 * I2, 1.0 - f)]),
+             lambda: RankOneModel(f, n),
              lambda: IteratedRank2Model(f, n, 0.5, n),
              lambda: IteratedRank2Model(0.5, n, f, n),
              lambda: conduct2(I2, 3.0 * I2, f, n),

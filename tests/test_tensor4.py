@@ -337,6 +337,27 @@ def test_symmetric_constructor():
         KTensor.symmetric(I2, [[0, 1], [-1, 0]])
 
 
+def test_symmetric_keeps_x_and_y(rng):
+    """KTensor.symmetric checks the block form but keeps X and Y: a Y far
+    below eps |X|, which the block would round away, survives bit for bit."""
+    for _ in range(20):
+        X, Y = rand_herm(rng) + 3.0 * I2, 1e-30 * rand_sym_c(rng)
+        k = KTensor.symmetric(X, Y)
+        assert k.X.tobytes() == X.tobytes() and k.Y.tobytes() == Y.tobytes()
+        assert not np.array_equal(kt_from_block(kt_to_block(KTensor(X, Y))).Y, Y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("which", ["X", "Y"])
+def test_symmetric_rejects_non_finite(bad, which):
+    """Non-finite entries raise ValueError through check_block, and the
+    Inf * 0 of the block conversion warns nothing."""
+    XY = {"X": I2.astype(complex), "Y": 0.5 * I2.astype(complex)}
+    XY[which][0, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        KTensor.symmetric(XY["X"], XY["Y"])
+
+
 def test_check_block():
     with pytest.raises(ValueError):
         check_block(np.arange(16.0).reshape(4, 4))

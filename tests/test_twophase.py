@@ -176,10 +176,23 @@ def test_explicit_cases_match_laminate(tag, f, n):
 @pytest.mark.parametrize("tag", ["2c", "1cii", "1aii", "2a", "1ai"])
 def test_explicit_cases_rank2_micro(tag):
     micro = IteratedRank2Model(0.45, (1.0, 0.0), 0.7, (0.0, 1.0))
-    pair = pair_for(tag, micro=micro)
+    pair = pair_for(tag, f=micro.phase1_fraction, micro=micro)
     res = tp.effective(pair)
     Llam = micro.tensor(pair.phase1.tensor(), pair.phase2.tensor())
     assert rel_err(res.Lstar, Llam) < 1e-9
+
+
+def test_pair_fraction_has_one_source():
+    """With a microstructure, the pair's fraction is the model's: a given f
+    within 1e-12 of it is replaced by it, one further away raises."""
+    micro = IteratedRank2Model(0.45, (1.0, 0.0), 0.7, (0.0, 1.0))
+    p1, p2 = tp.IsoPhase(SIG0, 0.3), tp.IsoPhase(3.0 * SIG0, 0.5)
+    for f in (0.37, micro.phase1_fraction + 2e-12, 1.0):
+        with pytest.raises(ValueError, match="differs from the microstructure"):
+            tp.IsoPhasePair(p1, p2, f, micro)
+    pair = tp.IsoPhasePair(p1, p2, micro.phase1_fraction - 5e-13, micro)
+    assert pair.f == micro.phase1_fraction
+    assert tp.IsoPhasePair(p1, p2, 1, None).f == 1.0
 
 
 @pytest.mark.parametrize("tag", ["1b", "2b"])
