@@ -56,11 +56,9 @@ KEY_HALF_I = I2 / 2.0
 _CONJ = np.kron(I2, PSI1)       # K(0, I): u -> conj(u), steers the closure audit
 
 # Isometric coordinates of a symmetric 4x4 for the trace inner product: the
-# diagonal, then sqrt(2) times each entry above it, as flat indices and
-# scales; _UNSYM4 puts the unscaled coordinates back at all 16 entries.
+# diagonal, then sqrt(2) times each entry above it, as flat indices and scales.
 _SYM4 = np.array([0, 5, 10, 15, 1, 2, 3, 6, 7, 11])
 _SYM4_SCALE = np.array([1.0] * 4 + [np.sqrt(2)] * 6)
-_UNSYM4 = np.array([0, 4, 5, 6, 4, 1, 7, 8, 5, 7, 2, 9, 6, 8, 9, 3])
 
 
 def _sym4(B):
@@ -114,12 +112,6 @@ class AlgebraSpec:
         return Q @ Q.T
 
     # -- membership --------------------------------------------------
-    def project(self, k):
-        """Orthogonal projection onto the subspace (trace inner product) of an
-        operator or of blocks, as an operator."""
-        v = _sym4(as_block(k)) @ self._proj / _SYM4_SCALE
-        return kt_from_block(v.take(_UNSYM4, -1).reshape(v.shape[:-1] + (4, 4)))
-
     def residual(self, k):
         """Distance to the subspace relative to 1 + |k|, per stack entry, of
         an operator or of (..., 4, 4) blocks."""

@@ -134,8 +134,7 @@ def cmd_verify_algebras(args):
     import thermoex.algebra as algebra
     seed = algebra.DEFAULT_SEED if args.seed is None else args.seed
     by_id, trials = algebra.algebra_by_id, args.trials
-    reports = [algebra.check_closure(spec, trials=trials, seed=seed,
-                                     tol=args.tol * 10)
+    reports = [algebra.check_closure(spec, trials=trials, seed=seed)
                for spec in algebra.catalog()]
     reports += [algebra.CheckReport(i, f"subalgebra:{s}", 0, 0.0,
                                     algebra.is_subalgebra(by_id(s), by_id(i)))
@@ -159,7 +158,7 @@ def cmd_er(args):
     L = _read(args.tensor, _block)
     if not block_is_pd(L):
         raise DomainError("tensor is not positive definite")
-    _emit(er_member(args.er, L, tol=args.tol).to_json(), args.output)
+    _emit(er_member(args.er, L).to_json(), args.output)
     return EXIT_OK
 
 
@@ -209,7 +208,7 @@ def _pair(data, f=None, normal=None):
 def cmd_two_phase(args):
     from .twophase import effective
     pair = _read(args.pair, lambda data: _pair(data, args.f, args.normal))
-    res = effective(pair, tol=args.tol)
+    res = effective(pair)
     out = {"case": res.case.tag, "kind": res.kind,
            "scalars": {k: v for k, v in res.case.scalars.items()
                        if isinstance(v, (int, float))}}
@@ -269,7 +268,6 @@ def build_parser():
     ap.add_argument("--seed", type=int, default=None,
                     help="seed of the verify-algebras audits "
                          "(default: algebra.DEFAULT_SEED)")
-    ap.add_argument("--tol", type=float, default=1e-9)
     ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--json", dest="output", metavar="PATH", default=None,
                     help="write the JSON result to PATH instead of stdout")

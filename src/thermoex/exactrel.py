@@ -45,10 +45,6 @@ class ERSpec:
     key: np.ndarray
     key_block: np.ndarray     # M = K(key, 0) as a 4x4 block
 
-    @property
-    def name(self):
-        return self.algebra.name
-
 
 def _relation(ident):
     if ident not in _RELATIONS:

@@ -28,8 +28,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from .tensor4 import (I2, I4, DomainError, check_fraction, gamma0, kron2,
-                      resolvent, rotate_block, unit_normal)
+from .tensor4 import (I2, I4, DomainError, check_finite, check_fraction, gamma0,
+                      kron2, resolvent, rotate_block, unit_normal)
 
 __all__ = [
     "Leaf", "Mix", "laminate2", "laminate_tree", "conduct2",
@@ -87,7 +87,7 @@ def laminate2(L1, L2, f, n):
 
     ``f`` is the volume fraction of phase 1 and ``n`` the layer normal.
     """
-    return _mix(np.array((L1, L2), dtype=float), check_fraction(f), gamma0(n))
+    return _mix(check_finite((L1, L2), "phase"), check_fraction(f), gamma0(n))
 
 
 _TENSOR, _ROTATION, _F, _N, _CHILD1, _CHILD2 = map(attrgetter, (
@@ -118,8 +118,10 @@ def laminate_tree(node):
     leaves, mixes = levels[0], [nd for lvl in levels[1:] for nd in lvl]
     nl = len(leaves)
     vals = np.empty((nl + len(mixes), 4, 4))
-    vals[:nl] = rotate_block(np.array(list(map(_ROTATION, leaves)), float),
-                             np.array(list(map(_TENSOR, leaves)), float))
+    with np.errstate(invalid="ignore", over="ignore"):    # Inf * 0: checked next
+        vals[:nl] = rotate_block(np.array(list(map(_ROTATION, leaves)), float),
+                                 np.array(list(map(_TENSOR, leaves)), float))
+    check_finite(vals[:nl], "rotated leaf")
     if mixes:
         row = dict(zip(map(id, leaves + mixes), range(len(vals))))
         pair = np.array([list(map(row.__getitem__, map(id, map(c, mixes))))
@@ -137,7 +139,7 @@ def laminate_tree(node):
 def conduct2(s1, s2, f, n):
     """Rank-one laminate of two 2x2 conductivities (same W-additivity)."""
     n = unit_normal(n)
-    return _mix(np.array((s1, s2), dtype=float), check_fraction(f), np.outer(n, n))
+    return _mix(check_finite((s1, s2), "phase"), check_fraction(f), np.outer(n, n))
 
 
 def sigma_star_rank1(h, f, n):
@@ -147,8 +149,8 @@ def sigma_star_rank1(h, f, n):
 
 def _rank1_closed(h, f, n0, n1):
     """through n n^T + along m m^T, m = (-n1, n0), on floats in np.outer's order."""
-    if h <= 0:
-        raise DomainError("phase contrast must be positive")
+    if not 0.0 < h < np.inf:
+        raise DomainError("phase contrast must be positive and finite")
     through = 1.0 / (f + (1.0 - f) / h)
     along = f + (1.0 - f) * h
     off = through * (n0 * n1) + along * (-n1 * n0)
@@ -173,7 +175,7 @@ class RankOneModel:
         return _rank1_closed(h, self.f, *self.n.tolist())
 
     def tensor(self, L1, L2):
-        return _mix(np.array((L1, L2), dtype=float), self.f, self._gamma)
+        return _mix(check_finite((L1, L2), "phase"), self.f, self._gamma)
 
     def tree(self, L1, L2):
         return Mix(Leaf(L1), Leaf(L2), self.f, tuple(self.n))

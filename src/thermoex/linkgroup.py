@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, DomainError, check_fraction, det2, inv2, mobius,
-                      pd2, spd_sqrt_2x2)
+from .tensor4 import (I2, RPERP, DomainError, check_finite, check_fraction, det2,
+                      inv2, mobius, pd2, spd_sqrt_2x2)
 from .exactrel import lm_par, lm_unpar, er_member
 
 __all__ = [
@@ -186,7 +186,7 @@ def basis_change(B):
 
 def psi_apply(m, L):
     """Psi_{A,B}(L), symmetrized; L may be a (..., 4, 4) stack."""
-    out = m._bi @ mobius(m.a, np.asarray(L, dtype=float)) @ m._bi.T
+    out = m._bi @ mobius(m.a, check_finite(L, "L")) @ m._bi.T
     return (out + out.swapaxes(-1, -2)) / 2.0
 
 
@@ -230,7 +230,7 @@ def link13_volume_fraction(phases):
         raise ValueError("volume fractions must sum to 1")
     acc = np.zeros((2, 2))
     for L, f in phases:
-        acc = acc + f * inv2(np.asarray(L, float))
+        acc = acc + f * inv2(check_finite(L, "chart matrix"))
     return inv2(acc)
 
 
@@ -260,7 +260,7 @@ def link19_family(gamma0, L):
     return lm_par(inv2(P), M)
 
 
-def link19_conductivity(L, tol=1e-8):
+def link19_conductivity(L):
     """Factor a member of relation 19 into a unit-determinant conductivity.
 
     Returns (sigma, mu) with sigma = -Rperp M symmetric positive definite,
@@ -270,7 +270,7 @@ def link19_conductivity(L, tol=1e-8):
     is again positive definite.
     """
     L = np.asarray(L, dtype=float)
-    m = er_member(19, L, tol=tol)
+    m = er_member(19, L, tol=1e-8)
     if not m.member:
         raise DomainError(f"not a member of relation 19 (residual {m.residual:.3e})")
     BL, M = lm_unpar(L)

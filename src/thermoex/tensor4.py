@@ -30,9 +30,9 @@ __all__ = [
     "check_spd2", "spd_sqrt_rows", "spd_sqrt_2x2", "as_block",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "congruence", "block_parts", "block_from_parts",
-    "check_block", "check_fraction", "is_positive_definite", "block_is_pd",
-    "resolvent", "mobius", "rotate", "rotate_block", "unit_normal", "gamma0",
-    "jordan_star",
+    "check_block", "check_finite", "check_fraction", "is_positive_definite",
+    "block_is_pd", "resolvent", "mobius", "rotate", "rotate_block",
+    "unit_normal", "gamma0", "jordan_star",
 ]
 
 I2 = np.eye(2)
@@ -118,7 +118,7 @@ def check_spd2(m, name="matrix"):
     if m.shape != (2, 2) or math.inf in e \
             or abs(m[0, 1] - m[1, 0]) > DEFAULT_TOL * (1.0 + max(e)):
         raise ValueError(f"{name} must be a finite symmetric 2x2 matrix")
-    m = (m + m.T) / 2.0
+    m = m - (m - m.T) / 2.0
     if not pd2(m):
         raise DomainError(f"{name} must be positive definite")
     return m
@@ -162,12 +162,12 @@ class KTensor:
         self.Y = np.asarray(Y, dtype=complex)
 
     @classmethod
-    def symmetric(cls, X, Y, tol=DEFAULT_TOL):
+    def symmetric(cls, X, Y):
         X = np.asarray(X, dtype=complex).reshape(2, 2)
         Y = np.asarray(Y, dtype=complex).reshape(2, 2)
         with np.errstate(invalid="ignore", over="ignore"):    # Inf * 0, overflow
-            check_block(kt_to_block(cls(X, Y)), tol)
-        return cls((X + X.conj().T) / 2.0, (Y + Y.T) / 2.0)
+            check_block(kt_to_block(cls(X, Y)))
+        return cls(X - (X - X.conj().T) / 2.0, Y - (Y - Y.T) / 2.0)
 
     # -- linear structure ------------------------------------------------
     def __add__(self, other):
@@ -250,17 +250,26 @@ def block_from_parts(L11, L12, L22):
                      [np.asarray(L12, float).T, np.asarray(L22, float)]])
 
 
-def check_block(B, tol=DEFAULT_TOL):
+def check_block(B):
     """Validate and symmetrize a 4x4 block tensor."""
     B = np.asarray(B, dtype=float)
     if B.shape != (4, 4):
         raise ValueError("block tensor must be 4x4")
-    if not np.isfinite(B).all():
+    big = np.abs(B).max()
+    if not big < math.inf:                       # NaN or Inf entries
         raise ValueError("block tensor entries must be finite")
     d = np.abs(B - B.T).max()
-    if d > tol * (1.0 + np.abs(B).max()):
+    if d > DEFAULT_TOL * (1.0 + big):
         raise ValueError(f"block tensor asymmetry {d:.3e} exceeds tolerance")
-    return (B + B.T) / 2.0
+    return B - (B - B.T) / 2.0          # exact for symmetric B, cannot overflow
+
+
+def check_finite(A, name):
+    """``A`` as a float array; a NaN or Inf entry raises ValueError."""
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} entries must be finite")
+    return A
 
 
 def check_fraction(f):
@@ -282,9 +291,9 @@ def congruence(B, L):
     return BI @ L @ BI.T
 
 
-def is_positive_definite(k, tol=1e-12):
+def is_positive_definite(k):
     """:func:`block_is_pd` of the block form of ``k``."""
-    return block_is_pd(kt_to_block(k), tol)
+    return block_is_pd(kt_to_block(k))
 
 
 def block_is_pd(B, tol=1e-12):
@@ -293,15 +302,15 @@ def block_is_pd(B, tol=1e-12):
     the boundary fails, as do NaN and Inf entries.  One block gives a bool."""
     B = np.asarray(B, dtype=float)
     big = np.abs(B).max(axis=(-2, -1))           # NaN or Inf with such an entry
-    try:
-        w = np.linalg.eigvalsh(B + np.swapaxes(B, -1, -2))[..., 0]      # smallest
-    except np.linalg.LinAlgError:
-        # Inf entries: -I replaces those blocks.  A finite B + B^T overflows
-        # only where max|B| >= 2^1023: those blocks are tested halved, which
-        # is exact and halves their cutoff up to its 1, far below rounding
-        B = np.where((big < 2.0 ** 1023)[..., None, None], B, B / 2.0)
-        return block_is_pd(np.where((big < np.inf)[..., None, None], B, -I4), tol)
-    pd = w > 2.0 * tol * (1.0 + big)             # False where big is NaN or Inf
+    ok = big < 2.0 ** 1023
+    if not ok.all():
+        # NaN or Inf entries: -I replaces the block.  max|B| >= 2^1023, where
+        # B + B^T overflows: the block is halved, exactly (its cutoff's 1 is not)
+        B = np.where(ok[..., None, None], B, B / 2.0)
+        B = np.where((big < np.inf)[..., None, None], B, -I4)
+        big = np.abs(B).max(axis=(-2, -1))
+    w = np.linalg.eigvalsh(B + np.swapaxes(B, -1, -2))[..., 0]          # smallest
+    pd = w > 2.0 * tol * (1.0 + big)
     return bool(pd) if pd.ndim == 0 else pd
 
 
@@ -309,9 +318,9 @@ def resolvent(D, M):
     """[D^-1 + M]^-1 in the pole-free form D (I + M D)^-1, finite for singular D.
 
     L0 + resolvent(W, -M) inverts W = resolvent(L - L0, M).  D and M may be
-    (..., n, n) stacks, evaluated entry by entry.
+    (..., n, n) stacks with n = 2 or 4, evaluated entry by entry.
     """
-    eye = I4 if D.shape[-1] == 4 else I2 if D.shape[-1] == 2 else np.eye(D.shape[-1])
+    eye = I4 if D.shape[-1] == 4 else I2
     return D @ np.linalg.inv(eye + M @ D)
 
 

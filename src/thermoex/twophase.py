@@ -39,6 +39,8 @@ __all__ = [
     "s_matrices", "formula_1aii", "BranchWarning",
 ]
 
+_BAND = 1e-10    # relative width of the case tree's boundary equalities
+
 
 class BranchWarning(UserWarning):
     """Raised to signal a sign-branch pick that failed its laminate check."""
@@ -113,10 +115,6 @@ class Reduced:
     s1_half: np.ndarray
     s1_half_inv: np.ndarray
 
-    @property
-    def sigma(self):          # diagonal contrast diag(lam1, lam2)
-        return np.diag((self.lam1, self.lam2))
-
 
 def reduce_pair(pair):
     (a, b, d), s2 = pair.phase1.abd, pair.phase2.sig
@@ -147,7 +145,7 @@ def s_matrices(pair):
     return S1, S2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CaseTag:
     tag: str
     scalars: dict = field(default_factory=dict)
@@ -174,8 +172,8 @@ def a0_roots(det_sigma, rho):
     return (r1, r2)
 
 
-def classify(pair, tol=1e-10):
-    """Resolve the case tree; boundary equalities use a relative band."""
+def classify(pair):
+    """Resolve the case tree; boundary equalities hold within the band ``_BAND``."""
     p1, p2 = pair.phase1, pair.phase2
     (a1, b1, e1), (a2, b2, e2), r1, r2 = p1.abd, p2.abd, p1.r, p2.r
     red = pair._reduced
@@ -191,19 +189,19 @@ def classify(pair, tol=1e-10):
     roots = a0_roots(red.lam1 * red.lam2, red.rho)
     if roots is not None:
         scalars["a0_roots"] = roots
-    if prop_defect <= tol * scale:
-        if abs(gap) <= tol * scale:
+    if prop_defect <= _BAND * scale:
+        if abs(gap) <= _BAND * scale:
             return CaseTag("2c", scalars)
         return CaseTag("2a" if gap < 0 else "2b", scalars)
-    if abs(gap) <= tol * scale:
-        if abs(r1 - r2) <= tol * scale:
+    if abs(gap) <= _BAND * scale:
+        if abs(r1 - r2) <= _BAND * scale:
             return CaseTag("1cii", scalars)
         return CaseTag("1ci", scalars)
     if gap > 0:
         return CaseTag("1b", scalars)
     split = dr ** 2 - ((a1 - a2) * (e1 - e2) - (b1 - b2) * (b1 - b2))
     scalars["decoupling_defect"] = split
-    if abs(split) <= tol * scale ** 2:
+    if abs(split) <= _BAND * scale ** 2:
         return CaseTag("1aii", scalars)
     return CaseTag("1ai", scalars)
 
@@ -256,20 +254,17 @@ def _pick_a0(det_sigma, rho):
     return min(good, key=abs)
 
 
-def _require_micro(pair):
-    if pair.micro is None:
-        raise ValueError("this case needs a microstructure model (micro=...)")
-    return pair.micro
-
-
-def effective(pair, tol=1e-10):
+def effective(pair):
     """Case-resolved effective tensor of the two-phase composite.
 
     Explicit cases return the tensor; case 1ci returns the link structure
     (free SPD parameter), cases 1b/2b return residual functionals for the
     determinant constraints that any effective tensor must satisfy.
     """
-    tag = classify(pair, tol)
+    tag = classify(pair)
+    micro = pair.micro
+    if micro is None and tag.tag not in ("2c", "2b", "1b"):
+        raise ValueError("this case needs a microstructure model (micro=...)")
     red = pair._reduced
     s1, s2 = pair.phase1.sig, pair.phase2.sig
     r1, r2 = pair.phase1.r, pair.phase2.r
@@ -287,7 +282,6 @@ def effective(pair, tol=1e-10):
         return EffectiveResult(tag, "explicit", L, meta)
 
     if tag.tag == "1cii":
-        micro = _require_micro(pair)
         S1, S2 = s_matrices(pair)
         sig_star = micro.sigma_star(red.lam1)
         ds = det2(sig_star)
@@ -296,7 +290,6 @@ def effective(pair, tol=1e-10):
         return EffectiveResult(tag, "explicit", L, meta)
 
     if tag.tag == "1aii":
-        micro = _require_micro(pair)
         S1, S2 = s_matrices(pair)
         sig_star = micro.sigma_star(red.lam1 / red.lam2)
         # rho = 0 has the roots 0 and inf (a0_roots): at lam1 = 1 take 0; at
@@ -310,7 +303,6 @@ def effective(pair, tol=1e-10):
         return EffectiveResult(tag, "explicit", L, meta)
 
     if tag.tag == "1ai":
-        micro = _require_micro(pair)
         dets = red.lam1 * red.lam2
         a0 = _pick_a0(dets, red.rho)
         scalefac = (1.0 - a0 ** 2) / (dets - (red.rho + a0) ** 2)
@@ -327,7 +319,6 @@ def effective(pair, tol=1e-10):
         return EffectiveResult(tag, "explicit", (L + L.T) / 2.0, meta)
 
     if tag.tag == "2a":
-        micro = _require_micro(pair)
         dets = tag.scalars["det_sigma"]
         a0 = _pick_a0(dets, red.rho)
         # contrast of the decoupled conductivity problem
@@ -372,7 +363,6 @@ def effective(pair, tol=1e-10):
         return EffectiveResult(tag, "implicit", None, meta, residual_1b)
 
     # 1ci: borderline with r1 != r2; one free SPD parameter remains
-    micro = _require_micro(pair)
     S1, S2 = s_matrices(pair)
     sig_star = micro.sigma_star(math.sqrt(red.lam2 / red.lam1))
     sd1, sd2 = math.sqrt(pair.phase1.det), math.sqrt(pair.phase2.det)

@@ -172,13 +172,14 @@ def _instances():
         "Material": materials.Material(I2, 0.1 * I2, 2.0 * I2, 300.0),
         "PolyResult": polycrystal.solve_isotropic(thermoex.KTensor(2.0 * I2, I2)),
         "Reduced": twophase.reduce_pair(pair),
+        "CaseTag": twophase.classify(pair),
         "EffectiveResult": twophase.effective(pair),
     }
 
 
 @pytest.mark.parametrize("name", ["AlgebraSpec", "AutomorphismDesc", "ERSpec",
                                   "Material", "PolyResult", "Reduced",
-                                  "EffectiveResult"])
+                                  "CaseTag", "EffectiveResult"])
 def test_array_holders_compare_by_identity(name):
     """Results and specs that hold arrays compare and hash by identity: a
     field-wise == of arrays would raise for two equal instances."""

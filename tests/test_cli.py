@@ -360,6 +360,40 @@ def test_two_phase_case_fields():
     assert "Lstar" not in obj
 
 
+def test_two_phase_case_is_the_library_case(tmp_path):
+    """The CLI resolves the case tree with the library's band: a proportional
+    pair whose boundary gap is 4e-10 of the pair's scale is 2b, not 2c."""
+    from thermoex import twophase as tp
+    s1 = np.array([[2.0, 0.3], [0.3, 1.5]])
+    scale = 1.0 + 2.5 * 2.0              # 1 + the largest sigma entry
+    r2 = 1.5 * np.sqrt(np.linalg.det(s1)) + 4e-10 * scale
+    pair = tp.IsoPhasePair(tp.IsoPhase(s1, 0.0), tp.IsoPhase(2.5 * s1, r2), 0.5)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"phase1": {"sigma": s1.tolist()},
+                                "phase2": {"sigma": (2.5 * s1).tolist(), "r": r2},
+                                "f": 0.5}))
+    code, out = run(["two-phase", str(path)])
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["case"] == tp.classify(pair).tag == "2b"
+
+
+def test_polycrystal_near_the_float_limit_warns_nothing(tmp_path, capsys):
+    """A positive definite crystallite near the float limit validates without
+    overflow or a warning, and the run ends in a result or a clean refusal.
+    Today it is the refusal, exit 3 with nothing printed: the power-of-two
+    scale of solve_isotropic overflows to 2^1024 there, a limit of the
+    solver, not of the input, so a solver that handles the scale may print."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"X": [[1.5e308, 0], [0, 0], [0, 0], [1e308, 0]],
+                                "Y": [[1e307, 0], [0, 0], [0, 0], [0, 0]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["polycrystal", str(path)])
+    out = capsys.readouterr().out
+    assert (code, out) == (cli.EXIT_DOMAIN, "") \
+        or code == cli.EXIT_OK and json.loads(out)["roots"]
+
+
 def test_zt_value():
     _, out = run(["zt", str(DATA / "material_iso.json")])
     assert abs(json.loads(out)["ZT"] - 1.0 / 3.0) < 1e-12

@@ -8,7 +8,7 @@ from thermoex.laminate import (Leaf, Mix, laminate2, laminate_tree, conduct2,
                                sigma_star_rank1)
 from thermoex.tensor4 import (I2, I4, RPERP, block_is_pd, resolvent,
                               rotate_block)
-from thermoex.linkgroup import link13_volume_fraction
+from thermoex.linkgroup import identity_map, link13_volume_fraction, psi_apply
 from thermoex.twophase import IsoPhase, IsoPhasePair
 from conftest import rand_spd, rand_pd_block, random_tree
 
@@ -151,6 +151,28 @@ def test_models_mix_at_their_stored_normals(rng):
         h = rng.uniform(0.3, 4.0)
         want = lam._mix(np.array((two.inner.sigma_star(h), h * I2)), 0.6, nn)
         assert two.sigma_star(h).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tensor_raises(bad):
+    """Every laminate and link entry point rejects a NaN or Inf entry in the
+    tensors it is given, a leaf-only tree included, instead of returning an
+    all-NaN result."""
+    n = (1.0, 0.0)
+    L, s = I4.copy(), I2.copy()
+    L[0, 0] = s[1, 1] = bad
+    one, two = RankOneModel(0.5, n), IteratedRank2Model(0.5, n, 0.5, (0.0, 1.0))
+    calls = [lambda: laminate2(L, I4, 0.5, n),
+             lambda: laminate_tree(Mix(Leaf(I4), Leaf(L), 0.5, n)),
+             lambda: laminate_tree(Leaf(L)), lambda: laminate_tree(Leaf(I4, bad)),
+             lambda: one.tensor(L, I4), lambda: two.tensor(I4, L),
+             lambda: one.sigma_star(bad), lambda: two.sigma_star(bad),
+             lambda: conduct2(s, I2, 0.5, n),
+             lambda: psi_apply(identity_map(), L),
+             lambda: link13_volume_fraction([(s, 0.5), (I2, 0.5)])]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
 
 
 @pytest.mark.parametrize("f", [-0.1, 1.5, np.nan])

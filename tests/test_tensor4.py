@@ -365,6 +365,24 @@ def test_check_block():
     assert np.allclose(check_block(B), B)
 
 
+@pytest.mark.parametrize("tiny", [5e-324, -5e-324, -0.0])
+def test_validators_symmetrize_without_overflow(tiny):
+    """Symmetric entries validate to themselves, bit for bit, with no overflow
+    warning: near the float limit, and subnormal or signed-zero ones, which
+    halving would round (the validators take B - (B - B^T) / 2)."""
+    B = np.diag([1.5e308, 1e308, 1.5e308, 1e308])
+    B[0, 1] = B[1, 0] = 1.5e308
+    B[2, 3] = B[3, 2] = tiny
+    assert check_block(B).tobytes() == B.tobytes()
+    X = np.array([[1.5e308, tiny], [tiny, 1e308]]) + 0j
+    Y = np.array([[1e307, tiny], [tiny, 3 * tiny]]) + 0j
+    k = KTensor.symmetric(X, Y)
+    assert k.X.tobytes() == X.tobytes() and k.Y.tobytes() == Y.tobytes()
+    for S in ([[1.5e308, 1e308], [1e308, 1.5e308]], [[1.0, tiny], [tiny, 1.0]]):
+        S = np.array(S)
+        assert check_spd2(S).tobytes() == S.tobytes()
+
+
 def test_spd_sqrt(rng):
     for _ in range(50):
         A = rng.standard_normal((2, 2))

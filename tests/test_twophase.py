@@ -75,7 +75,7 @@ def test_phase_equality_and_hash():
 def test_reduce(rng):
     pair = tp.IsoPhasePair(tp.IsoPhase(I2, 0.1), tp.IsoPhase(I2, 0.4), 0.5)
     red = tp.reduce_pair(pair)
-    assert np.allclose(red.sigma, I2)
+    assert np.allclose((red.lam1, red.lam2), (1.0, 1.0))
     assert abs(red.rho - 0.3) < 1e-14
     pair2 = tp.IsoPhasePair(tp.IsoPhase(I2, 0.0),
                             tp.IsoPhase(np.diag([4.0, 1.0]), 0.0), 0.5)
