@@ -15,21 +15,31 @@ which stays finite when L - I is singular.  For positive definite
 phases neither inverse taken is singular: their n-n blocks are L_nn and
 <L_nn^-1>.  Non-positive-definite phases may raise LinAlgError.
 
-One mixing step, ``_mix``, takes stacks of phase pairs with a fraction
-and a normal per pair: ``laminate2`` and the models call it on one pair
-(a model at its once-normalized normal), ``laminate_tree`` once per height.
-Tree nodes are read-only and carry their height from construction, so
-``laminate_tree`` visits each distinct node once and orders rows by height.
+One mixing step, ``_mix``, takes stacks of 4x4 phase pairs with a
+fraction and a normal per pair: ``laminate2`` and the models' ``tensor`` call
+it on one pair (a model at its once-normalized normal), ``laminate_tree``
+once per height.  Tree nodes are read-only and carry their height from
+construction, so ``laminate_tree`` visits each distinct node once and orders
+rows by height.
+
+A laminate of two 2x2 conductivities needs no reference medium.  In the
+(n, t) frame of the unit normal, t = (-n1, n0), the partial inverse
+(1/s_nn, s_nt/s_nn, s_tt - s_nt^2/s_nn) is additive in the volume fractions
+(Backus 1962; Milton, The Theory of Composites, ch. 9).  ``_conduct_rows``,
+the one 2x2 laminate, evaluates it on Python floats, so it scales exactly
+with the phases and no BLAS kernel rounds it.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
 
-from .tensor4 import (I2, I4, DomainError, check_finite, check_fraction, gamma0,
-                      kron2, resolvent, rotate_block, unit_normal)
+from .tensor4 import (I2, I4, DomainError, check_finite, check_fraction, check_spd2,
+                      gamma0, kron2, resolvent, rotate_block, unit_normal)
 
 __all__ = [
     "Leaf", "Mix", "laminate2", "laminate_tree", "conduct2",
@@ -74,11 +84,10 @@ class Mix:
 def _mix(AB, f, G):
     """Mix fraction ``f`` of A with B, stacked as AB = (A, B): the average
     W = <resolvent(L - I, G)>, one stacked call for both, mapped back by
-    I + resolvent(W, -G) and symmetrized.  A, B and G may be (..., n, n)
+    I + resolvent(W, -G) and symmetrized.  A, B and G may be (..., 4, 4)
     stacks, ``f`` a float or of shape (..., 1, 1)."""
-    eye = I4 if AB.shape[-1] == 4 else I2
-    R = resolvent(AB - eye, G)
-    out = eye + resolvent(f * R[0] + (1.0 - f) * R[1], -G)
+    R = resolvent(AB - I4, G)
+    out = I4 + resolvent(f * R[0] + (1.0 - f) * R[1], -G)
     return (out + np.swapaxes(out, -1, -2)) / 2.0
 
 
@@ -136,26 +145,47 @@ def laminate_tree(node):
     return vals[-1].copy()
 
 
+def _conduct_rows(s1, s2, f, n0, n1):
+    """Rank-one laminate of the SPD 2x2 conductivities with rows ``s1`` and
+    ``s2``, fraction ``f`` of s1, at the unit normal (n0, n1); rows out.
+
+    s_nn = 1 / <1/s_nn>, s_nt = s_nn <s_nt/s_nn> and s_tt = <s_tt - s_nt^2/s_nn>
+    + s_nt^2/s_nn return to the axes as s_nn n n^T + s_tt t t^T, then the n-t
+    term, so isotropic phases at an axis normal give the closed form through
+    n n^T + along t t^T bit for bit.
+    """
+    g = 1.0 - f
+    frame = []
+    for (a, b), (c, d) in (s1, s2):
+        u0, u1 = a * n0 + b * n1, c * n0 + d * n1          # s n
+        v0, v1 = b * n0 - a * n1, d * n0 - c * n1          # s t
+        frame.append((n0 * u0 + n1 * u1, n0 * v0 + n1 * v1, n0 * v1 - n1 * v0))
+    (nn1, nt1, tt1), (nn2, nt2, tt2) = frame
+    nn = 1.0 / (f / nn1 + g / nn2)
+    nt = nn * (f * (nt1 / nn1) + g * (nt2 / nn2))
+    tt = f * (tt1 - nt1 * nt1 / nn1) + g * (tt2 - nt2 * nt2 / nn2) + nt * nt / nn
+    off = nn * (n0 * n1) + tt * (-n1 * n0) + nt * (n0 * n0 - n1 * n1)
+    return ((nn * (n0 * n0) + tt * (n1 * n1) - nt * (2.0 * n0 * n1), off),
+            (off, nn * (n1 * n1) + tt * (n0 * n0) + nt * (2.0 * n0 * n1)))
+
+
+def _iso_rows(h):
+    """Rows of h I for a contrast ``h`` that is positive and finite."""
+    if not 0.0 < h < math.inf:
+        raise DomainError("phase contrast must be positive and finite")
+    return (h, 0.0), (0.0, h)
+
+
 def conduct2(s1, s2, f, n):
-    """Rank-one laminate of two 2x2 conductivities (same W-additivity)."""
-    n = unit_normal(n)
-    return _mix(check_finite((s1, s2), "phase"), check_fraction(f), np.outer(n, n))
+    """Rank-one laminate of two SPD 2x2 conductivities, reference free."""
+    return np.array(_conduct_rows(check_spd2(s1, "phase").tolist(),
+                                  check_spd2(s2, "phase").tolist(),
+                                  check_fraction(f), *unit_normal(n).tolist()))
 
 
 def sigma_star_rank1(h, f, n):
-    """Closed-form conductivity of the rank-one mix of 1 and h."""
-    return _rank1_closed(h, check_fraction(f), *unit_normal(n).tolist())
-
-
-def _rank1_closed(h, f, n0, n1):
-    """through n n^T + along m m^T, m = (-n1, n0), on floats in np.outer's order."""
-    if not 0.0 < h < np.inf:
-        raise DomainError("phase contrast must be positive and finite")
-    through = 1.0 / (f + (1.0 - f) / h)
-    along = f + (1.0 - f) * h
-    off = through * (n0 * n1) + along * (-n1 * n0)
-    return np.array(((through * (n0 * n0) + along * (n1 * n1), off),
-                     (off, through * (n1 * n1) + along * (n0 * n0))))
+    """Conductivity of the rank-one mix of 1 and h."""
+    return RankOneModel(f, n).sigma_star(h)
 
 
 class RankOneModel:
@@ -164,15 +194,22 @@ class RankOneModel:
     def __init__(self, f, n=(1.0, 0.0)):
         self.f = check_fraction(f)
         self.n = unit_normal(n)
-        self._gamma = kron2(I2, np.outer(self.n, self.n))   # Gamma0 of n as stored
+
+    @cached_property
+    def _gamma(self):
+        return kron2(I2, np.outer(self.n, self.n))          # Gamma0 of n as stored
 
     @property
     def phase1_fraction(self):
         return self.f
 
+    def _rows(self, h):
+        return _conduct_rows(((1.0, 0.0), (0.0, 1.0)), _iso_rows(h), self.f,
+                             *self.n.tolist())
+
     def sigma_star(self, h):
         """Effective conductivity with phases I and h I."""
-        return _rank1_closed(h, self.f, *self.n.tolist())
+        return np.array(self._rows(h))
 
     def tensor(self, L1, L2):
         return _mix(check_finite((L1, L2), "phase"), self.f, self._gamma)
@@ -193,16 +230,18 @@ class IteratedRank2Model:
         self.inner = RankOneModel(f_inner, n_inner)
         self.f_outer = check_fraction(f_outer)
         self.n_outer = unit_normal(n_outer)
-        self._nn = np.outer(self.n_outer, self.n_outer)
-        self._gamma = kron2(I2, self._nn)
+
+    @cached_property
+    def _gamma(self):
+        return kron2(I2, np.outer(self.n_outer, self.n_outer))
 
     @property
     def phase1_fraction(self):
         return self.inner.f * self.f_outer
 
     def sigma_star(self, h):
-        s_in = self.inner.sigma_star(h)
-        return _mix(np.array((s_in, h * I2)), self.f_outer, self._nn)
+        return np.array(_conduct_rows(self.inner._rows(h), _iso_rows(h),
+                                      self.f_outer, *self.n_outer.tolist()))
 
     def tensor(self, L1, L2):
         return _mix(np.array((self.inner.tensor(L1, L2), L2), dtype=float),

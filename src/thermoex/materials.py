@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor4 import (DomainError, block_from_parts, block_parts, block_is_pd,
-                      check_block, check_spd2, det2, inv2)
+                      check_block, check_spd2, det2, inv2, inv2_rows)
 
 __all__ = [
     "Material", "canon_from_physical", "physical_from_canon",
@@ -72,6 +72,13 @@ def physical_from_canon(L, T0):
     return Material(sigma=sigma, seebeck=seebeck, kappa=kappa, T0=T0)
 
 
+def _mul2(x, y):
+    """Product of two 2x2 matrices given as rows."""
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+
+
 def figure_of_merit(L):
     """Dimensionless figure of merit ZT = lam / (1 - lam).
 
@@ -81,8 +88,11 @@ def figure_of_merit(L):
     L = check_block(L)
     if not block_is_pd(L):
         raise DomainError("tensor must be positive definite")
-    L11, L12, L22 = block_parts(L)
-    (m00, m01), (m10, m11) = (inv2(L22) @ L12.T @ inv2(L11) @ L12).tolist()
+    (a, b, p, q), (c, d, r, s), (_, _, e, g), (_, _, h, k) = L.tolist()
+    # ((L22^-1 L12^T) L11^-1) L12 on Python floats, each entry multiply-then-add
+    (m00, m01), (m10, m11) = _mul2(
+        _mul2(_mul2(inv2_rows(((e, g), (h, k))), ((p, r), (q, s))),
+              inv2_rows(((a, b), (c, d)))), ((p, q), (r, s)))
     half = (m00 - m11) / 2.0
     lam = (m00 + m11) / 2.0 + math.sqrt(max(half * half + m01 * m10, 0.0))
     if lam >= 1.0:

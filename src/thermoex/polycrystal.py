@@ -37,6 +37,7 @@ coefficient of W, (B_Y^2 + g B_Y) hvec(X + conj X) with B_Y^2 = tr(B_Y) B_Y
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,7 @@ HERM_BASIS = (
 )
 
 _EPS = 2.0 ** -52                   # double precision epsilon
+_TINY = 2.0 ** -1022                # smallest normal double
 
 # both companion matrices of a degree-n F but for their first rows
 _SHIFT = [np.stack([np.eye(n, k=-1)] * 2) for n in range(9)]
@@ -256,17 +258,18 @@ def solve_isotropic(k0):
     (x00, x01), (x10, x11) = X.tolist()
     # theta scales as 1/s^2 and Z as s under (X, Y) -> s (X, Y); solving for
     # (X, Y) / s keeps the coefficients of F in floating-point range, and a
-    # power of two s scales exactly.  The PD test takes the block / s too, so
+    # power of two s scales exactly; s = 2^e with e in [-1073, 1023], so s and
+    # s / 2 are nonzero and finite.  The PD test takes the block / s too, so
     # the absolute floor of block_is_pd rejects no small crystallite; a Y / s
-    # that overflows is not PD, nor is the block / inf of an s = 2^1024.
+    # that overflows is not PD.
     big = max(abs(x00), abs(x01), abs(x10), abs(x11))
-    e = round(math.log2(big)) if 0.0 < big < math.inf else 0
-    s = 2.0 ** e if e < 1024 else math.inf
+    e = min(max(round(math.log2(big)), -1073), 1023) if 0.0 < big < math.inf else 0
+    s = 2.0 ** e
     with np.errstate(over="ignore"):
         if not block_is_pd(kt_to_block(k0) / s):
             raise DomainError("crystallite tensor must be positive definite")
-    rhs = [(x00.real + x00.real) / s, (x11.real + x11.real) / s,
-           (x01.real + x01.real) / s, 0.0]              # hvec(X + conj(X)) / s
+    h = s / 2.0        # x / h is (x + x) / s, bit for bit, and cannot overflow
+    rhs = [x00.real / h, x11.real / h, x01.real / h, 0.0]   # hvec(X + conj(X)) / s
     w, p, Bm = _z_polys([v / s for v in k0.Y.ravel().tolist()], rhs)
     # F = theta det W - p^2, descending, degree <= 8
     F = [0.0] * 9
@@ -309,6 +312,11 @@ def solve_isotropic(k0):
                    for zi, (b0, b1, b2, b3), ri in zip(z, Bm, rhs))
         if back <= 1e-8 * (r_inf + max(map(abs, z)) * (1.0 + t * b_inf)):
             found.append((t / s / s, [v * s for v in z]))      # s ** 2 may overflow
+    # at the extremes of the float range theta ~ 1/s^2 or Z ~ s leaves it
+    if not all(_TINY <= th < math.inf and all(map(math.isfinite, z))
+               for th, z in found):
+        raise DomainError(f"crystallite of scale 2^{e}: a root theta or its Z "
+                          "is not a normal float")
     flagged = []
     best = None
     for th, (z0, z1, z2, z3) in sorted(found):
@@ -327,6 +335,8 @@ def solve_isotropic(k0):
             "the solvability of the isotropy condition")
 
     theta, Z, Lh = best
+    if not all(map(cmath.isfinite, Lh[0] + Lh[1])):
+        raise DomainError(f"crystallite of scale 2^{e}: Lstar overflows")
     n_feas = sum(1 for _, fz in flagged if fz)
     # Lstar = B^-2 + i alpha Rperp: B^-2 is the symmetric part of Re(Lstar)
     (l00, l01), (l10, l11) = Lh

@@ -26,7 +26,7 @@ import numpy as np
 
 __all__ = [
     "DomainError", "I2", "I4", "RPERP", "T4", "Z0", "Z0SYM", "E11", "E22",
-    "KTensor", "phi", "psi", "cof2", "kron2", "inv2", "det2", "pd2",
+    "KTensor", "phi", "psi", "cof2", "kron2", "inv2", "inv2_rows", "det2", "pd2",
     "check_spd2", "spd_sqrt_rows", "spd_sqrt_2x2", "as_block",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
     "block_inverse", "congruence", "block_parts", "block_from_parts",
@@ -81,13 +81,18 @@ def det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def inv2(m):
-    """Closed-form inverse of a 2x2 (real or complex), an array or its rows."""
-    (a, b), (c, d) = m.tolist() if isinstance(m, np.ndarray) else m
+def inv2_rows(rows):
+    """Closed-form inverse of a 2x2 (real or complex) given as rows, as rows."""
+    (a, b), (c, d) = rows
     det = a * d - b * c
     if det == 0:
         raise np.linalg.LinAlgError("singular 2x2 matrix")
-    return np.array(((d / det, -b / det), (-c / det, a / det)))
+    return (d / det, -b / det), (-c / det, a / det)
+
+
+def inv2(m):
+    """:func:`inv2_rows` of a 2x2 array or of its rows, as an array."""
+    return np.array(inv2_rows(m.tolist() if isinstance(m, np.ndarray) else m))
 
 
 def pd2(m, tol=0.0, scale=1.0):
@@ -317,11 +322,10 @@ def block_is_pd(B, tol=1e-12):
 def resolvent(D, M):
     """[D^-1 + M]^-1 in the pole-free form D (I + M D)^-1, finite for singular D.
 
-    L0 + resolvent(W, -M) inverts W = resolvent(L - L0, M).  D and M may be
-    (..., n, n) stacks with n = 2 or 4, evaluated entry by entry.
+    L0 + resolvent(W, -M) inverts W = resolvent(L - L0, M).  D and M are 4x4
+    or (..., 4, 4) stacks, evaluated entry by entry.
     """
-    eye = I4 if D.shape[-1] == 4 else I2
-    return D @ np.linalg.inv(eye + M @ D)
+    return D @ np.linalg.inv(I4 + M @ D)
 
 
 def mobius(A, L):
@@ -355,15 +359,17 @@ def rotate_block(theta, B):
 def unit_normal(n):
     """Layer normals ``n`` of shape (..., 2) scaled to unit length; another
     shape, a zero or NaN normal and one whose n.n overflows are rejected.
-    n.n as a matmul rounds like np.linalg.norm of one normal."""
+    n.n is n0 n0 + n1 n1, on floats for one normal and elementwise for a
+    stack, so both round alike and no BLAS kernel rounds it."""
     n = np.asarray(n, dtype=float)
     if n.shape[-1:] != (2,):
         raise ValueError("layer normal must have 2 entries")
-    if n.ndim == 1:         # one normal: n @ n is the same dot, unbroadcast
-        norm = math.sqrt(n @ n)
+    if n.ndim == 1:
+        n0, n1 = n.tolist()
+        norm = math.sqrt(n0 * n0 + n1 * n1)
         ok = 0.0 < norm < math.inf
     else:
-        norm = np.sqrt(n[..., None, :] @ n[..., :, None])[..., 0]
+        norm = np.sqrt(n[..., :1] * n[..., :1] + n[..., 1:] * n[..., 1:])
         ok = ((norm > 0.0) & (norm < np.inf)).all()
     if not ok:
         raise ValueError("layer normal must be nonzero and of finite length")

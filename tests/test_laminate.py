@@ -122,6 +122,18 @@ def test_conduct2_matches_closed_form(rng):
         assert np.abs(lhs - sigma_star_rank1(h, f, n)).max() < 1e-12 * (1 + h)
 
 
+def test_conduct2_is_reference_free(rng):
+    """The conductivity laminate has no reference medium: for a power of two
+    c, conduct2 of c s1 and c s2 is c times conduct2 of s1 and s2, bit for bit
+    (a W-form anchored at I is off by about eps c^2 relative)."""
+    for _ in range(200):
+        s1, s2 = rand_spd(rng), rand_spd(rng)
+        f, n = rng.uniform(), rng.standard_normal(2)
+        ref = conduct2(s1, s2, f, n)
+        for c in (2.0 ** 20, 2.0 ** -20):
+            assert np.array_equal(conduct2(c * s1, c * s2, f, n), c * ref)
+
+
 def test_model_embedding_consistency(rng):
     """Conductivity mixing agrees with the 4x4 path on uncoupled tensors."""
     for model in (RankOneModel(0.4, (1.0, 0.0)),
@@ -137,7 +149,9 @@ def test_model_embedding_consistency(rng):
 
 def test_models_mix_at_their_stored_normals(rng):
     """A model normalizes each normal once, so ``tensor`` and ``sigma_star``
-    mix at the same normal bits: those of the stored unit normal."""
+    mix at the same normal bits: those of the stored unit normal.  The
+    rank-2 ``sigma_star`` is the float conductivity laminate at that normal,
+    which agrees with the W-form mix of the uncoupled tensors to rounding."""
     L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
     for _ in range(200):
         n, m = rng.standard_normal(2), rng.standard_normal(2)
@@ -149,8 +163,14 @@ def test_models_mix_at_their_stored_normals(rng):
         want = lam._mix(np.array((two.inner.tensor(L1, L2), L2)), 0.6, np.kron(I2, nn))
         assert two.tensor(L1, L2).tobytes() == want.tobytes()
         h = rng.uniform(0.3, 4.0)
-        want = lam._mix(np.array((two.inner.sigma_star(h), h * I2)), 0.6, nn)
-        assert two.sigma_star(h).tobytes() == want.tobytes()
+        s_in = two.inner.sigma_star(h)
+        got = two.sigma_star(h)
+        want = lam._conduct_rows(s_in.tolist(), (h * I2).tolist(), 0.6,
+                                 *two.n_outer.tolist())
+        assert got.tobytes() == np.array(want).tobytes()
+        w_form = lam._mix(np.array((uncoupled(s_in), uncoupled(h * I2))), 0.6,
+                          np.kron(I2, nn))[:2, :2]
+        assert np.abs(got - w_form).max() <= 1e-13 * np.abs(w_form).max()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -10,9 +10,9 @@ from thermoex import exactrel as er
 from thermoex import linkgroup as lg
 from thermoex import polycrystal as pc
 from thermoex.laminate import Leaf, Mix, laminate_tree
-from thermoex.tensor4 import (I2, RPERP, KTensor, cof2, det2, kt_from_block,
-                              kt_to_block, rotate, is_positive_definite,
-                              spd_sqrt_2x2)
+from thermoex.tensor4 import (I2, RPERP, DomainError, KTensor, cof2, det2,
+                              kt_from_block, kt_to_block, rotate,
+                              is_positive_definite, spd_sqrt_2x2)
 from conftest import rand_herm, rand_sym_c
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -215,12 +215,36 @@ def test_iterates_on_a_pole_are_dropped():
 
 
 def test_huge_crystallite_warns_nowhere():
-    """crystallite_s2 with X x 1e160: the feasibility tests of the roots
-    scale before their determinants, so nothing overflows (pytest turns
-    warnings into errors)."""
-    res = pc.solve_isotropic(KTensor(2e160 * I2, I2))
-    assert [f for _, f in res.roots] == [True] and 0.0 < res.theta < 1e-320
+    """crystallite_s2 with X x 1e152, entries past 2^500: the feasibility
+    tests of the roots scale before their determinants, so nothing overflows
+    (pytest turns warnings into errors), and theta ~ 1/|X|^2 is still a
+    normal float."""
+    res = pc.solve_isotropic(KTensor(2e152 * I2, I2))
+    assert [f for _, f in res.roots] == [True] and 2.0 ** -1022 < res.theta < 1e-305
     assert np.isfinite(res.B).all() and np.isfinite(res.Lstar).all()
+
+
+def _scaled_crystallite(e):
+    return KTensor(np.diag([1.5, 1.0]) * 10.0 ** e, np.diag([0.1, 0.0]) * 10.0 ** e)
+
+
+@pytest.mark.parametrize("k0", [
+    *(_scaled_crystallite(e) for e in (-165, -160, 160, 165, 300)),
+    KTensor(np.diag([1.5e308, 1e308]), np.diag([1e307, 0.0]))])
+def test_theta_outside_the_float_range_raises(k0):
+    """theta ~ 1/|X|^2 of a crystallite near either end of the float range is
+    not a normal float (inf, subnormal or 0): a DomainError names the scale,
+    instead of an inf or subnormal theta or a claim that no root exists.  The
+    last crystallite, near 2^1024, passes the PD test at the capped scale."""
+    with pytest.raises(DomainError, match=r"crystallite of scale 2\^"):
+        pc.solve_isotropic(k0)
+
+
+@pytest.mark.parametrize("e,theta", [(-150, "0x1.fe4102ef56cb3p+993"),
+                                     (100, "0x1.059091fe4ff44p-667"),
+                                     (150, "0x1.c9afa50bed99fp-1000")])
+def test_theta_inside_the_float_range_keeps_its_bits(e, theta):
+    assert pc.solve_isotropic(_scaled_crystallite(e)).theta == float.fromhex(theta)
 
 
 def test_power_of_two_scaling(rng):
