@@ -10,8 +10,9 @@ symmetric, and every such operator also has a real 4x4 block form
 
 with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  Operator
 products are real 4x4 products of the block forms, one matmul for a stack; the
-2x2 kernels are closed form, 4x4 inverses dense numpy.linalg, and block_is_pd is
-the one 4x4 PD test.  A basis change (B (x) I) L (B (x) I)^T is congruence.
+2x2 kernels are closed form and 4x4 inverses dense numpy.linalg.  The one 4x4 PD
+test, block_is_pd, is an LDL^T pivot test on Python floats, with no LAPACK
+call.  A basis change (B (x) I) L (B (x) I)^T is congruence.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.
@@ -301,22 +302,52 @@ def is_positive_definite(k):
     return block_is_pd(kt_to_block(k))
 
 
+def _pd_flat(v, tol):
+    """:func:`block_is_pd` of one block given as its 16 entries, row-major."""
+    big = max(map(abs, v))       # Inf with an Inf entry; NaN fails at a pivot
+    if 2.0 ** 1023 <= big < math.inf:            # B + B^T would overflow
+        v = [x / 2.0 for x in v]
+        big /= 2.0
+    t = 2.0 * tol * (1.0 + big)
+    b00, b01, b02, b03, b10, b11, b12, b13, \
+        b20, b21, b22, b23, b30, b31, b32, b33 = v
+    a00 = b00 + b00 - t                          # the pivots of S - t I
+    if not a00 > 0.0:
+        return False
+    c1, c2, c3 = b10 + b01, b20 + b02, b30 + b03
+    m1, m2, m3 = c1 / a00, c2 / a00, c3 / a00
+    a11 = b11 + b11 - t - m1 * c1
+    if not a11 > 0.0:
+        return False
+    a21 = b21 + b12 - m2 * c1
+    a31 = b31 + b13 - m3 * c1
+    n2, n3 = a21 / a11, a31 / a11
+    a22 = b22 + b22 - t - m2 * c2 - n2 * a21
+    if not a22 > 0.0:
+        return False
+    a32 = b32 + b23 - m3 * c2 - n3 * a21
+    return b33 + b33 - t - m3 * c3 - n3 * a31 - a32 / a22 * a32 > 0.0
+
+
 def block_is_pd(B, tol=1e-12):
     """Positive definiteness of a real 4x4 block or a (..., 4, 4) stack: all
-    eigenvalues of the symmetric part exceed tol * (1 + max|B|), strictly, so
-    the boundary fails, as do NaN and Inf entries.  One block gives a bool."""
+    eigenvalues of S = B + B^T exceed t = 2 tol (1 + max|B|), strictly, so the
+    boundary fails, as do NaN and Inf entries.  One block gives a bool.
+
+    The test is the LDL^T factorization of S - t I on Python floats: each of
+    its four pivots must be positive.  A NaN entry reaches a pivot and an Inf
+    one makes t infinite, so both fail.  For PD input each Schur complement is
+    bounded by the diagonal, so no pivot overflows.  A finite block with
+    max|B| >= 2^1023, where S would overflow, is halved first, exactly (the 1
+    of its cutoff is not).  A stack runs the same test block by block.
+    """
     B = np.asarray(B, dtype=float)
-    big = np.abs(B).max(axis=(-2, -1))           # NaN or Inf with such an entry
-    ok = big < 2.0 ** 1023
-    if not ok.all():
-        # NaN or Inf entries: -I replaces the block.  max|B| >= 2^1023, where
-        # B + B^T overflows: the block is halved, exactly (its cutoff's 1 is not)
-        B = np.where(ok[..., None, None], B, B / 2.0)
-        B = np.where((big < np.inf)[..., None, None], B, -I4)
-        big = np.abs(B).max(axis=(-2, -1))
-    w = np.linalg.eigvalsh(B + np.swapaxes(B, -1, -2))[..., 0]          # smallest
-    pd = w > 2.0 * tol * (1.0 + big)
-    return bool(pd) if pd.ndim == 0 else pd
+    if B.shape[-2:] != (4, 4):
+        raise ValueError("block tensor must be 4x4")
+    if B.ndim == 2:
+        return _pd_flat(B.ravel().tolist(), tol)
+    return np.array([_pd_flat(v, tol) for v in B.reshape(-1, 16).tolist()],
+                    dtype=bool).reshape(B.shape[:-2])
 
 
 def resolvent(D, M):
@@ -358,7 +389,9 @@ def rotate_block(theta, B):
 
 def unit_normal(n):
     """Layer normals ``n`` of shape (..., 2) scaled to unit length; another
-    shape, a zero or NaN normal and one whose n.n overflows are rejected.
+    shape and a zero, NaN or Inf normal are rejected.  Each normal is first
+    divided by 2^e with max|n| in [2^(e-1), 2^e), exactly, so n.n neither
+    overflows nor underflows and the unit normal keeps the bits of n / |n|.
     n.n is n0 n0 + n1 n1, on floats for one normal and elementwise for a
     stack, so both round alike and no BLAS kernel rounds it."""
     n = np.asarray(n, dtype=float)
@@ -366,14 +399,17 @@ def unit_normal(n):
         raise ValueError("layer normal must have 2 entries")
     if n.ndim == 1:
         n0, n1 = n.tolist()
+        e = -math.frexp(max(abs(n0), abs(n1)))[1]    # 0 for 0, Inf and NaN
+        n0, n1 = math.ldexp(n0, e), math.ldexp(n1, e)
         norm = math.sqrt(n0 * n0 + n1 * n1)
-        ok = 0.0 < norm < math.inf
+        if 0.0 < norm < math.inf:
+            return np.array((n0 / norm, n1 / norm))
     else:
+        n = np.ldexp(n, -np.frexp(np.abs(n).max(axis=-1, keepdims=True))[1])
         norm = np.sqrt(n[..., :1] * n[..., :1] + n[..., 1:] * n[..., 1:])
-        ok = ((norm > 0.0) & (norm < np.inf)).all()
-    if not ok:
-        raise ValueError("layer normal must be nonzero and of finite length")
-    return n / norm
+        if ((norm > 0.0) & (norm < np.inf)).all():
+            return n / norm
+    raise ValueError("layer normal must be nonzero and of finite length")
 
 
 def gamma0(n):

@@ -1,9 +1,12 @@
-"""The two-phase results do not depend on the BLAS kernel.
+"""The two-phase results and the 4x4 PD test do not depend on the BLAS kernel.
 
 OpenBLAS picks a CPU kernel at load time, and its kernels round small
 products differently (some fuse the multiply-adds).  The conductivity
-laminates, the models' ``sigma_star``, ZT and Gamma0 avoid BLAS, so a seeded
-script hashes to the same digest under every kernel the CPU can run.
+laminates, the models' ``sigma_star``, ZT, Gamma0 and ``block_is_pd`` avoid
+BLAS and LAPACK, so a seeded script hashes to the same digest under every
+kernel the CPU can run.  Its ``block_is_pd`` verdicts are taken on blocks
+whose smallest eigenvalue of B + B^T lies within a few ulp of the cutoff,
+where any change of rounding would show.
 """
 
 import os
@@ -24,7 +27,7 @@ import hashlib
 import numpy as np
 from thermoex.laminate import IteratedRank2Model, RankOneModel, conduct2
 from thermoex.materials import figure_of_merit
-from thermoex.tensor4 import gamma0
+from thermoex.tensor4 import block_is_pd, gamma0
 
 rng = np.random.default_rng(23)
 digest = hashlib.sha256()
@@ -35,6 +38,24 @@ def spd(k):
     return S + S.T + 2.0 * k * np.eye(k)
 
 
+def reflection():
+    v = rng.standard_normal(4)
+    return np.eye(4) - 2.0 * v[:, None] * v[None, :] / (v * v).sum()
+
+
+def near_cutoff(tol):
+    # Q diag(lam) Q^T with lam[0] = 0, Q a product of two reflections, each
+    # product entry summed elementwise; the shift c puts the smallest
+    # eigenvalue 2c of B + B^T within 8 ulp of max|B| of the cutoff
+    Q = (reflection()[:, :, None] * reflection()[None, :, :]).sum(1)
+    lam = np.concatenate(([0.0], rng.uniform(0.5, 2.0, 3)))
+    B = np.ldexp((Q[:, None, :] * lam * Q[None, :, :]).sum(-1),
+                 int(rng.integers(-8, 9)))
+    big = np.abs(B).max()
+    c = tol * (1.0 + big) + rng.integers(-4, 5) * np.spacing(big)
+    return B + c * np.eye(4)
+
+
 for _ in range(100):
     f, h = rng.uniform(), rng.uniform(0.2, 5.0)
     n, m = rng.standard_normal(2), rng.standard_normal(2)
@@ -43,7 +64,13 @@ for _ in range(100):
                   IteratedRank2Model(f, n, 1.0 - f / 2, m).sigma_star(h),
                   gamma0(n), gamma0(rng.standard_normal((3, 2)))):
         digest.update(np.asarray(value, float).tobytes())
-print(digest.hexdigest())
+verdicts = []
+for tol in (1e-12, 1e-10):
+    blocks = np.stack([near_cutoff(tol) for _ in range(400)])
+    verdicts += [block_is_pd(B, tol) for B in blocks]
+    verdicts += block_is_pd(blocks, tol).tolist()
+digest.update(bytes(verdicts))
+print(digest.hexdigest(), sum(verdicts), len(verdicts))
 """
 
 KERNELS = (None, "Haswell", "Zen", "Sandybridge")
@@ -85,3 +112,5 @@ def test_two_phase_results_are_kernel_independent():
             [sys.executable, "-W", "error", "-c", SCRIPT], env=env, check=True,
             capture_output=True, text=True).stdout.strip()
     assert len(set(digests.values())) == 1, digests
+    _, pd, total = digests["default"].split()     # both verdicts occur often
+    assert 0.2 < int(pd) / int(total) < 0.8, digests

@@ -52,6 +52,21 @@ def test_golden(golden, argv):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_layer_normal_scale_is_free(tmp_path, capsys):
+    """A layer normal is a direction: the rank-one tree at n = (1e200, 0) and
+    at (1e-200, 0), where n.n overflows or underflows, prints the golden of
+    n = (1, 0).  Zero, NaN, Inf and ragged normals are input errors."""
+    want = (GOLDEN / "laminate_rank1.json").read_text()
+    for n in ([1e200, 0.0], [1e-200, 0.0]):
+        tree = _with_value(tmp_path, "tree_rank1.json", ("mix", "n"), n)
+        assert run(["laminate", tree]) == (cli.EXIT_OK, want)
+    for n in ([0.0, 0.0], [float("nan"), 1.0], [float("inf"), 0.0],
+              [1.0, -float("inf")], [1.0, [0.0]]):
+        tree = _with_value(tmp_path, "tree_rank1.json", ("mix", "n"), n)
+        assert cli.main(["laminate", tree]) == cli.EXIT_INPUT
+        assert capsys.readouterr().out == ""
+
+
 def test_determinism():
     argv = ["two-phase", str(DATA / "pair_1aii.json")]
     _, out1 = run(argv)
@@ -158,8 +173,9 @@ EXTREME = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv,name,path,value,code", [
     (["two-phase"], "pair_1b.json", ("phase1",), 1.0, cli.EXIT_INPUT),
     (["two-phase"], "pair_2a.json", ("micro", "normal"), 1.0, cli.EXIT_INPUT),
+    # a finite layer normal is a direction at any scale
     (["two-phase"], "pair_2a.json", ("micro", "normal", 0), 1e308,
-     cli.EXIT_INPUT),
+     cli.EXIT_OK),
     (["polycrystal"], "crystallite_iso.json", ("X",), 1.0, cli.EXIT_INPUT),
     (["zt"], "material_iso.json", ("T0",), None, cli.EXIT_INPUT),
     (["zt"], "material_iso.json", ("T0",), 1e308, cli.EXIT_DOMAIN),

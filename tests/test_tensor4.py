@@ -242,12 +242,27 @@ def test_block_pd_stack_and_bool(rng):
     assert pd.shape == (2, 3) and pd.dtype == bool
     assert 0 < pd.sum() < 6            # both outcomes occur
     for i in np.ndindex(2, 3):
-        one = block_is_pd(Bs[i])
-        assert type(one) is bool and one == pd[i]
+        for tol in (1e-12, 1e-10):
+            one = block_is_pd(Bs[i], tol)
+            assert type(one) is bool and one == block_is_pd(Bs, tol)[i]
     assert type(block_is_pd(-I4)) is bool and block_is_pd(-I4) is False
+    empty = block_is_pd(np.zeros((0, 4, 4)))
+    assert empty.shape == (0,) and empty.dtype == bool
 
 
 def test_block_pd_non_finite():
+    """A NaN or an Inf of either sign at any of the 16 positions of a PD
+    block fails the test, alone and in a stack, for any tolerance."""
+    base = 3.0 * I4 + 0.25 * np.add.outer(np.arange(4.0), np.arange(4.0)) / 6.0
+    assert block_is_pd(base) is True
+    bad = []
+    for i, j in np.ndindex(4, 4):
+        for v in (np.nan, np.inf, -np.inf):
+            B = base.copy()
+            B[i, j] = v
+            assert block_is_pd(B) is False and block_is_pd(B, tol=0.0) is False
+            bad.append(B)
+    assert block_is_pd(np.stack(bad + [base])).tolist() == [False] * 48 + [True]
     nan_pair = I4.copy()
     nan_pair[0, 1] = nan_pair[1, 0] = np.nan
     inf_diag = I4.copy()
@@ -273,8 +288,8 @@ def test_block_pd_huge_entries():
 
 
 def test_block_pd_matches_schur_form():
-    """On 10^4 seeded draws away from the boundary, the eigenvalue test of
-    the 4x4 block agrees with the (X, Y) Schur-complement test."""
+    """On 10^4 seeded draws away from the boundary, the pivot test of the
+    4x4 block agrees with the (X, Y) Schur-complement test."""
     rng = np.random.default_rng(0xD0)
     ks = [KTensor(rand_herm(rng) + c * I2, rand_sym_c(rng))
           for c in rng.uniform(0.0, 5.0, 10_000)]
@@ -287,6 +302,76 @@ def test_block_pd_matches_schur_form():
         if keep:
             assert got == schur_pd(k)
     assert block_is_pd(kt_to_block(KTensor(I2, I2))) is False   # boundary S_X = 0
+
+
+def test_block_pd_matches_eigenvalue_reference():
+    """The pivot test agrees with the smallest eigenvalue w of S = B + B^T
+    against the cutoff t = 2 tol (1 + max|B|) outside the band
+    |w - t| <= 1e-9 max|B|, which holds the rounding of both, for both
+    tolerances in use: on 10^4 seeded blocks per tolerance with scales from
+    2^-500 to 2^500, half of them not symmetric, and on 10^4 symmetric ones
+    shifted to put w within 1e-7 max(t, max|B|) of the cutoff."""
+    rng = np.random.default_rng(0x24)
+    n = 10_000
+
+    def scaled(A):
+        return np.ldexp(A, rng.integers(-500, 501, (len(A), 1, 1)))
+
+    def reference(B, tol):
+        big = np.abs(B).max(axis=(-2, -1))
+        w = np.linalg.eigvalsh(B + np.swapaxes(B, -1, -2))[:, 0]
+        return w, 2.0 * tol * (1.0 + big), big
+
+    for tol in (1e-12, 1e-10):
+        A = rng.standard_normal((n, 4, 4)) + rng.uniform(0.0, 6.0, (n, 1, 1)) * I4
+        A[::2] += np.swapaxes(A[::2], -1, -2)
+        C = scaled(rng.standard_normal((n, 4, 4)))
+        C += np.swapaxes(C, -1, -2)
+        w, t, big = reference(C, tol)
+        shift = (t - w) / 2.0 + rng.uniform(-1.0, 1.0, n) * 1e-7 * np.maximum(t, big)
+        for B in (scaled(A), C + shift[:, None, None] * I4):
+            w, t, big = reference(B, tol)
+            away = np.abs(w - t) > 1e-9 * big
+            pd = block_is_pd(B, tol)
+            assert away.sum() > 0.9 * n and 0.2 < pd[away].mean() < 0.8
+            assert (pd[away] == (w > t)[away]).all()
+            assert [block_is_pd(b, tol) for b in B[:500]] == pd[:500].tolist()
+
+
+def test_block_pd_boundary_fails_at_every_scale():
+    """K(I, I) has the eigenvalue 0: it fails at every scale 2^k, k in
+    [-500, 500], block by block and as one stack."""
+    stack = np.ldexp(kt_to_block(KTensor(I2, I2)), np.arange(-500, 501)[:, None, None])
+    assert not block_is_pd(stack).any()
+    assert not any(block_is_pd(b) for b in stack)
+
+
+def test_unit_normal_at_every_scale(rng):
+    """A normal is divided by a power of two before n.n is formed, so one
+    whose n.n overflows or underflows is accepted, and the unit normal keeps
+    the bits of n / sqrt(n0 n0 + n1 n1) wherever that formula stays in the
+    float range: for one normal and for a stack.  Zero, NaN, Inf and ragged
+    normals raise."""
+    from thermoex.tensor4 import unit_normal
+
+    n = rng.standard_normal((2000, 2)) * np.ldexp(1.0, rng.integers(-400, 401, (2000, 1)))
+    want = n / np.sqrt(n[:, :1] * n[:, :1] + n[:, 1:] * n[:, 1:])
+    assert unit_normal(n).tobytes() == want.tobytes()
+    assert all(unit_normal(m).tobytes() == u.tobytes() for m, u in zip(n[:200], want))
+    for m in ((1e200, 0.0), (-1e-200, 0.0), (3e-170, 4e-170), (1e-200, 1e-200),
+              (1.7e308, -1.7e308), (0.0, 5e-324), (np.ldexp(3.0, 600), np.ldexp(-4.0, 600))):
+        e = np.frexp(np.abs(m).max())[1]     # the same normal at unit scale
+        u = unit_normal(np.ldexp(m, -e)).tolist()
+        assert unit_normal(m).tolist() == u
+        assert unit_normal(np.array([m, m])).tolist() == [u] * 2
+    assert unit_normal((np.ldexp(3.0, -600), np.ldexp(4.0, -600))).tolist() == [0.6, 0.8]
+    for m in ((0.0, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 0.0),
+              (1.0, -np.inf), (1.0, [0.0]), (1.0, 0.0, 0.0)):
+        with pytest.raises(ValueError):
+            unit_normal(m)
+        if len(m) == 2 and np.ndim(m[1]) == 0:
+            with pytest.raises(ValueError):
+                unit_normal(np.array([(1.0, 0.0), m]))
 
 
 def test_rotate(rng):
