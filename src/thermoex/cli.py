@@ -6,7 +6,7 @@ DomainError (non-PD tensors, violated constraints, overflow), another
 ArithmeticError or a LinAlgError exits 3; any other ValueError, an OSError
 or a RecursionError (unreadable or malformed input) exits 2.  A non-finite
 number in a result is a DomainError, raised before anything is written.
-Output is deterministic for fixed seed and inputs; every number is printed
+Output is deterministic for fixed inputs; every number is printed
 with 17 significant digits.
 """
 
@@ -131,21 +131,20 @@ def _tree(obj):
 
 
 def cmd_verify_algebras(args):
+    """The catalog audits at the library's trial count and seed."""
     import thermoex.algebra as algebra
-    seed = algebra.DEFAULT_SEED if args.seed is None else args.seed
-    by_id, trials = algebra.algebra_by_id, args.trials
-    reports = [algebra.check_closure(spec, trials=trials, seed=seed)
-               for spec in algebra.catalog()]
+    by_id = algebra.algebra_by_id
+    reports = [algebra.check_closure(spec) for spec in algebra.catalog()]
     reports += [algebra.CheckReport(i, f"subalgebra:{s}", 0, 0.0,
                                     algebra.is_subalgebra(by_id(s), by_id(i)))
                 for i, subs in algebra.SUBALGEBRAS.items() for s in subs]
-    reports += [algebra.check_ideal(by_id(s), by_id(i), trials=trials, seed=seed)
+    reports += [algebra.check_ideal(by_id(s), by_id(i))
                 for i, ideals in algebra.IDEALS.items() for s in ideals]
-    reports += [algebra.check_chain(by_id(i), trials=trials, seed=seed)
-                for i in (8, 9, 13, 17, 20, 21, 22)]
+    reports += [algebra.check_chain(by_id(i)) for i in (8, 9, 13, 17, 20, 21, 22)]
+    trials = reports[0].trials                # the library's default count
     for spec in algebra.catalog():
-        key = algebra.find_inversion_key(spec, trials=trials, seed=seed)
-        res = algebra.key_condition_residual(spec, key, trials=trials, seed=seed)
+        key = algebra.find_inversion_key(spec)
+        res = algebra.key_condition_residual(spec, key)
         reports.append(algebra.CheckReport(
             spec.ident, f"key:{algebra.key_name(key)}", trials, res, res <= 1e-10))
     ok = all(r.passed for r in reports)
@@ -171,12 +170,11 @@ def cmd_laminate(args):
     return EXIT_OK
 
 
-def _pair(data, f=None, normal=None):
-    """Phase pair of a two-phase object.  The fraction of phase 1 is ``f``,
-    else the top-level or the microstructure's "f" (both must agree when
-    both are given), else the model's: 0.5 for rank1, f_inner f_outer for
-    rank2, which a given "f" must match.  ``f`` and ``normal`` apply to
-    rank1 only."""
+def _pair(data):
+    """Phase pair of a two-phase object.  The fraction of phase 1 is the
+    top-level or the microstructure's "f" (both must agree when both are
+    given), else the model's: 0.5 for rank1, f_inner f_outer for rank2,
+    which a given "f" must match."""
     from .laminate import IteratedRank2Model, RankOneModel
     from .twophase import IsoPhase, IsoPhasePair
     p1, p2 = (IsoPhase(data[k]["sigma"], float(data[k].get("r", 0.0)))
@@ -187,17 +185,13 @@ def _pair(data, f=None, normal=None):
     kind = micro.get("type", "rank1")
     if kind not in ("rank1", "rank2"):
         raise ValueError(f"unknown microstructure type {kind!r}")
-    if kind == "rank2" and (f is not None or normal is not None):
-        raise ValueError("--f and --normal apply to a rank1 microstructure only")
-    if f is None:
-        given = [float(v) for v in (data.get("f"), micro.get("f")) if v is not None]
-        if len(given) == 2 and given[0] != given[1]:
-            raise ValueError(f"top-level f {given[0]} and microstructure f "
-                             f"{given[1]} differ")
-        f = given[0] if given else None
+    given = [float(v) for v in (data.get("f"), micro.get("f")) if v is not None]
+    if len(given) == 2 and given[0] != given[1]:
+        raise ValueError(f"top-level f {given[0]} and microstructure f "
+                         f"{given[1]} differ")
+    f = given[0] if given else None
     if kind == "rank1":
-        n = micro.get("normal", [1.0, 0.0]) if normal is None else normal
-        model = RankOneModel(0.5 if f is None else f, n)
+        model = RankOneModel(0.5 if f is None else f, micro.get("normal", [1.0, 0.0]))
     else:
         model = IteratedRank2Model(
             micro.get("f_inner", 0.5), micro.get("n_inner", [1.0, 0.0]),
@@ -207,7 +201,7 @@ def _pair(data, f=None, normal=None):
 
 def cmd_two_phase(args):
     from .twophase import effective
-    pair = _read(args.pair, lambda data: _pair(data, args.f, args.normal))
+    pair = _read(args.pair, _pair)
     res = effective(pair)
     out = {"case": res.case.tag, "kind": res.kind,
            "scalars": {k: v for k, v in res.case.scalars.items()
@@ -265,10 +259,6 @@ def build_parser():
         prog="thermoex",
         description="Planar thermoelectric exact relations: verification "
                     "suites, laminate homogenization and solvers.")
-    ap.add_argument("--seed", type=int, default=None,
-                    help="seed of the verify-algebras audits "
-                         "(default: algebra.DEFAULT_SEED)")
-    ap.add_argument("--trials", type=int, default=200)
     ap.add_argument("--json", dest="output", metavar="PATH", default=None,
                     help="write the JSON result to PATH instead of stdout")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -286,10 +276,6 @@ def build_parser():
 
     two = sub.add_parser("two-phase", help="two-phase case analysis + tensor")
     two.add_argument("pair", help="JSON file with phase1/phase2/micro")
-    two.add_argument("--f", type=float, default=None,
-                     help="override the volume fraction of phase 1 (rank1 only)")
-    two.add_argument("--normal", type=_parse_normal, default=None,
-                     metavar="NX,NY", help="override the layer normal (rank1 only)")
 
     poly = sub.add_parser("polycrystal", help="isotropic polycrystal point")
     poly.add_argument("tensor", help="JSON crystallite: {'X':..,'Y':..} or {'L':..}")
@@ -313,13 +299,6 @@ def _er_id(text):
         raise argparse.ArgumentTypeError(
             f"invalid choice: {ident} (choose from {', '.join(map(str, ER_IDS))})")
     return ident
-
-
-def _parse_normal(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("normal must be NX,NY")
-    return (float(parts[0]), float(parts[1]))
 
 
 _DISPATCH = {

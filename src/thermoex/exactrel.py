@@ -18,12 +18,12 @@ from functools import cache
 
 import numpy as np
 
-from .algebra import (DEFAULT_SEED, KEY_HALF_I, KEY_ZERO, AlgebraSpec,
+from .algebra import (DEFAULT_SEED, KEY_HALF_I, KEY_ZERO, PSI1, AlgebraSpec,
                       algebra_by_id)
 # gamma0 is layer geometry from tensor4, re-exported here
 from .tensor4 import (I2, I4, RPERP, T4, DomainError, KTensor, as_block,
-                      block_is_pd, block_parts, cof2, congruence, det2, gamma0,
-                      inv2, kt_from_block, kt_to_block, pd2, resolvent,
+                      block_is_pd, block_parts, check_finite, cof2, congruence,
+                      det2, gamma0, inv2, kt_from_block, kt_to_block, pd2, resolvent,
                       spd_sqrt_2x2)
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "covariance", "MembershipResult", "PSI1", "JRP",
 ]
 
-PSI1 = np.array([[1.0, 0.0], [0.0, -1.0]])
 JRP = np.kron(PSI1, RPERP)           # psi(1) (x) Rperp
 IRP4 = np.kron(I2, RPERP)            # I (x) Rperp
 
@@ -65,8 +64,7 @@ def w_transform(L, M):
     Evaluated in the pole-free product form D (I + M D)^-1, which is well
     defined even when L - I is singular.
     """
-    L = np.asarray(L, dtype=float)
-    return kt_from_block(resolvent(L - I4, M))
+    return kt_from_block(resolvent(check_finite(L, "L") - I4, check_finite(M, "M")))
 
 
 def w_inverse(k, M):
@@ -96,14 +94,13 @@ class MembershipResult:
 
 def lm_par(L, M):
     """Tensor [[L, L M], [M^T L, M^T L M]] + T from a 2x2 pair."""
-    L = np.asarray(L, dtype=float)
-    M = np.asarray(M, dtype=float)
+    L, M = check_finite(L, "L"), check_finite(M, "M")
     return np.block([[L, L @ M], [M.T @ L, M.T @ L @ M]]) + T4
 
 
 def lm_unpar(Lt):
     """Recover (L, M) from the parametrized form: M = L11^-1 (L12 + Rperp)."""
-    L11, L12, _ = block_parts(Lt)
+    L11, L12, _ = block_parts(check_finite(Lt, "Lt"))
     return L11, inv2(L11) @ (L12 + RPERP)
 
 
@@ -220,5 +217,5 @@ def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
 
 def covariance(lam, L):
     """Congruence by Lambda^-1/2 (x) I normalizing an isotropic reference."""
-    lam = np.asarray(lam, dtype=float)
-    return congruence(inv2(spd_sqrt_2x2(lam)), np.asarray(L, float))
+    lam = check_finite(lam, "lam")
+    return congruence(inv2(spd_sqrt_2x2(lam)), check_finite(L, "L"))

@@ -287,7 +287,7 @@ def link21_factor(M):
     P = -Rperp (M - tr M / 2 I) / det Lam; both are symmetric and the
     product of their determinants is one on the admissible domain.
     """
-    M = np.asarray(M, dtype=float)
+    M = check_finite(M, "M")
     t = 0.5 * (M[0, 0] + M[1, 1])
     lam = np.array([[1.0, t], [t, det2(M)]])
     dl = det2(lam)
@@ -299,6 +299,5 @@ def link21_factor(M):
 
 def link21_reconstruct(lam, P):
     """Inverse of :func:`link21_factor`: M = lam12 I + Rperp P det(lam)."""
-    lam = np.asarray(lam, dtype=float)
-    P = np.asarray(P, dtype=float)
+    lam, P = check_finite(lam, "lam"), check_finite(P, "P")
     return lam[0, 1] * I2 + RPERP @ P * det2(lam)

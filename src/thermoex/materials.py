@@ -102,5 +102,5 @@ def figure_of_merit(L):
 
 def zt_isotropic(lam):
     """ZT of an isotropic tensor lam (x) I: lam12^2 / det(lam)."""
-    lam = np.asarray(lam, dtype=float)
+    lam = check_spd2(lam, "lam")
     return float(lam[0, 1] ** 2 / det2(lam))

@@ -332,16 +332,10 @@ def test_tree_json_shared_and_malformed_nodes():
 
 
 def test_two_phase_overrides(tmp_path):
-    code, out = run(["two-phase", "--f", "0.6", "--normal", "0,1",
-                     str(DATA / "pair_2a.json")])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["case"] == "2a" and "Lstar" in obj
-    # --f and --normal set the rank1 laminate; a rank2 microstructure has no
-    # single fraction or normal for them, so they are refused, not ignored
+    """The pair file is the only source of a two-phase input: its top-level
+    and microstructure "f" must agree, and without either the model's
+    fraction applies."""
     rank2 = _with_value(tmp_path, "pair_2c.json", ("micro",), {"type": "rank2"})
-    for flags in (["--f", "0.9"], ["--normal", "0,1"]):
-        assert run(["two-phase", *flags, rank2]) == (cli.EXIT_INPUT, "")
     # a rank2 fraction is f_inner f_outer (0.25 here): the file's "f": 0.3
     # conflicts with it, and without "f", or with "f": 0.25, it is used
     assert run(["two-phase", rank2]) == (cli.EXIT_INPUT, "")
@@ -353,20 +347,38 @@ def test_two_phase_overrides(tmp_path):
     obj["f"] = 0.25
     Path(rank2).write_text(json.dumps(obj))
     assert run(["two-phase", rank2]) == (code, out)
-    # without a top-level "f" the microstructure's own is used; --f
-    # overrides both, also where they differ
-    obj = json.loads((DATA / "pair_2a.json").read_text())
-    del obj["f"]
+    # a microstructure "f" alone gives what a top-level "f" alone gives;
+    # where the two differ, the pair is refused
+    base = json.loads((DATA / "pair_2a.json").read_text())
+    micro = {k: v for k, v in base["micro"].items() if k != "f"}
     outs = []
-    for f in ("0.9", "0.1"):
-        obj["micro"]["f"] = float(f)
-        path = tmp_path / f"micro_f_{f}.json"
-        path.write_text(json.dumps(obj))
-        outs.append(run(["two-phase", str(path)]))
-        assert outs[-1] == run(["two-phase", "--f", f, str(DATA / "pair_2a.json")])
+    for f in (0.9, 0.1):
+        top_only = tmp_path / "top_f.json"
+        top_only.write_text(json.dumps(dict(base, f=f, micro=micro)))
+        micro_only = tmp_path / "micro_f.json"
+        micro_only.write_text(json.dumps({k: v for k, v in base.items() if k != "f"}
+                                         | {"micro": dict(micro, f=f)}))
+        outs.append(run(["two-phase", str(micro_only)]))
+        assert outs[-1][0] == cli.EXIT_OK
+        assert outs[-1] == run(["two-phase", str(top_only)])
     assert outs[0] != outs[1]
     differ = _with_value(tmp_path, "pair_2a.json", ("micro", "f"), 0.9)
-    assert run(["two-phase", "--f", "0.1", differ]) == outs[1]
+    assert run(["two-phase", differ]) == (cli.EXIT_INPUT, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-phase", "--f", "0.6", str(DATA / "pair_2a.json")],
+    ["two-phase", "--normal", "0,1", str(DATA / "pair_2a.json")],
+    ["--seed", "1", "verify-algebras"],
+    ["--trials", "5", "verify-algebras"],
+], ids=["f", "normal", "seed", "trials"])
+def test_retired_flags_are_usage_errors(argv, capsys):
+    """Each input comes from its file and each audit runs at the library's
+    trials and seed: these flags are unknown, so argparse exits 2."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_INPUT
+    assert capsys.readouterr().out == ""
 
 
 def test_two_phase_case_fields():
@@ -433,14 +445,14 @@ def test_json_output_file(tmp_path):
 
 def test_verify_algebras_fast(tmp_path):
     target = tmp_path / "report.json"
-    code, _ = run(["--trials", "5", "--json", str(target), "verify-algebras"])
+    code, _ = run(["--json", str(target), "verify-algebras"])
     assert code == 0
     obj = json.loads(target.read_text())
     assert obj["pass"] is True
     checks = {r["check"] for r in obj["reports"]}
     assert "closure" in checks and any(c.startswith("key:") for c in checks)
     ideals = [r for r in obj["reports"] if r["check"].startswith("ideal:")]
-    assert ideals and all(r["trials"] == 5 for r in ideals)
+    assert ideals and all(r["trials"] == 200 for r in ideals)
     # the ideal reports carry the worst audited residual, not a placeholder
     assert all(0.0 <= r["max_residual"] <= 1e-10 for r in ideals)
     assert any(r["max_residual"] > 0.0 for r in ideals)
@@ -450,7 +462,7 @@ def test_verify_algebras_rows_are_check_reports():
     """Every row, audits and table lookups alike, is written by
     CheckReport.to_json."""
     from thermoex.algebra import CheckReport
-    code, out = run(["--trials", "2", "verify-algebras"])
+    code, out = run(["verify-algebras"])
     keys = set(CheckReport(1, "closure", 2, 0.0, True).to_json())
     rows = json.loads(out)["reports"]
     assert code == 0 and {"subalgebra", "key"} <= {r["check"].split(":")[0]
@@ -470,7 +482,7 @@ def test_verify_algebras_corrupted_catalog(monkeypatch, tmp_path):
     cat[4] = bad
     monkeypatch.setattr(alg, "catalog", lambda: tuple(cat))
     target = tmp_path / "report.json"
-    code = cli.main(["--trials", "5", "--json", str(target), "verify-algebras"])
+    code = cli.main(["--json", str(target), "verify-algebras"])
     assert code == cli.EXIT_VERIFY
     obj = json.loads(target.read_text())
     assert obj["pass"] is False

@@ -4,7 +4,7 @@ import pytest
 from thermoex.materials import (Material, canon_from_physical,
                                 physical_from_canon, figure_of_merit,
                                 zt_isotropic)
-from thermoex.tensor4 import (I2, I4, block_from_parts, block_parts,
+from thermoex.tensor4 import (I2, I4, DomainError, block_from_parts, block_parts,
                               block_inverse, block_is_pd, rotate_block)
 from conftest import rand_spd, rand_pd_block
 
@@ -82,6 +82,17 @@ def test_zt_pinned():
     assert abs(figure_of_merit(L) - 1.0 / 3.0) < 1e-12
     assert abs(zt_isotropic(lam) - 1.0 / 3.0) < 1e-15
     assert figure_of_merit(np.diag([1.0, 1.0, 2.0, 2.0])) == 0.0
+
+
+def test_zt_isotropic_domain():
+    """lam must be symmetric positive definite: an indefinite or zero lam is
+    a DomainError (it gave -4/3 and NaN), and an asymmetric one, of which
+    only lam[0, 1] was read, a ValueError."""
+    for lam in ([[1.0, 2.0], [2.0, 1.0]], np.zeros((2, 2))):
+        with pytest.raises(DomainError):
+            zt_isotropic(lam)
+    with pytest.raises(ValueError, match="symmetric"):
+        zt_isotropic([[2.0, 1.0], [0.5, 2.0]])
 
 
 def test_zt_eig_oracle(rng):
