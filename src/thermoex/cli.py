@@ -96,17 +96,14 @@ def _pairs(pairs):
 
 
 def _tree(obj):
-    """Laminate tree of a JSON node, built bottom-up without recursion (a
-    sub-object reached along several paths is built once), and the tensors
-    of its leaves.  A malformed node, a non-finite rotation and a node that
-    contains itself raise ``ValueError``."""
+    """Laminate tree of a JSON node, read depth first, and the tensors of its
+    leaves in reading order.  A malformed node and a non-finite rotation raise
+    ``ValueError``; a tree nested too deep to read, or one that contains itself,
+    ends in ``RecursionError``."""
     from .laminate import Leaf, Mix
-    done, opened, tensors = {}, set(), []     # id -> node; mixes with pending children
-    stack = [obj]
-    while stack:
-        ob = stack.pop()
-        if id(ob) in done:
-            continue
+    tensors = []
+
+    def node(ob):
         if "leaf" in ob:
             leaf = ob["leaf"]
             if not isinstance(leaf, dict):
@@ -115,19 +112,14 @@ def _tree(obj):
             if not np.isfinite(rotation):
                 raise ValueError("leaf rotation must be finite")
             tensors.append(_block(leaf["tensor"]))
-            done[id(ob)] = Leaf(tensors[-1], rotation)
-        elif "mix" not in ob:
+            return Leaf(tensors[-1], rotation)
+        if "mix" not in ob:
             raise ValueError("laminate node must contain 'leaf' or 'mix'")
-        elif id(ob["mix"]["c1"]) in done and id(ob["mix"]["c2"]) in done:
-            mix = ob["mix"]
-            done[id(ob)] = Mix(done[id(mix["c1"])], done[id(mix["c2"])],
-                               float(mix["f"]), tuple(float(v) for v in mix["n"]))
-        elif id(ob) in opened:
-            raise ValueError("laminate node contains itself")
-        else:                                 # children first, then ob again
-            opened.add(id(ob))
-            stack += [ob, ob["mix"]["c2"], ob["mix"]["c1"]]
-    return done[id(obj)], tensors
+        mix = ob["mix"]
+        return Mix(node(mix["c1"]), node(mix["c2"]),
+                   float(mix["f"]), tuple(float(v) for v in mix["n"]))
+
+    return node(obj), tensors
 
 
 def cmd_verify_algebras(args):
@@ -218,9 +210,8 @@ def cmd_two_phase(args):
                                      "+ B (Z0 x Rp) = 0"}
     if res.case.tag == "1ci":
         out["sigma_star"] = res.metadata["sigma_star"].tolist()
-        if "free_parameter" in res.metadata:
-            out["free_parameter"] = res.metadata["free_parameter"].tolist()
-            out["structure_residual"] = res.metadata["structure_residual"]
+        out["free_parameter"] = res.metadata["free_parameter"].tolist()
+        out["structure_residual"] = res.metadata["structure_residual"]
     _emit(out, args.output)
     return EXIT_OK
 

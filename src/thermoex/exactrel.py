@@ -69,7 +69,7 @@ def w_transform(L, M):
 
 def w_inverse(k, M):
     """Inverse of :func:`w_transform`: L = I + W (I - M W)^-1."""
-    W = as_block(k)
+    W, M = check_finite(as_block(k), "k"), check_finite(M, "M")
     return I4 + (resolvent(W, -M) if M.any() else W)     # resolvent(W, 0) is W
 
 

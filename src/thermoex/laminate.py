@@ -33,7 +33,6 @@ with the phases and no BLAS kernel rounds it.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from operator import attrgetter
 
 import numpy as np
@@ -195,10 +194,6 @@ class RankOneModel:
         self.f = check_fraction(f)
         self.n = unit_normal(n)
 
-    @cached_property
-    def _gamma(self):
-        return kron2(I2, np.outer(self.n, self.n))          # Gamma0 of n as stored
-
     @property
     def phase1_fraction(self):
         return self.f
@@ -212,7 +207,8 @@ class RankOneModel:
         return np.array(self._rows(h))
 
     def tensor(self, L1, L2):
-        return _mix(check_finite((L1, L2), "phase"), self.f, self._gamma)
+        return _mix(check_finite((L1, L2), "phase"), self.f,
+                    kron2(I2, np.outer(self.n, self.n)))    # Gamma0 of n as stored
 
     def tree(self, L1, L2):
         return Mix(Leaf(L1), Leaf(L2), self.f, tuple(self.n))
@@ -231,10 +227,6 @@ class IteratedRank2Model:
         self.f_outer = check_fraction(f_outer)
         self.n_outer = unit_normal(n_outer)
 
-    @cached_property
-    def _gamma(self):
-        return kron2(I2, np.outer(self.n_outer, self.n_outer))
-
     @property
     def phase1_fraction(self):
         return self.inner.f * self.f_outer
@@ -245,7 +237,7 @@ class IteratedRank2Model:
 
     def tensor(self, L1, L2):
         return _mix(np.array((self.inner.tensor(L1, L2), L2), dtype=float),
-                    self.f_outer, self._gamma)
+                    self.f_outer, kron2(I2, np.outer(self.n_outer, self.n_outer)))
 
     def tree(self, L1, L2):
         return Mix(self.inner.tree(L1, L2), Leaf(L2),

@@ -61,6 +61,11 @@ def canon_from_physical(m):
 
 def physical_from_canon(L, T0):
     """Recover (sigma, S, kappa) from a canonical tensor at temperature T0."""
+    T0 = float(T0)
+    if not math.isfinite(T0):
+        raise ValueError("T0 must be finite")
+    if T0 <= 0:
+        raise DomainError("T0 must be positive")
     L = check_block(L)
     if not block_is_pd(L):
         raise DomainError("canonical tensor must be positive definite")

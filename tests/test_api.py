@@ -202,6 +202,8 @@ def _finite_inputs():
     return {
         "pullback": (exactrel.pullback, (8, L)),
         "w_transform": (exactrel.w_transform, (L, exactrel.er_spec(8).key_block)),
+        "w_inverse": (exactrel.w_inverse,
+                      (L - np.eye(4), exactrel.er_spec(8).key_block)),
         "lm_par": (exactrel.lm_par, (lam, M)),
         "lm_unpar": (exactrel.lm_unpar, (exactrel.lm_par(lam, M),)),
         "covariance": (exactrel.covariance, (lam, L)),

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import sys
 import warnings
 from contextlib import redirect_stdout
@@ -292,42 +293,49 @@ def test_deeply_nested_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_tree_deeper_than_the_recursion_limit_laminates(tmp_path, monkeypatch):
-    """The tree reader does not recurse: a parsed tree nested beyond the
-    recursion limit is laminated like any other."""
+def _at_depth(depth, fn):
+    """``fn()`` called with ``depth`` frames on the stack, so the margin to the
+    recursion limit does not depend on the test runner's own depth."""
+    stack, frame = 0, sys._getframe()
+    while frame is not None:
+        stack, frame = stack + 1, frame.f_back
+    assert stack <= depth, stack
+
+    def down(k):
+        return fn() if k == 0 else down(k - 1)
+    return down(depth - stack)
+
+
+def test_400_mix_chain_file_laminates(tmp_path):
+    """A 400-mix chain file, read 150 frames down the stack, prints exactly
+    ``laminate_tree`` of the same tree built in Python: the parser takes two
+    frames per mix and the depth-first reader one."""
     rng = np.random.default_rng(5)
     M1, M2 = rng.standard_normal((2, 4, 4))
-    leaf1 = {"leaf": {"tensor": {"L": (M1 @ M1.T + np.eye(4)).tolist()}}}
-    leaf2 = {"leaf": {"tensor": {"L": (M2 @ M2.T + np.eye(4)).tolist()}}}
-    tree = leaf1
-    for _ in range(sys.getrecursionlimit() + 100):
-        tree = {"mix": {"f": 0.5, "n": [1, 0], "c1": tree, "c2": leaf2}}
-    monkeypatch.setattr(cli, "_load", lambda path: tree)
-    code, out = run(["laminate", str(tmp_path / "deep.json")])
+    L1, L2 = M1 @ M1.T + np.eye(4), M2 @ M2.T + np.eye(4)
+    ref, text = Leaf(L1), json.dumps({"leaf": {"tensor": {"L": L1.tolist()}}})
+    leaf2 = json.dumps({"leaf": {"tensor": {"L": L2.tolist()}}})
+    for k in range(400):
+        f, n = 0.1 + 0.8 * (k % 7) / 6, [math.cos(k), math.sin(k)]
+        ref = Mix(ref, Leaf(L2), f, tuple(n))
+        text = '{"mix": {"f": %r, "n": %s, "c1": %s, "c2": %s}}' % (
+            f, json.dumps(n), text, leaf2)
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    code, out = _at_depth(150, lambda: run(["laminate", str(path)]))
     assert code == cli.EXIT_OK
-    ref = laminate_tree(cli._tree(tree)[0])
-    assert np.array_equal(np.array(json.loads(out)["L"]), ref)
+    assert np.array_equal(np.array(json.loads(out)["L"]), laminate_tree(ref))
 
 
-def test_tree_json_shared_and_malformed_nodes():
-    """A sub-object reached along two paths is read once, into one node
-    object; a node that is neither leaf nor mix and a node that contains
-    itself raise ValueError."""
-    L = np.diag([2.0, 3.0, 1.0, 1.5])
-    leaf = {"leaf": {"tensor": {"L": L.tolist()}, "rotation": 0.5}}
-    shared = {"mix": {"f": 0.3, "n": [1.0, 0.0], "c1": leaf,
-                      "c2": {"leaf": {"tensor": {"L": L.tolist()}}}}}
-    tree, leaves = cli._tree({"mix": {"f": 0.6, "n": [0.0, 1.0],
-                                      "c1": shared, "c2": shared}})
-    assert tree.child1 is tree.child2 and len(leaves) == 2
-    ref = Mix(Leaf(L, 0.5), Leaf(L), 0.3, (1.0, 0.0))
-    assert np.array_equal(laminate_tree(tree),
-                          laminate_tree(Mix(ref, ref, 0.6, (0.0, 1.0))))
+def test_tree_json_malformed_and_cyclic_nodes():
+    """A node that is neither leaf nor mix raises ValueError; a dict that
+    contains itself, which no JSON file gives, ends in RecursionError."""
+    leaf = {"leaf": {"tensor": {"L": np.diag([2.0, 3.0, 1.0, 1.5]).tolist()}}}
     with pytest.raises(ValueError, match="'leaf' or 'mix'"):
         cli._tree({"oops": {}})
     loop = {"mix": {"f": 0.5, "n": [1.0, 0.0], "c2": leaf}}
     loop["mix"]["c1"] = {"mix": dict(loop["mix"], c1=loop)}
-    with pytest.raises(ValueError, match="contains itself"):
+    with pytest.raises(RecursionError):
         cli._tree(loop)
 
 

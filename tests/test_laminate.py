@@ -130,8 +130,9 @@ def test_conduct2_is_reference_free(rng):
         s1, s2 = rand_spd(rng), rand_spd(rng)
         f, n = rng.uniform(), rng.standard_normal(2)
         ref = conduct2(s1, s2, f, n)
-        for c in (2.0 ** 20, 2.0 ** -20):
-            assert np.array_equal(conduct2(c * s1, c * s2, f, n), c * ref)
+        for k in (-200, -20, -1, 1, 20, 200):
+            c = 2.0 ** k
+            assert np.array_equal(conduct2(c * s1, c * s2, f, n), c * ref), k
 
 
 def test_model_embedding_consistency(rng):

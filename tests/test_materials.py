@@ -5,7 +5,8 @@ from thermoex.materials import (Material, canon_from_physical,
                                 physical_from_canon, figure_of_merit,
                                 zt_isotropic)
 from thermoex.tensor4 import (I2, I4, DomainError, block_from_parts, block_parts,
-                              block_inverse, block_is_pd, rotate_block)
+                              block_inverse, block_is_pd, check_block, inv2,
+                              rotate_block)
 from conftest import rand_spd, rand_pd_block
 
 
@@ -62,6 +63,28 @@ def test_seebeck_direct():
     L = np.block([[I2, -I2], [-I2, 3 * I2]])
     m = physical_from_canon(L, 1.0)
     assert np.allclose(m.seebeck, I2)
+
+
+def test_physical_from_canon_checks_T0(rng):
+    """T0 is checked before 1/T0: a non-finite one raises ValueError and one
+    at or below 0 DomainError, as Material does; a valid T0 gives the
+    Material of b0 L11, -b0 L11^-1 L12 and b0^2 (L22 - L12^T L11^-1 L12),
+    b0 = 1/T0, bit for bit."""
+    L = canon_from_physical(rand_material(rng))
+    for T0 in (0.0, -300.0):
+        with pytest.raises(DomainError, match="T0 must be positive"):
+            physical_from_canon(L, T0)
+    for T0 in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="T0 must be finite"):
+            physical_from_canon(L, T0)
+    L11, L12, L22 = block_parts(check_block(L))
+    for T0 in (300, 1e-3, 250.5):
+        m, b0 = physical_from_canon(L, T0), 1.0 / T0
+        ref = Material(b0 * L11, -b0 * inv2(L11) @ L12,
+                       b0 ** 2 * (L22 - L12.T @ inv2(L11) @ L12), T0)
+        assert m.T0 == T0
+        for k in ("sigma", "seebeck", "kappa"):
+            assert np.array_equal(getattr(m, k), getattr(ref, k)), (T0, k)
 
 
 def test_pd_iff_invariants(rng):
@@ -127,8 +150,11 @@ def test_zt_blowup():
 
 
 def test_zt_rotation_invariance(rng):
-    for _ in range(50):
+    """To a few eps of ZT times the condition number of L: the rotated block
+    carries rounding of order eps |L|."""
+    for _ in range(200):
         L = rand_pd_block(rng)
         th = rng.uniform(0, np.pi)
-        assert abs(figure_of_merit(L) - figure_of_merit(rotate_block(th, L))) \
-            < 1e-9 * (1 + figure_of_merit(L))
+        zt = figure_of_merit(L)
+        assert abs(zt - figure_of_merit(rotate_block(th, L))) \
+            <= 4.0 * np.finfo(float).eps * np.linalg.cond(L) * zt

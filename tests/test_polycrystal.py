@@ -255,7 +255,7 @@ def test_power_of_two_scaling(rng):
     for _ in range(20):
         k = rand_pd_crystallite(rng)
         ref = pc.solve_isotropic(k)
-        for c in (2.0 ** -300, 2.0 ** -40):
+        for c in (2.0 ** -300, 2.0 ** -40, 0.5, 2.0, 2.0 ** 20, 2.0 ** 200):
             res = pc.solve_isotropic(KTensor(c * k.X, c * k.Y))
             assert res.theta == ref.theta / c / c
             assert np.array_equal(res.Z, c * ref.Z)

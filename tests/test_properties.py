@@ -1,0 +1,173 @@
+"""Oracles from outside the package's own algebra, on seeded draws.
+
+The Bergman-Levy bound (J. Appl. Phys. 70, 6821, 1991): no composite's
+figure of merit exceeds the largest of its phases'.  And scaling by 2^k,
+which is exact in floating point: a solver with no hidden reference constant
+gives f(2^k x) == 2^k f(x) bit for bit (for ``conduct2`` and
+``solve_isotropic`` in test_laminate and test_polycrystal).  The 4x4 laminate
+mixes at the reference I, so on phases far from it neither holds (ROADMAP
+item 1, a reference-free 4x4 laminate); those cases are strict xfails.
+"""
+
+import numpy as np
+import pytest
+
+from thermoex import twophase as tp
+from thermoex.laminate import Leaf, Mix, laminate2, laminate_tree
+from thermoex.materials import Material, canon_from_physical, figure_of_merit
+from thermoex.polycrystal import solve_isotropic
+from thermoex.tensor4 import KTensor, kt_to_block
+from conftest import (draw_model, draw_pair, make_pair, rand_pd_block, rand_pd_kt,
+                      rand_spd, random_tree)
+
+LSTAR_TAGS = ("2c", "2a", "1ai", "1aii", "1cii", "1ci")   # cases with an Lstar
+ITEM1 = "the 4x4 laminate mixes at the reference I (ROADMAP item 1)"
+
+
+def assert_zt_bound(Lstar, phases):
+    """figure_of_merit(L*) <= max_i figure_of_merit(L_i) (1 + 1e-12)."""
+    top = max(map(figure_of_merit, phases))
+    assert figure_of_merit(Lstar) <= top * (1.0 + 1e-12)
+
+
+# -- the Bergman-Levy bound ----------------------------------------------------
+
+def test_zt_bound_laminate_tree(rng):
+    for _ in range(100):
+        leaves = [Leaf(rand_pd_block(rng), float(rng.uniform(-3.0, 3.0)))
+                  for _ in range(3)]
+        tree = random_tree(rng, int(rng.integers(1, 13)), leaves)
+        assert_zt_bound(laminate_tree(tree), [leaf.tensor for leaf in leaves])
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_zt_bound_models(rng, rank):
+    for _ in range(100):
+        L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
+        assert_zt_bound(draw_model(rng, rank).tensor(L1, L2), [L1, L2])
+
+
+@pytest.mark.parametrize("tag", LSTAR_TAGS)
+def test_zt_bound_two_phase(rng, tag):
+    for _ in range(40):
+        pair = make_pair(*draw_pair(rng, tag), draw_model(rng, int(rng.integers(1, 3))))
+        res = tp.effective(pair)
+        assert res.case.tag == tag
+        assert_zt_bound(res.Lstar, [pair.phase1.tensor(), pair.phase2.tensor()])
+
+
+def test_zt_bound_polycrystal(rng):
+    """The isotropic point K(Lstar, 0) against its crystallite."""
+    for _ in range(40):
+        k0 = rand_pd_kt(rng)
+        res = solve_isotropic(k0)
+        assert_zt_bound(kt_to_block(KTensor(res.Lstar, np.zeros((2, 2)))),
+                        [kt_to_block(k0)])
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError), reason=ITEM1)
+def test_zt_bound_laminate2_at_si_scale():
+    """Phases in SI units (sigma ~ 1e5 S/m, S ~ 2e-4 V/K, kappa ~ 1.5 W/(m K))
+    at T0 = 300 K are far from I: their laminate breaks the bound or is not
+    PD at all."""
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        phases = [canon_from_physical(Material(
+            1e5 * rand_spd(rng), 2e-4 * rng.standard_normal((2, 2)),
+            1.5 * rand_spd(rng), 300.0)) for _ in range(2)]
+        assert_zt_bound(laminate2(*phases, rng.uniform(), rng.standard_normal(2)),
+                        phases)
+
+
+# -- scaling by 2^k --------------------------------------------------------------
+
+K_ALL = (-200, -20, -1, 1, 20, 200)
+# the SPD root of sigma_1 scales exactly by powers of four only, and the case
+# band is absolute below unit scale (test_case_tags_hold_at_small_scale)
+K_EVEN = (-20, -2, 2, 20, 200)
+
+
+def _scaled_effective(pair_args, micro, k):
+    s1, r1, s2, r2 = pair_args
+    c = 2.0 ** k
+    return tp.effective(make_pair(c * s1, c * r1, c * s2, c * r2, micro))
+
+
+@pytest.mark.parametrize("tag,ks", [("2c", K_ALL), ("2a", K_EVEN), ("1aii", K_EVEN)])
+def test_effective_scales_exactly(rng, tag, ks):
+    """sigma and r scaled together: the same case, Lstar times 2^k."""
+    for _ in range(20):
+        args, micro = draw_pair(rng, tag), draw_model(rng, int(rng.integers(1, 3)))
+        ref = _scaled_effective(args, micro, 0)
+        for k in ks:
+            res = _scaled_effective(args, micro, k)
+            assert res.case.tag == tag, k
+            assert np.array_equal(res.Lstar, 2.0 ** k * ref.Lstar), k
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the root of 2^k sigma_1 is not 2^(k/2) times that "
+                          "of sigma_1 bit for bit when k is odd")
+@pytest.mark.parametrize("tag", ["2a", "1aii"])
+def test_effective_scales_exactly_by_odd_powers(rng, tag):
+    for _ in range(20):
+        args, micro = draw_pair(rng, tag), draw_model(rng, 1)
+        ref = _scaled_effective(args, micro, 0)
+        for k in (-1, 1):
+            assert np.array_equal(_scaled_effective(args, micro, k).Lstar,
+                                  2.0 ** k * ref.Lstar), k
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="classify's band 1e-10 (1 + max |entry|) is absolute "
+                          "below unit scale, so every gap there reads as zero")
+@pytest.mark.parametrize("tag", ["2a", "1aii", "1ai", "1cii", "1ci"])
+def test_case_tags_hold_at_small_scale(rng, tag):
+    args, micro = draw_pair(rng, tag), draw_model(rng, 1)
+    assert _scaled_effective(args, micro, -200).case.tag == tag
+
+
+def test_figure_of_merit_is_scale_free(rng):
+    """The same bits from 2^-35, about block_is_pd's absolute floor for a
+    unit-scale L, up to 2^400."""
+    for _ in range(20):
+        L = rand_pd_block(rng)
+        zt = figure_of_merit(L)
+        for k in (-35, -20, -1, 1, 20, 200, 400):
+            assert figure_of_merit(2.0 ** k * L) == zt, k
+
+
+def _on_scaled_phases(rng, solver):
+    """``solver`` on one draw of phases, as a function of their scale 2^k."""
+    if solver == "1ci":
+        args, micro = draw_pair(rng, "1ci"), draw_model(rng, 1)
+        return lambda k: _scaled_effective(args, micro, k).Lstar
+    L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
+    f, n = rng.uniform(), rng.standard_normal(2)
+    shape = random_tree(rng, 6, [Leaf(L1), Leaf(L2)])
+    mix = {"laminate2": lambda A, B: laminate2(A, B, f, n),
+           "laminate_tree": lambda A, B: laminate_tree(
+               _releaf(shape, {id(L1): A, id(L2): B})),
+           "model1": draw_model(rng, 1).tensor,
+           "model2": draw_model(rng, 2).tensor}[solver]
+    return lambda k: mix(2.0 ** k * L1, 2.0 ** k * L2)
+
+
+def _releaf(node, tensors):
+    """``node`` with each leaf tensor T replaced by ``tensors[id(T)]``."""
+    if isinstance(node, Leaf):
+        return Leaf(tensors[id(node.tensor)], node.rotation)
+    return Mix(_releaf(node.child1, tensors), _releaf(node.child2, tensors),
+               node.f, node.n)
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, tp.BranchWarning),
+                   reason=ITEM1)
+@pytest.mark.parametrize("solver", ["laminate2", "laminate_tree", "model1",
+                                    "model2", "1ci"])
+def test_laminate_paths_scale_exactly(rng, solver):
+    for _ in range(5):
+        run = _on_scaled_phases(rng, solver)
+        ref = run(0)
+        for k in (-20, -2, 2, 20):
+            assert np.array_equal(run(k), 2.0 ** k * ref), k

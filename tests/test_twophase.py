@@ -8,7 +8,7 @@ from thermoex import linkgroup as lg
 from thermoex import twophase as tp
 from thermoex.laminate import RankOneModel, IteratedRank2Model, laminate2
 from thermoex.tensor4 import I2, I4, cof2, det2
-from conftest import rel_err
+from conftest import draw_model, draw_pair, make_pair, rand_spd, rel_err
 
 SIG0 = np.array([[2.0, 0.3], [0.3, 1.5]])
 S1M = np.array([[2.0, 0.3], [0.3, 1.4]])
@@ -308,62 +308,7 @@ def test_effective_requires_micro():
     assert tp.effective(bare2c).Lstar is not None
 
 
-# -- seeded pairs of every case ------------------------------------------------
-
 EPS = np.finfo(float).eps
-
-
-def _spd(rng, floor=0.3):
-    A = rng.standard_normal((2, 2))
-    return A @ A.T + floor * I2
-
-
-def draw_pair(rng, tag):
-    """(s1, r1, s2, r2) landing in case ``tag`` by construction, away from
-    every case boundary it is not on."""
-    while True:
-        s1 = _spd(rng)
-        sd1 = np.sqrt(det2(s1))
-        r1 = float(rng.uniform(-0.5, 0.5) * sd1)
-        if tag in ("2c", "2a", "2b"):
-            theta = rng.uniform(1.5, 4.0)
-            s2, step = theta * s1, (theta - 1.0) * sd1
-            r2 = r1 + {"2c": step,
-                       "2a": rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 0.8) * step,
-                       "2b": step + rng.uniform(0.2, 0.8) * (sd1 - r1)}[tag]
-        else:
-            s2 = s1 + _spd(rng, 0.2) if tag == "1aii" else _spd(rng)
-            theta = 0.5 * np.trace(np.linalg.solve(s1, s2))
-            if np.linalg.norm(s2 - theta * s1) < 0.1 * np.abs(s2).max():
-                continue                   # nearly proportional
-            gap = abs(sd1 - np.sqrt(det2(s2)))
-            if tag == "1cii":
-                s2, r2 = s2 * (sd1 / np.sqrt(det2(s2))), r1
-            elif tag == "1ci" and gap < 0.05:
-                continue
-            else:
-                dr = {"1ai": rng.uniform(0.2, 0.8) * gap,
-                      "1aii": np.sqrt(max(det2(s2 - s1), 0.0)),
-                      "1b": gap + rng.uniform(0.1, 0.6) * sd1, "1ci": gap}[tag]
-                r2 = r1 + rng.choice((-1.0, 1.0)) * dr
-        if r2 ** 2 < 0.9 * det2(s2):
-            return s1, r1, s2, float(r2)
-
-
-def draw_model(rng, rank):
-    def normal():
-        a = rng.uniform(0.0, np.pi)
-        return (math.cos(a), math.sin(a))
-
-    if rank == 1:
-        return RankOneModel(rng.uniform(0.15, 0.85), normal())
-    return IteratedRank2Model(rng.uniform(0.2, 0.8), normal(),
-                              rng.uniform(0.2, 0.8), normal())
-
-
-def make_pair(s1, r1, s2, r2, micro=None):
-    f = 0.5 if micro is None else micro.phase1_fraction
-    return tp.IsoPhasePair(tp.IsoPhase(s1, r1), tp.IsoPhase(s2, r2), f, micro)
 
 
 # -- the float boundary ---------------------------------------------------------
@@ -414,7 +359,7 @@ def test_float_boundary_matches_numpy_bit_for_bit():
     rng = np.random.default_rng(17)
     draws = [draw_pair(rng, tag) for tag in ALL_TAGS for _ in range(25)]
     for _ in range(25):
-        s1 = _spd(rng) * 10.0 ** rng.uniform(-3, 3)
+        s1 = rand_spd(rng, 0.3) * 10.0 ** rng.uniform(-3, 3)
         sd1 = np.sqrt(det2(s1))
         r1 = float(rng.uniform(-0.5, 0.5) * sd1)
         for theta in (2.0, 4.0, 3.0):              # s2 = 2 s1 and 4 s1 exactly
