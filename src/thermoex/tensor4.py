@@ -10,9 +10,11 @@ symmetric, and every such operator also has a real 4x4 block form
 
 with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  Operator
 products are real 4x4 products of the block forms, one matmul for a stack; the
-2x2 kernels are closed form and 4x4 inverses dense numpy.linalg.  The one 4x4 PD
-test, block_is_pd, is an LDL^T pivot test on Python floats, with no LAPACK
-call.  A basis change (B (x) I) L (B (x) I)^T is congruence.
+2x2 kernels are closed form and 4x4 inverses dense numpy.linalg.  Two 4x4
+kernels run on Python floats, with no LAPACK call: the one PD test,
+block_is_pd, an LDL^T pivot test, and the Moebius transform of the link
+group, mobius, a Gaussian elimination with partial pivoting.  A basis change
+(B (x) I) L (B (x) I)^T is congruence.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.
@@ -359,9 +361,121 @@ def resolvent(D, M):
     return D @ np.linalg.inv(I4 + M @ D)
 
 
+def _pivot(x0, x1, x2=0.0, x3=0.0):
+    """Index of the first entry of largest magnitude, as LAPACK's idamax picks
+    a pivot; an exactly zero column raises LinAlgError before any division."""
+    x0, x1, x2, x3 = abs(x0), abs(x1), abs(x2), abs(x3)
+    i = 0
+    if x1 > x0:
+        i, x0 = 1, x1
+    if x2 > x0:
+        i, x0 = 2, x2
+    if x3 > x0:
+        i, x0 = 3, x3
+    if x0 == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return i
+
+
+def _map_blocks(L, flat, *args):
+    """``flat(*args, v)``, a map of the 16 entries ``v`` of a 4x4 block,
+    row-major, to 16 entries, on one block or on each block of a (..., 4, 4)
+    stack, as an array of the same shape."""
+    L = np.asarray(L, dtype=float)
+    if L.shape[-2:] != (4, 4):
+        raise ValueError("block tensor must be 4x4")
+    if L.ndim == 2:
+        return np.array(flat(*args, L.ravel().tolist())).reshape(4, 4)
+    return np.array([flat(*args, v)
+                     for v in L.reshape(-1, 16).tolist()]).reshape(L.shape)
+
+
+def _mobius_flat(a0, b0, a1, b1, v):
+    """:func:`mobius` of one block given as its 16 entries, row-major, as 16
+    entries: Gaussian elimination with partial pivoting of the rows
+    [a1 L + b1 T | a0 L + b0 T], back substitution, then T as a signed row
+    reversal.  T adds +-b to the anti-diagonal, T[i][3 - i] = (1, -1, -1, 1)[i]."""
+    l00, l01, l02, l03, l10, l11, l12, l13, \
+        l20, l21, l22, l23, l30, l31, l32, l33 = v
+    r0 = (a1 * l00, a1 * l01, a1 * l02, a1 * l03 + b1,
+          a0 * l00, a0 * l01, a0 * l02, a0 * l03 + b0)
+    r1 = (a1 * l10, a1 * l11, a1 * l12 - b1, a1 * l13,
+          a0 * l10, a0 * l11, a0 * l12 - b0, a0 * l13)
+    r2 = (a1 * l20, a1 * l21 - b1, a1 * l22, a1 * l23,
+          a0 * l20, a0 * l21 - b0, a0 * l22, a0 * l23)
+    r3 = (a1 * l30 + b1, a1 * l31, a1 * l32, a1 * l33,
+          a0 * l30 + b0, a0 * l31, a0 * l32, a0 * l33)
+    # column 0: swap the pivot row into row 0, as LAPACK interchanges rows
+    i = _pivot(r0[0], r1[0], r2[0], r3[0])
+    if i == 1:
+        r0, r1 = r1, r0
+    elif i == 2:
+        r0, r2 = r2, r0
+    elif i == 3:
+        r0, r3 = r3, r0
+    u00, u01, u02, u03, y00, y01, y02, y03 = r0
+    q0, q1, q2, q3, q4, q5, q6, q7 = r1
+    f = q0 / u00
+    r1 = (q1 - f * u01, q2 - f * u02, q3 - f * u03,
+          q4 - f * y00, q5 - f * y01, q6 - f * y02, q7 - f * y03)
+    q0, q1, q2, q3, q4, q5, q6, q7 = r2
+    f = q0 / u00
+    r2 = (q1 - f * u01, q2 - f * u02, q3 - f * u03,
+          q4 - f * y00, q5 - f * y01, q6 - f * y02, q7 - f * y03)
+    q0, q1, q2, q3, q4, q5, q6, q7 = r3
+    f = q0 / u00
+    r3 = (q1 - f * u01, q2 - f * u02, q3 - f * u03,
+          q4 - f * y00, q5 - f * y01, q6 - f * y02, q7 - f * y03)
+    # column 1
+    i = _pivot(r1[0], r2[0], r3[0])
+    if i == 1:
+        r1, r2 = r2, r1
+    elif i == 2:
+        r1, r3 = r3, r1
+    u11, u12, u13, y10, y11, y12, y13 = r1
+    q0, q1, q2, q3, q4, q5, q6 = r2
+    f = q0 / u11
+    r2 = (q1 - f * u12, q2 - f * u13,
+          q3 - f * y10, q4 - f * y11, q5 - f * y12, q6 - f * y13)
+    q0, q1, q2, q3, q4, q5, q6 = r3
+    f = q0 / u11
+    r3 = (q1 - f * u12, q2 - f * u13,
+          q3 - f * y10, q4 - f * y11, q5 - f * y12, q6 - f * y13)
+    # columns 2 and 3
+    if _pivot(r2[0], r3[0]) == 1:
+        r2, r3 = r3, r2
+    u22, u23, y20, y21, y22, y23 = r2
+    q0, q1, q2, q3, q4, q5 = r3
+    f = q0 / u22
+    u33 = q1 - f * u23
+    if u33 == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    x30, x31 = (q2 - f * y20) / u33, (q3 - f * y21) / u33
+    x32, x33 = (q4 - f * y22) / u33, (q5 - f * y23) / u33
+    x20, x21 = (y20 - u23 * x30) / u22, (y21 - u23 * x31) / u22
+    x22, x23 = (y22 - u23 * x32) / u22, (y23 - u23 * x33) / u22
+    x10 = (y10 - u12 * x20 - u13 * x30) / u11
+    x11 = (y11 - u12 * x21 - u13 * x31) / u11
+    x12 = (y12 - u12 * x22 - u13 * x32) / u11
+    x13 = (y13 - u12 * x23 - u13 * x33) / u11
+    x00 = (y00 - u01 * x10 - u02 * x20 - u03 * x30) / u00
+    x01 = (y01 - u01 * x11 - u02 * x21 - u03 * x31) / u00
+    x02 = (y02 - u01 * x12 - u02 * x22 - u03 * x32) / u00
+    x03 = (y03 - u01 * x13 - u02 * x23 - u03 * x33) / u00
+    return (x30, x31, x32, x33, -x20, -x21, -x22, -x23,
+            -x10, -x11, -x12, -x13, x00, x01, x02, x03)
+
+
 def mobius(A, L):
-    """T (a1 L + b1 T)^-1 (a0 L + b0 T) for A = [[a0, b0], [a1, b1]], unsymmetrized."""
-    return T4 @ np.linalg.solve(A[1, 0] * L + A[1, 1] * T4, A[0, 0] * L + A[0, 1] * T4)
+    """T (a1 L + b1 T)^-1 (a0 L + b0 T) for A = [[a0, b0], [a1, b1]], unsymmetrized;
+    L may be a (..., 4, 4) stack.
+
+    The solve is Gaussian elimination with partial pivoting on Python floats,
+    the algorithm of LAPACK's dgesv and as backward stable, one block at a
+    time; an exactly zero pivot raises LinAlgError("Singular matrix").
+    """
+    (a0, b0), (a1, b1) = np.asarray(A, dtype=float).tolist()
+    return _map_blocks(L, _mobius_flat, a0, b0, a1, b1)
 
 
 def rotate(theta, k):

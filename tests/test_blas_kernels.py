@@ -1,10 +1,12 @@
-"""The two-phase results and the 4x4 PD test do not depend on the BLAS kernel.
+"""The two-phase results, the 4x4 PD test and the links do not depend on the
+BLAS kernel.
 
 OpenBLAS picks a CPU kernel at load time, and its kernels round small
 products differently (some fuse the multiply-adds).  The conductivity
-laminates, the models' ``sigma_star``, ZT, Gamma0 and ``block_is_pd`` avoid
-BLAS and LAPACK, so a seeded script hashes to the same digest under every
-kernel the CPU can run.  Its ``block_is_pd`` verdicts are taken on blocks
+laminates, the models' ``sigma_star``, ZT, Gamma0, ``block_is_pd``, the
+Moebius transform ``mobius`` and the link action ``psi_apply`` avoid BLAS and
+LAPACK, so a seeded script hashes to the same digest under every kernel the
+CPU can run.  Its ``block_is_pd`` verdicts are taken on blocks
 whose smallest eigenvalue of B + B^T lies within a few ulp of the cutoff,
 where any change of rounding would show.
 """
@@ -21,13 +23,15 @@ import pytest
 import thermoex
 
 # Inputs come from elementwise arithmetic only: A @ A.T would itself round by
-# kernel.  Each SPD 2x2 and 4x4 is symmetric and diagonally dominant.
+# kernel.  Each SPD 2x2 and 4x4 is symmetric and diagonally dominant, and the
+# link matrices have uniform entries.
 SCRIPT = """
 import hashlib
 import numpy as np
 from thermoex.laminate import IteratedRank2Model, RankOneModel, conduct2
+from thermoex.linkgroup import LinkMap, psi_apply
 from thermoex.materials import figure_of_merit
-from thermoex.tensor4 import block_is_pd, gamma0
+from thermoex.tensor4 import block_is_pd, gamma0, mobius
 
 rng = np.random.default_rng(23)
 digest = hashlib.sha256()
@@ -70,6 +74,12 @@ for tol in (1e-12, 1e-10):
     verdicts += [block_is_pd(B, tol) for B in blocks]
     verdicts += block_is_pd(blocks, tol).tolist()
 digest.update(bytes(verdicts))
+for _ in range(100):
+    m = LinkMap(rng.uniform(-1.0, 1.0, (2, 2)), rng.uniform(-1.0, 1.0, (2, 2)))
+    L, Ls = spd(4), np.stack([spd(4) for _ in range(3)])
+    for value in (psi_apply(m, L), psi_apply(m, Ls),
+                  mobius(rng.uniform(-1.0, 1.0, (2, 2)), L)):
+        digest.update(value.tobytes())
 print(digest.hexdigest(), sum(verdicts), len(verdicts))
 """
 
