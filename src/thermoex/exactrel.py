@@ -200,11 +200,12 @@ def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
     it through the inverse transform, shrinking the scale until the image
     is positive definite (at most 100 attempts).  The element is drawn as a
     4x4 block from the cached basis blocks (:meth:`AlgebraSpec.sample_block`).
+    A NaN or Inf ``scale`` raises ValueError.
     """
     spec = er_spec(ident)
     if rng is None:
         rng = np.random.default_rng(seed)
-    s = float(scale)
+    s = float(check_finite(scale, "scale"))
     if s == 0.0:
         return I4.copy()
     for _ in range(100):

@@ -13,9 +13,8 @@ determinant-of-B twist on the A factor.
 
 A :class:`LinkMap` is put in canonical form on Python floats and keeps
 those entries, so composition and inversion are scalar arithmetic.  Applying
-a map runs on the same floats: one pivoted elimination for the Moebius
-transform (:func:`thermoex.tensor4.mobius`), then the congruence by B (x) I
-from the four entries of B, with no LAPACK call and no 4x4 B (x) I.
+a map hands the same floats to the one 4x4 kernel of the link action,
+:func:`thermoex.tensor4.mobius`; this module keeps only the 2x2 link algebra.
 """
 
 from __future__ import annotations
@@ -26,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor4 import (I2, RPERP, DomainError, _map_blocks, _mobius_flat,
-                      check_finite, check_fraction, det2, inv2, pd2, spd_sqrt_2x2)
+from .tensor4 import (I2, RPERP, DomainError, _entries2, _mobius, check_finite,
+                      check_fraction, det2, inv2, pd2, spd_sqrt_2x2)
 from .exactrel import lm_par, lm_unpar, er_member
 
 __all__ = [
@@ -36,15 +35,6 @@ __all__ = [
     "basis_change", "link13_volume_fraction", "link19_family",
     "link19_conductivity", "link21_factor", "link21_reconstruct",
 ]
-
-
-def _entries(m):
-    """The four entries (m00, m01, m10, m11) of a 2x2 as Python floats."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"link matrices must be 2x2, got shape {m.shape}")
-    (m00, m01), (m10, m11) = m.tolist()
-    return m00, m01, m10, m11
 
 
 def _det(m):
@@ -135,7 +125,8 @@ class LinkMap:
     _b: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _link(self, _entries(self.a), _entries(self.b))
+        _link(self, _entries2(self.a, "link matrices"),
+              _entries2(self.b, "link matrices"))
 
     def __call__(self, L):
         return psi_apply(self, L)
@@ -180,61 +171,12 @@ def basis_change(B):
     return LinkMap(np.eye(2), B)
 
 
-def _finite(v):
-    """Whether every float of ``v`` is finite: a NaN or Inf entry makes the
-    sum NaN or Inf, and only a sum that overflows needs the entries tested."""
-    return math.isfinite(sum(v)) or all(map(math.isfinite, v))
-
-
-def _psi_flat(a, b, v):
-    """:func:`psi_apply` of one block given as its 16 entries, row-major, as 16
-    entries: the Moebius transform W, the congruence (B (x) I) W (B (x) I)^T
-    on the four entries of B, then the symmetrization."""
-    if not _finite(v):
-        raise ValueError("L entries must be finite")
-    w00, w01, w02, w03, w10, w11, w12, w13, \
-        w20, w21, w22, w23, w30, w31, w32, w33 = _mobius_flat(*a, v)
-    b00, b01, b10, b11 = b
-    # rows: Y[2p + s] = b_p0 W[s] + b_p1 W[2 + s]
-    y00, y01, y02, y03 = (b00 * w00 + b01 * w20, b00 * w01 + b01 * w21,
-                          b00 * w02 + b01 * w22, b00 * w03 + b01 * w23)
-    y10, y11, y12, y13 = (b00 * w10 + b01 * w30, b00 * w11 + b01 * w31,
-                          b00 * w12 + b01 * w32, b00 * w13 + b01 * w33)
-    y20, y21, y22, y23 = (b10 * w00 + b11 * w20, b10 * w01 + b11 * w21,
-                          b10 * w02 + b11 * w22, b10 * w03 + b11 * w23)
-    y30, y31, y32, y33 = (b10 * w10 + b11 * w30, b10 * w11 + b11 * w31,
-                          b10 * w12 + b11 * w32, b10 * w13 + b11 * w33)
-    # columns: Z[:, 2q + t] = b_q0 Y[:, t] + b_q1 Y[:, 2 + t]
-    z00, z01, z02, z03 = (b00 * y00 + b01 * y02, b00 * y01 + b01 * y03,
-                          b10 * y00 + b11 * y02, b10 * y01 + b11 * y03)
-    z10, z11, z12, z13 = (b00 * y10 + b01 * y12, b00 * y11 + b01 * y13,
-                          b10 * y10 + b11 * y12, b10 * y11 + b11 * y13)
-    z20, z21, z22, z23 = (b00 * y20 + b01 * y22, b00 * y21 + b01 * y23,
-                          b10 * y20 + b11 * y22, b10 * y21 + b11 * y23)
-    z30, z31, z32, z33 = (b00 * y30 + b01 * y32, b00 * y31 + b01 * y33,
-                          b10 * y30 + b11 * y32, b10 * y31 + b11 * y33)
-    s01, s02, s03 = (z01 + z10) / 2.0, (z02 + z20) / 2.0, (z03 + z30) / 2.0
-    s12, s13, s23 = (z12 + z21) / 2.0, (z13 + z31) / 2.0, (z23 + z32) / 2.0
-    out = (z00, s01, s02, s03, s01, z11, s12, s13,
-           s02, s12, z22, s23, s03, s13, s23, z33)
-    if not _finite(out):
-        raise DomainError("link image overflows the float range")
-    return out
-
-
 def psi_apply(m, L):
-    """Psi_{A,B}(L), symmetrized; L may be a (..., 4, 4) stack.
-
-    The whole map runs on Python floats, one block at a time, from the
-    canonical entries of A and B: :func:`thermoex.tensor4.mobius`'s pivoted
-    elimination, then the congruence by B (x) I.  A NaN or Inf entry of L
-    raises ValueError, an image outside the float range DomainError and a
-    singular pencil a1 L + b1 T LinAlgError.  A stack gives each block's
-    result bit for bit.  The power-of-two scaling diag(2^k, 1) with k even
-    maps a symmetric L to 2^k L exactly; for odd k the canonical form divides
-    A by sqrt(2^k), which rounds.
+    """Psi_{A,B}(L): :func:`thermoex.tensor4.mobius` on the canonical entries
+    of A and B, with its contract.  diag(2^k, 1) with k even maps a symmetric
+    L to 2^k L exactly; for odd k the canonical A holds sqrt(2^k), rounded.
     """
-    return _map_blocks(L, _psi_flat, m._a, m._b)
+    return _mobius(m._a, m._b, L)
 
 
 def psi_compose(m1, m2):

@@ -388,6 +388,8 @@ def special_quartic(s1, s2):
     factors as (s1^2-1)^2 (s2^2-1)^2 (s1^2-s2^2)^2.
     """
     s1, s2 = abs(float(s1)), abs(float(s2))
+    if not (math.isfinite(s1) and math.isfinite(s2)):
+        raise ValueError("s1 and s2 must be finite")
     if s1 <= 1.0 or s2 <= 1.0:
         raise DomainError("positive definiteness requires |s_j| > 1")
     coeffs = (-0.25, s1 * s2, 2.0 * s1 * s2 - (s1 + s2) ** 2 + 0.5,

@@ -12,9 +12,9 @@ with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  Operator
 products are real 4x4 products of the block forms, one matmul for a stack; the
 2x2 kernels are closed form and 4x4 inverses dense numpy.linalg.  Two 4x4
 kernels run on Python floats, with no LAPACK call: the one PD test,
-block_is_pd, an LDL^T pivot test, and the Moebius transform of the link
-group, mobius, a Gaussian elimination with partial pivoting.  A basis change
-(B (x) I) L (B (x) I)^T is congruence.
+block_is_pd, an LDL^T pivot test, and the one link action Psi_{A,B}, mobius,
+a Gaussian elimination with partial pivoting followed by the congruence by
+B (x) I.  On arrays, a basis change (B (x) I) L (B (x) I)^T is congruence.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.
@@ -377,24 +377,29 @@ def _pivot(x0, x1, x2=0.0, x3=0.0):
     return i
 
 
-def _map_blocks(L, flat, *args):
-    """``flat(*args, v)``, a map of the 16 entries ``v`` of a 4x4 block,
-    row-major, to 16 entries, on one block or on each block of a (..., 4, 4)
-    stack, as an array of the same shape."""
-    L = np.asarray(L, dtype=float)
-    if L.shape[-2:] != (4, 4):
-        raise ValueError("block tensor must be 4x4")
-    if L.ndim == 2:
-        return np.array(flat(*args, L.ravel().tolist())).reshape(4, 4)
-    return np.array([flat(*args, v)
-                     for v in L.reshape(-1, 16).tolist()]).reshape(L.shape)
+def _finite(v):
+    """Whether every float of ``v`` is finite: a NaN or Inf entry makes the
+    sum NaN or Inf, and only a sum that overflows needs the entries tested."""
+    return math.isfinite(sum(v)) or all(map(math.isfinite, v))
 
 
-def _mobius_flat(a0, b0, a1, b1, v):
+def _entries2(m, name):
+    """The four entries (m00, m01, m10, m11) of a 2x2 as Python floats."""
+    m = np.asarray(m, dtype=float)
+    if m.shape != (2, 2):
+        raise ValueError(f"{name} must be 2x2, got shape {m.shape}")
+    (m00, m01), (m10, m11) = m.tolist()
+    return m00, m01, m10, m11
+
+
+def _mobius_flat(a, b, v):
     """:func:`mobius` of one block given as its 16 entries, row-major, as 16
-    entries: Gaussian elimination with partial pivoting of the rows
-    [a1 L + b1 T | a0 L + b0 T], back substitution, then T as a signed row
-    reversal.  T adds +-b to the anti-diagonal, T[i][3 - i] = (1, -1, -1, 1)[i]."""
+    entries, for A and B given as their entries ``a`` and ``b``.  T adds +-b
+    to the anti-diagonal, T[i][3 - i] = (1, -1, -1, 1)[i], so T X is the rows
+    of X reversed, the middle two negated: subtractions in the congruence."""
+    if not _finite(v):
+        raise ValueError("L entries must be finite")
+    a0, b0, a1, b1 = a
     l00, l01, l02, l03, l10, l11, l12, l13, \
         l20, l21, l22, l23, l30, l31, l32, l33 = v
     r0 = (a1 * l00, a1 * l01, a1 * l02, a1 * l03 + b1,
@@ -462,20 +467,60 @@ def _mobius_flat(a0, b0, a1, b1, v):
     x01 = (y01 - u01 * x11 - u02 * x21 - u03 * x31) / u00
     x02 = (y02 - u01 * x12 - u02 * x22 - u03 * x32) / u00
     x03 = (y03 - u01 * x13 - u02 * x23 - u03 * x33) / u00
-    return (x30, x31, x32, x33, -x20, -x21, -x22, -x23,
-            -x10, -x11, -x12, -x13, x00, x01, x02, x03)
+    b00, b01, b10, b11 = b
+    # rows: W[2p + s] = b_p0 (T X)[s] + b_p1 (T X)[2 + s], T X = (x3, -x2, -x1, x0)
+    w00, w01, w02, w03 = (b00 * x30 - b01 * x10, b00 * x31 - b01 * x11,
+                          b00 * x32 - b01 * x12, b00 * x33 - b01 * x13)
+    w10, w11, w12, w13 = (b01 * x00 - b00 * x20, b01 * x01 - b00 * x21,
+                          b01 * x02 - b00 * x22, b01 * x03 - b00 * x23)
+    w20, w21, w22, w23 = (b10 * x30 - b11 * x10, b10 * x31 - b11 * x11,
+                          b10 * x32 - b11 * x12, b10 * x33 - b11 * x13)
+    w30, w31, w32, w33 = (b11 * x00 - b10 * x20, b11 * x01 - b10 * x21,
+                          b11 * x02 - b10 * x22, b11 * x03 - b10 * x23)
+    # columns: Z[:, 2q + t] = b_q0 W[:, t] + b_q1 W[:, 2 + t]
+    z00, z01, z02, z03 = (b00 * w00 + b01 * w02, b00 * w01 + b01 * w03,
+                          b10 * w00 + b11 * w02, b10 * w01 + b11 * w03)
+    z10, z11, z12, z13 = (b00 * w10 + b01 * w12, b00 * w11 + b01 * w13,
+                          b10 * w10 + b11 * w12, b10 * w11 + b11 * w13)
+    z20, z21, z22, z23 = (b00 * w20 + b01 * w22, b00 * w21 + b01 * w23,
+                          b10 * w20 + b11 * w22, b10 * w21 + b11 * w23)
+    z30, z31, z32, z33 = (b00 * w30 + b01 * w32, b00 * w31 + b01 * w33,
+                          b10 * w30 + b11 * w32, b10 * w31 + b11 * w33)
+    s01, s02, s03 = (z01 + z10) / 2.0, (z02 + z20) / 2.0, (z03 + z30) / 2.0
+    s12, s13, s23 = (z12 + z21) / 2.0, (z13 + z31) / 2.0, (z23 + z32) / 2.0
+    out = (z00, s01, s02, s03, s01, z11, s12, s13,
+           s02, s12, z22, s23, s03, s13, s23, z33)
+    if not _finite(out):
+        raise DomainError("link image overflows the float range")
+    return out
 
 
-def mobius(A, L):
-    """T (a1 L + b1 T)^-1 (a0 L + b0 T) for A = [[a0, b0], [a1, b1]], unsymmetrized;
-    L may be a (..., 4, 4) stack.
+def _mobius(a, b, L):
+    """:func:`mobius` for A and B given as their entries, Python floats."""
+    L = np.asarray(L, dtype=float)
+    if L.shape[-2:] != (4, 4):
+        raise ValueError("block tensor must be 4x4")
+    if L.ndim == 2:
+        return np.array(_mobius_flat(a, b, L.ravel().tolist())).reshape(4, 4)
+    return np.array([_mobius_flat(a, b, v)
+                     for v in L.reshape(-1, 16).tolist()]).reshape(L.shape)
 
-    The solve is Gaussian elimination with partial pivoting on Python floats,
-    the algorithm of LAPACK's dgesv and as backward stable, one block at a
-    time; an exactly zero pivot raises LinAlgError("Singular matrix").
+
+def mobius(A, B, L):
+    """The link action Psi_{A,B}(L) = (B (x) I) T (a1 L + b1 T)^-1 (a0 L + b0 T)
+    (B (x) I)^T, A = [[a0, b0], [a1, b1]], symmetrized; L may be a (..., 4, 4)
+    stack, and each block's result is the same bits as alone.
+
+    On Python floats, one block at a time: Gaussian elimination with partial
+    pivoting (LAPACK dgesv's algorithm, as backward stable), then the
+    congruence by B (x) I.  A, B or L of another shape or with a NaN or Inf
+    entry raise ValueError, an image outside the float range DomainError and
+    an exactly zero pivot LinAlgError("Singular matrix").
     """
-    (a0, b0), (a1, b1) = np.asarray(A, dtype=float).tolist()
-    return _map_blocks(L, _mobius_flat, a0, b0, a1, b1)
+    a, b = _entries2(A, "A"), _entries2(B, "B")
+    if not _finite(a + b):
+        raise ValueError("A and B entries must be finite")
+    return _mobius(a, b, L)
 
 
 def rotate(theta, k):

@@ -15,9 +15,11 @@ constraints; case 1ci returns a link structure with one free SPD matrix.
 Every formula is stated in a rotated "pair frame" diagonalizing
 sig1^-1/2 sig2 sig1^-1/2 but is evaluated here in covariant form, so
 results live in the caller's frame directly.  The scalar work (square
-roots, determinants, the case tree, a0) runs on Python floats.  numpy keeps
-the 2x2 products and eigh, whose BLAS (FMA) and LAPACK rounding the results
-print, and the 4x4 case formulas.
+roots, determinants, the case tree, a0) runs on Python floats, and so does
+case 1ai's link from the decoupled problem back to the caller's frame, the
+one link action tensor4.mobius.  numpy keeps the 2x2 products and eigh, whose
+BLAS (FMA) and LAPACK rounding the results print, and the kron2 sums of the
+other explicit cases.
 """
 
 from __future__ import annotations
@@ -159,8 +161,10 @@ def a0_roots(det_sigma, rho):
 
     The two roots multiply to one; they are real exactly in the weakly
     coupled regime.  For rho = 0 the equation degenerates and the root
-    pair is reported as (0.0, inf).
+    pair is reported as (0.0, inf).  A NaN or Inf argument raises ValueError.
     """
+    if not (math.isfinite(det_sigma) and math.isfinite(rho)):
+        raise ValueError("det_sigma and rho must be finite")
     if rho == 0.0:
         return (0.0, math.inf)
     c = (det_sigma - rho ** 2 - 1.0) / rho
@@ -311,12 +315,10 @@ def effective(pair):
         S22 = micro.sigma_star(ell2)
         L0s = np.zeros((4, 4))
         L0s[:2, :2], L0s[2:, 2:] = S11, S22
-        back = mobius(np.array([[-a0, 1.0], [1.0, -a0]]), L0s)
-        back = (back + back.T) / 2.0
-        L = congruence(red.s1_half, congruence(red.frame, back)) + r1 * T4
+        L = mobius(((-a0, 1.0), (1.0, -a0)), red.s1_half @ red.frame, L0s) + r1 * T4
         meta.update(a0=a0, conductivities=(ell1, ell2),
                     reconstructed_by_decoupling=True)
-        return EffectiveResult(tag, "explicit", (L + L.T) / 2.0, meta)
+        return EffectiveResult(tag, "explicit", L, meta)
 
     if tag.tag == "2a":
         dets = tag.scalars["det_sigma"]
@@ -406,16 +408,18 @@ def formula_1aii(r1, s1, S1, S2, a0, sig_star):
 
     Invariant under the root pairing a0 -> 1/a0 with S1 <-> S2 and
     sig_star -> sig_star / det(sig_star), and under the phase-index
-    interchange.
+    interchange.  The result is symmetrized: its sum of kron2 products rounds
+    the two triangles apart.
     """
     sig_star = np.asarray(sig_star, dtype=float)
     xs = 0.5 * np.trace(sig_star)
     ds = det2(sig_star)
     den = det2(sig_star - a0 ** 2 * I2)
     sd1 = np.sqrt(det2(s1))
-    return (r1 + a0 * ((1.0 - a0 ** 2) * (xs - a0 ** 2) / den - 1.0) * sd1) * T4 \
+    L = (r1 + a0 * ((1.0 - a0 ** 2) * (xs - a0 ** 2) / den - 1.0) * sd1) * T4 \
         + (1.0 - a0 ** 2) / den * (
             kron2(S1, sig_star - a0 ** 2 * I2)
             + kron2(S2, ds * I2 - a0 ** 2 * sig_star)
             + a0 * sd1 * T4 @ kron2(inv2(s1) @ (S1 - S2),
                                     sig_star - xs * I2))
+    return (L + L.T) / 2.0

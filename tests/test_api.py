@@ -195,7 +195,7 @@ def test_array_holders_compare_by_identity(name):
 def _finite_inputs():
     """Paper-level entry points that take arrays, each with valid arguments."""
     import numpy as np
-    from thermoex import exactrel, linkgroup, materials
+    from thermoex import exactrel, linkgroup, materials, tensor4
     lam = np.array([[2.0, 0.5], [0.5, 1.0]])
     L = np.diag([2.0, 3.0, 1.5, 1.0])
     M = np.array([[1.0, 0.2], [0.2, 2.0]])
@@ -211,6 +211,7 @@ def _finite_inputs():
         "link21_reconstruct": (linkgroup.link21_reconstruct,
                                linkgroup.link21_factor(M)),
         "zt_isotropic": (materials.zt_isotropic, (lam,)),
+        "mobius": (tensor4.mobius, (np.array([[1.0, 0.5], [0.2, 1.0]]), lam, L)),
     }
 
 
@@ -231,6 +232,29 @@ def test_entry_points_reject_non_finite(name, arg, bad):
     args[arg][-1, -1] = float(bad)
     with pytest.raises(ValueError):
         fn(*args)
+
+
+def _scalar_calls():
+    """Paper-level entry points that take scalars, as one-argument calls."""
+    from thermoex import exactrel, polycrystal, twophase
+    return {
+        "special_quartic-s1": lambda x: polycrystal.special_quartic(x, 2.0),
+        "special_quartic-s2": lambda x: polycrystal.special_quartic(3.0, x),
+        "a0_roots-det_sigma": lambda x: twophase.a0_roots(x, 1.0),
+        "a0_roots-rho": lambda x: twophase.a0_roots(5.0, x),
+        "er_sample-scale": lambda x: exactrel.er_sample(8, scale=x),
+    }
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(_scalar_calls()))
+def test_scalar_entry_points_reject_non_finite(name, bad):
+    """A NaN or infinite scalar raises ValueError instead of returning NaN
+    roots or letting numpy raise an untyped OverflowError."""
+    call = _scalar_calls()[name]
+    call(1.5)
+    with pytest.raises(ValueError, match="finite"):
+        call(float(bad))
 
 
 def test_console_script_runs_the_cli(capsys):

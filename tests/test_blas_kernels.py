@@ -3,12 +3,15 @@ BLAS kernel.
 
 OpenBLAS picks a CPU kernel at load time, and its kernels round small
 products differently (some fuse the multiply-adds).  The conductivity
-laminates, the models' ``sigma_star``, ZT, Gamma0, ``block_is_pd``, the
-Moebius transform ``mobius`` and the link action ``psi_apply`` avoid BLAS and
-LAPACK, so a seeded script hashes to the same digest under every kernel the
-CPU can run.  Its ``block_is_pd`` verdicts are taken on blocks
+laminates, the models' ``sigma_star``, ZT, Gamma0, ``block_is_pd`` and the
+link action ``mobius`` (on drawn A and B, and through ``psi_apply``) avoid
+BLAS and LAPACK, so a seeded script hashes to the same digest under every
+kernel the CPU can run.  Its ``block_is_pd`` verdicts are taken on blocks
 whose smallest eigenvalue of B + B^T lies within a few ulp of the cutoff,
-where any change of rounding would show.
+where any change of rounding would show.  Two-phase case 1ai calls
+``mobius`` too but is not hashed: its B, the product ``s1_half @ frame``,
+and the frame itself, from ``eigh`` in ``reduce_pair``, still round by
+kernel.
 """
 
 import os
@@ -78,7 +81,8 @@ for _ in range(100):
     m = LinkMap(rng.uniform(-1.0, 1.0, (2, 2)), rng.uniform(-1.0, 1.0, (2, 2)))
     L, Ls = spd(4), np.stack([spd(4) for _ in range(3)])
     for value in (psi_apply(m, L), psi_apply(m, Ls),
-                  mobius(rng.uniform(-1.0, 1.0, (2, 2)), L)):
+                  mobius(rng.uniform(-1.0, 1.0, (2, 2)),
+                         rng.uniform(-1.0, 1.0, (2, 2)), L)):
         digest.update(value.tobytes())
 print(digest.hexdigest(), sum(verdicts), len(verdicts))
 """

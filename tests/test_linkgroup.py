@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from types import SimpleNamespace
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -248,7 +249,7 @@ def test_psi_apply_and_mobius_stacks_are_blockwise(rng):
     for _ in range(5):
         m = lg.LinkMap(rng.standard_normal((2, 2)) + 0.4 * I2,
                        rng.standard_normal((2, 2)) + 0.4 * I2)
-        for f in (m, lambda L: mobius(m.a, L)):
+        for f in (m, lambda L: mobius(m.a, m.b, L)):
             out = f(Ls)
             assert out.shape == (2, 3, 4, 4)
             for i in np.ndindex(2, 3):
@@ -404,26 +405,31 @@ def _exact_psi(m, L):
 
 def test_mobius_and_psi_apply_against_exact_solve(rng):
     """The pivoted elimination on floats is as accurate as a backward-stable
-    solve.  On PD L with condition number up to 1e6, mobius is within
-    4 eps cond(a1 L + b1 T) max|W| of the exact rational transform W, and
-    psi_apply within that bound times |B|^2, the congruence's gain (|B| the
-    spectral norm).  Worst seen over these 400 draws: 1.42 and 0.72 eps
-    cond max|W| (|B|^2), where LAPACK's dgesv with numpy products gives 1.42
-    and 1.13."""
+    solve.  On PD L with condition number up to 1e6, mobius with B = I is
+    within 4 eps cond(a1 L + b1 T) max|W| of the exact rational transform W,
+    and psi_apply, and mobius on a raw, non-canonical (A, B), within that
+    bound times |B|^2, the congruence's gain (|B| the spectral norm).  Worst
+    seen over these 400 draws: 1.35, 1.09 and 0.53 eps cond max|W| (|B|^2),
+    where LAPACK's dgesv with numpy products, symmetrized alike, gives 1.35,
+    1.21 and 0.69."""
     worst = 0.0
     for _ in range(400):
         Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         L = Q @ np.diag(10.0 ** rng.uniform(-3.0, 3.0, 4)) @ Q.T
         L = (L + L.T) / 2.0
         m = rand_map(rng)
-        a1, b1 = m.a[1].tolist()
-        cond = np.linalg.cond(a1 * L + b1 * T4)
-        W, P = _exact_psi(m, L)
-        big = max(abs(w) for row in W for w in row)
-        for got, want, gain in ((mobius(m.a, L), W, 1.0),
-                                (lg.psi_apply(m, L), P, np.linalg.norm(m.b, 2) ** 2)):
+        raw = SimpleNamespace(a=rng.standard_normal((2, 2)),
+                              b=rng.standard_normal((2, 2)))
+        for pair, got in ((SimpleNamespace(a=m.a, b=I2), mobius(m.a, I2, L)),
+                          (m, lg.psi_apply(m, L)),
+                          (raw, mobius(raw.a, raw.b, L))):
+            a1, b1 = pair.a[1].tolist()
+            cond = np.linalg.cond(a1 * L + b1 * T4)
+            W, P = _exact_psi(pair, L)
+            big = max(abs(w) for row in W for w in row)
             err = max(abs(Fraction(g) - w)
-                      for g, w in zip(got.ravel().tolist(), sum(want, [])))
+                      for g, w in zip(got.ravel().tolist(), sum(P, [])))
+            gain = np.linalg.norm(pair.b, 2) ** 2
             worst = max(worst, float(err / big) / (EPS * cond * gain))
     assert worst <= 4.0
 
@@ -513,13 +519,13 @@ def test_singular_pencil_raises():
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
         lg.psi_apply(lg.inversion_flip(), T4)
     with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-        mobius(np.array([[1.0, 0.0], [1.0, -1.0]]), np.stack([I4, T4]))
+        mobius(np.array([[1.0, 0.0], [1.0, -1.0]]), I2, np.stack([I4, T4]))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])       # pencil a1 L + b1 T = L
     dup = I4.copy()
     dup[1] = dup[0] = [1.0, 1.0, 0.0, 0.0]
     for L in (np.diag([1.0, 2.0, 3.0, 0.0]), np.diag([0.0, 1.0, 2.0, 3.0]), dup):
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            mobius(swap, L)
+            mobius(swap, I2, L)
 
 
 def test_psi_apply_rejects_misshapen_and_overflowing_input():
@@ -530,13 +536,18 @@ def test_psi_apply_rejects_misshapen_and_overflowing_input():
         with pytest.raises(ValueError, match="4x4"):
             lg.psi_apply(m, bad)
         with pytest.raises(ValueError, match="4x4"):
-            mobius(m.a, bad)
+            mobius(m.a, m.b, bad)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for L in (1e305 * I4, np.stack([I4, 1e305 * I4])):
             with pytest.raises(DomainError, match="float range"):
                 lg.psi_apply(m, L)
+            with pytest.raises(DomainError, match="float range"):
+                mobius(m.a, m.b, L)
         assert np.array_equal(lg.psi_apply(m, 1e300 * I4), 2.0 ** 20 * 1e300 * I4)
+        # finite entries whose sum overflows: the finite check tests each one
+        big = 1.5e308 * I4
+        assert np.array_equal(lg.psi_apply(lg.identity_map(), big), big)
 
 
 @pytest.mark.parametrize("k", [-200, -20, -2, 2, 20, 200])

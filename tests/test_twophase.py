@@ -171,6 +171,7 @@ def test_explicit_cases_match_laminate(tag, f, n):
     assert res.kind == "explicit"
     Llam = laminate2(pair.phase1.tensor(), pair.phase2.tensor(), f, n)
     assert rel_err(res.Lstar, Llam) < 1e-9
+    assert np.array_equal(res.Lstar, res.Lstar.T)
 
 
 @pytest.mark.parametrize("tag", ["2c", "1cii", "1aii", "2a", "1ai"])
