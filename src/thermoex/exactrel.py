@@ -22,8 +22,8 @@ from .algebra import (DEFAULT_SEED, KEY_HALF_I, KEY_ZERO, PSI1, AlgebraSpec,
                       algebra_by_id)
 # gamma0 is layer geometry from tensor4, re-exported here
 from .tensor4 import (I2, I4, RPERP, T4, DomainError, KTensor, as_block,
-                      block_is_pd, block_parts, check_finite, cof2, congruence,
-                      det2, gamma0, inv2, kt_from_block, kt_to_block, pd2, resolvent,
+                      block_is_pd, block_parts, check_finite, cof2, det2, gamma0,
+                      inv2, kt_from_block, kt_to_block, mobius, pd2, resolvent,
                       spd_sqrt_2x2)
 
 __all__ = [
@@ -217,6 +217,6 @@ def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
 
 
 def covariance(lam, L):
-    """Congruence by Lambda^-1/2 (x) I normalizing an isotropic reference."""
-    lam = check_finite(lam, "lam")
-    return congruence(inv2(spd_sqrt_2x2(lam)), check_finite(L, "L"))
+    """Congruence by Lambda^-1/2 (x) I normalizing an isotropic reference:
+    the link action with A = I and B = Lambda^-1/2."""
+    return mobius(I2, inv2(spd_sqrt_2x2(check_finite(lam, "lam"))), L)

@@ -2,25 +2,25 @@
 
 For a simple laminate with layer normal n the transform
 
-    W_n(L) = [(L - I)^-1 + Gamma0(n)]^-1
+    W_n(L) = [(L - c I)^-1 + Gamma0(n) / c]^-1
 
-is additive in the volume fractions: W_n(L*) = <W_n(L)>.  That single
-fact evaluates every layered microstructure exactly and serves as the
-independent oracle for all exact-relation and link claims.  The result
-is the same for every isotropic reference, so the transform is anchored
-at the identity, like the exact relations.
+is additive in the volume fractions, W_n(L*) = <W_n(L)>, for every isotropic
+reference c I.  That single fact evaluates every layered microstructure
+exactly and serves as the independent oracle for all exact-relation and link
+claims.  A fixed reference loses about eps c^2 on phases of scale c, so each
+pair is mixed at c = 16^j <= max(L1, L2) < 16^(j+1), and scaling the phases
+by 16^k scales the result exactly.
 
 The transforms are evaluated in the product form D (I + Gamma D)^-1,
 which stays finite when L - I is singular.  For positive definite
 phases neither inverse taken is singular: their n-n blocks are L_nn and
 <L_nn^-1>.  Non-positive-definite phases may raise LinAlgError.
 
-One mixing step, ``_mix``, takes stacks of 4x4 phase pairs with a
-fraction and a normal per pair: ``laminate2`` and the models' ``tensor`` call
-it on one pair (a model at its once-normalized normal), ``laminate_tree``
-once per height.  Tree nodes are read-only and carry their height from
-construction, so ``laminate_tree`` visits each distinct node once and orders
-rows by height.
+One mixing step, ``_mix``, takes stacks of 4x4 phase pairs with a fraction
+and a Gamma0 per pair: the models' ``tensor`` calls it once per step
+(``laminate2`` is a one-step model), ``laminate_tree`` once per height.
+Tree nodes are read-only and carry their height from construction, so
+``laminate_tree`` visits each distinct node once and orders rows by height.
 
 A laminate of two 2x2 conductivities needs no reference medium.  In the
 (n, t) frame of the unit normal, t = (-n1, n0), the partial inverse
@@ -83,11 +83,14 @@ class Mix:
 def _mix(AB, f, G):
     """Mix fraction ``f`` of A with B, stacked as AB = (A, B): the average
     W = <resolvent(L - I, G)>, one stacked call for both, mapped back by
-    I + resolvent(W, -G) and symmetrized.  A, B and G may be (..., 4, 4)
-    stacks, ``f`` a float or of shape (..., 1, 1)."""
-    R = resolvent(AB - I4, G)
+    I + resolvent(W, -G) and symmetrized; a pair with 16^j <= max(A, B) <
+    16^(j+1) is mixed as 16^-j (A, B), the result times 16^j.  Its largest
+    entry, not |entry|, is on the diagonal for PD phases.  A, B and G may be
+    (..., 4, 4) stacks, ``f`` a float or of shape (..., 1, 1)."""
+    k = (np.frexp(AB.max(axis=(0, -2, -1), keepdims=True))[1] - 1) & -4
+    R = resolvent(np.ldexp(AB, -k) - I4, G)
     out = I4 + resolvent(f * R[0] + (1.0 - f) * R[1], -G)
-    return (out + np.swapaxes(out, -1, -2)) / 2.0
+    return np.ldexp((out + np.swapaxes(out, -1, -2)) / 2.0, k[0])
 
 
 def laminate2(L1, L2, f, n):
@@ -95,7 +98,7 @@ def laminate2(L1, L2, f, n):
 
     ``f`` is the volume fraction of phase 1 and ``n`` the layer normal.
     """
-    return _mix(check_finite((L1, L2), "phase"), check_fraction(f), gamma0(n))
+    return RankOneModel(f, n).tensor(L1, L2)
 
 
 _TENSOR, _ROTATION, _F, _N, _CHILD1, _CHILD2 = map(attrgetter, (
@@ -168,18 +171,10 @@ def _conduct_rows(s1, s2, f, n0, n1):
             (off, nn * (n1 * n1) + tt * (n0 * n0) + nt * (2.0 * n0 * n1)))
 
 
-def _iso_rows(h):
-    """Rows of h I for a contrast ``h`` that is positive and finite."""
-    if not 0.0 < h < math.inf:
-        raise DomainError("phase contrast must be positive and finite")
-    return (h, 0.0), (0.0, h)
-
-
 def conduct2(s1, s2, f, n):
     """Rank-one laminate of two SPD 2x2 conductivities, reference free."""
-    return np.array(_conduct_rows(check_spd2(s1, "phase").tolist(),
-                                  check_spd2(s2, "phase").tolist(),
-                                  check_fraction(f), *unit_normal(n).tolist()))
+    s1, s2 = check_spd2(s1, "phase").tolist(), check_spd2(s2, "phase").tolist()
+    return np.array(RankOneModel(f, n)._conduct(s1, s2))
 
 
 def sigma_star_rank1(h, f, n):
@@ -187,34 +182,50 @@ def sigma_star_rank1(h, f, n):
     return RankOneModel(f, n).sigma_star(h)
 
 
-class RankOneModel:
-    """Single lamination: fraction ``f`` of phase 1, layer normal ``n``."""
+class _Stepped:
+    """From phase 1, step k of ``steps`` layers the composite so far,
+    fraction f_k, with phase 2 along n_k, normalized once for every method."""
 
-    def __init__(self, f, n=(1.0, 0.0)):
-        self.f = check_fraction(f)
-        self.n = unit_normal(n)
+    def __init__(self, *steps):
+        self.steps = tuple((check_fraction(f), tuple(unit_normal(n).tolist()))
+                           for f, n in steps)
 
     @property
     def phase1_fraction(self):
-        return self.f
+        return math.prod(f for f, _ in self.steps)
 
-    def _rows(self, h):
-        return _conduct_rows(((1.0, 0.0), (0.0, 1.0)), _iso_rows(h), self.f,
-                             *self.n.tolist())
+    def _conduct(self, s1, s2):
+        for f, (n0, n1) in self.steps:
+            s1 = _conduct_rows(s1, s2, f, n0, n1)
+        return s1
 
     def sigma_star(self, h):
-        """Effective conductivity with phases I and h I."""
-        return np.array(self._rows(h))
+        """Effective conductivity with phases I and h I, h positive and finite."""
+        if not 0.0 < h < math.inf:
+            raise DomainError("phase contrast must be positive and finite")
+        return np.array(self._conduct(((1.0, 0.0), (0.0, 1.0)), ((h, 0.0), (0.0, h))))
 
     def tensor(self, L1, L2):
-        return _mix(check_finite((L1, L2), "phase"), self.f,
-                    kron2(I2, np.outer(self.n, self.n)))    # Gamma0 of n as stored
+        AB = check_finite((L1, L2), "phase")
+        for f, n in self.steps:
+            AB[0] = L = _mix(AB, f, kron2(I2, np.outer(n, n)))    # Gamma0 of n
+        return L
 
     def tree(self, L1, L2):
-        return Mix(Leaf(L1), Leaf(L2), self.f, tuple(self.n))
+        node = Leaf(L1)
+        for f, n in self.steps:
+            node = Mix(node, Leaf(L2), f, n)
+        return node
 
 
-class IteratedRank2Model:
+class RankOneModel(_Stepped):
+    """Single lamination: fraction ``f`` of phase 1, layer normal ``n``."""
+
+    def __init__(self, f, n=(1.0, 0.0)):
+        super().__init__((f, n))
+
+
+class IteratedRank2Model(_Stepped):
     """Two-step hierarchy: mix (1, 2), then laminate with more phase 2.
 
     The inner laminate takes fraction ``f_inner`` of phase 1 with normal
@@ -223,22 +234,4 @@ class IteratedRank2Model:
     """
 
     def __init__(self, f_inner, n_inner, f_outer, n_outer):
-        self.inner = RankOneModel(f_inner, n_inner)
-        self.f_outer = check_fraction(f_outer)
-        self.n_outer = unit_normal(n_outer)
-
-    @property
-    def phase1_fraction(self):
-        return self.inner.f * self.f_outer
-
-    def sigma_star(self, h):
-        return np.array(_conduct_rows(self.inner._rows(h), _iso_rows(h),
-                                      self.f_outer, *self.n_outer.tolist()))
-
-    def tensor(self, L1, L2):
-        return _mix(np.array((self.inner.tensor(L1, L2), L2), dtype=float),
-                    self.f_outer, kron2(I2, np.outer(self.n_outer, self.n_outer)))
-
-    def tree(self, L1, L2):
-        return Mix(self.inner.tree(L1, L2), Leaf(L2),
-                   self.f_outer, tuple(self.n_outer))
+        super().__init__((f_inner, n_inner), (f_outer, n_outer))

@@ -385,15 +385,23 @@ def special_quartic(s1, s2):
     where s1, s2 are the eigenvalues of Re(X)^1/2 Y^-1 Re(X)^1/2 and
     positive definiteness forces |s_j| > 1.  The report carries the
     computed p(0) = -1/4 alongside the roots and the discriminant, which
-    factors as (s1^2-1)^2 (s2^2-1)^2 (s1^2-s2^2)^2.
+    factors as (s1^2-1)^2 (s2^2-1)^2 (s1^2-s2^2)^2; where either form of it
+    overflows the float range, DomainError is raised.
     """
     s1, s2 = abs(float(s1)), abs(float(s2))
     if not (math.isfinite(s1) and math.isfinite(s2)):
         raise ValueError("s1 and s2 must be finite")
     if s1 <= 1.0 or s2 <= 1.0:
         raise DomainError("positive definiteness requires |s_j| > 1")
-    coeffs = (-0.25, s1 * s2, 2.0 * s1 * s2 - (s1 + s2) ** 2 + 0.5,
-              s1 * s2, -0.25)
+    try:
+        coeffs = (-0.25, s1 * s2, 2.0 * s1 * s2 - (s1 + s2) ** 2 + 0.5, s1 * s2, -0.25)
+        disc_formula = (s1 ** 2 - 1) ** 2 * (s2 ** 2 - 1) ** 2 * (s1 ** 2 - s2 ** 2) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = float(_poly_discriminant(np.array(coeffs)))
+    except OverflowError:         # a float power out of range raises; a product is inf
+        disc = disc_formula = math.inf
+    if not (math.isfinite(disc) and math.isfinite(disc_formula)):
+        raise DomainError("the quartic's discriminant overflows the float range")
     # palindromic: u = t + 1/t solves u^2 - 4 s1 s2 u - 4 (c2 + 1/2) = 0 with
     # -(c2 + 1/2) = s1^2 + s2^2 - 1; both roots 2 (s1 s2 +- sqrt((s1^2 - 1)
     # (s2^2 - 1))) are >= 2, the smaller one taken from their product
@@ -407,8 +415,6 @@ def special_quartic(s1, s2):
     band = 1e-7
     in01 = sum(1 for r in real if band < r < 1.0 - band)
     above = sum(1 for r in real if r > 1.0 + band)
-    disc = _poly_discriminant(np.array(coeffs))
-    disc_formula = (s1 ** 2 - 1) ** 2 * (s2 ** 2 - 1) ** 2 * (s1 ** 2 - s2 ** 2) ** 2
     p0 = float(np.polyval(coeffs, 0.0))
     return QuarticReport(coeffs, tuple(real), in01, above,
-                         float(disc), float(disc_formula), p0)
+                         disc, float(disc_formula), p0)

@@ -14,7 +14,7 @@ products are real 4x4 products of the block forms, one matmul for a stack; the
 kernels run on Python floats, with no LAPACK call: the one PD test,
 block_is_pd, an LDL^T pivot test, and the one link action Psi_{A,B}, mobius,
 a Gaussian elimination with partial pivoting followed by the congruence by
-B (x) I.  On arrays, a basis change (B (x) I) L (B (x) I)^T is congruence.
+B (x) I.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.
@@ -32,7 +32,7 @@ __all__ = [
     "KTensor", "phi", "psi", "cof2", "kron2", "inv2", "inv2_rows", "det2", "pd2",
     "check_spd2", "spd_sqrt_rows", "spd_sqrt_2x2", "as_block",
     "kt_to_block", "kt_from_block", "kt_mul", "kt_transpose", "kt_inverse",
-    "block_inverse", "congruence", "block_parts", "block_from_parts",
+    "block_inverse", "block_parts", "block_from_parts",
     "check_block", "check_finite", "check_fraction", "is_positive_definite",
     "block_is_pd", "resolvent", "mobius", "rotate", "rotate_block",
     "unit_normal", "gamma0", "jordan_star",
@@ -291,12 +291,6 @@ def check_fraction(f):
 def block_inverse(B):
     """Dense inverse of a 4x4 block tensor."""
     return np.linalg.inv(np.asarray(B, dtype=float))
-
-
-def congruence(B, L):
-    """(B (x) I) L (B (x) I)^T for a 2x2 B; L may be a (..., 4, 4) stack."""
-    BI = kron2(np.asarray(B, dtype=float), I2)
-    return BI @ L @ BI.T
 
 
 def is_positive_definite(k):

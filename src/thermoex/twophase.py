@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .tensor4 import (I2, RPERP, T4, DomainError, block_parts, check_fraction,
-                      check_spd2, cof2, congruence, det2, inv2, kron2, mobius,
+                      check_spd2, cof2, det2, inv2, kron2, mobius,
                       spd_sqrt_rows)
 
 __all__ = [
@@ -161,14 +161,20 @@ def a0_roots(det_sigma, rho):
 
     The two roots multiply to one; they are real exactly in the weakly
     coupled regime.  For rho = 0 the equation degenerates and the root
-    pair is reported as (0.0, inf).  A NaN or Inf argument raises ValueError.
+    pair is reported as (0.0, inf).  A NaN or Inf argument raises ValueError,
+    and arguments whose roots leave the float range raise DomainError.
     """
     if not (math.isfinite(det_sigma) and math.isfinite(rho)):
         raise ValueError("det_sigma and rho must be finite")
     if rho == 0.0:
         return (0.0, math.inf)
-    c = (det_sigma - rho ** 2 - 1.0) / rho
+    try:
+        c = (det_sigma - rho ** 2 - 1.0) / rho
+    except OverflowError:         # a float power out of range raises; a product is inf
+        c = math.inf
     disc = c * c - 4.0
+    if disc == math.inf:
+        raise DomainError("the roots a0 overflow the float range")
     if disc < 0:
         return None
     r1 = (c - math.sqrt(disc)) / 2.0
@@ -375,9 +381,9 @@ def effective(pair):
     def extract(L):
         """Pull the free parameter out of an effective tensor; returns
         (Lp, structure_residual)."""
-        Ln = congruence(red.frame.T, congruence(red.s1_half_inv, L - r1 * T4))
-        L11, L12, L22 = block_parts(Ln)
-        Lp = L11
+        SI, VI = kron2(red.s1_half_inv, I2), kron2(red.frame.T, I2)
+        Ln = VI @ (SI @ (L - r1 * T4) @ SI.T) @ VI.T
+        Lp, L12, L22 = block_parts(Ln)
         pred12 = branch * (RPERP @ cof2(Lp) @ sig_star - RPERP)
         pred22 = sig_star @ cof2(Lp) @ sig_star
         nrm = (1.0 + np.linalg.norm(Ln)) ** 2

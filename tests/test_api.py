@@ -257,6 +257,27 @@ def test_scalar_entry_points_reject_non_finite(name, bad):
         call(float(bad))
 
 
+def _overflowing_calls():
+    """Finite scalar arguments whose results leave the float range."""
+    from thermoex import polycrystal, twophase
+    return {
+        "special_quartic-s1": lambda: polycrystal.special_quartic(1e200, 2.0),
+        "special_quartic-s2": lambda: polycrystal.special_quartic(2.0, 1e200),
+        "special_quartic-det": lambda: polycrystal.special_quartic(1e40, 2.0),
+        "a0_roots-quotient": lambda: twophase.a0_roots(1e300, 1e-300),
+        "a0_roots-square": lambda: twophase.a0_roots(1.0, 1e200),
+    }
+
+
+@pytest.mark.parametrize("name", list(_overflowing_calls()))
+def test_scalar_entry_points_reject_overflow(name):
+    """DomainError, instead of Python's OverflowError, numpy's overflow
+    warning or NaN roots."""
+    from thermoex.tensor4 import DomainError
+    with pytest.raises(DomainError, match="overflow"):
+        _overflowing_calls()[name]()
+
+
 def test_console_script_runs_the_cli(capsys):
     """The ``thermoex`` console script of pyproject.toml names a function
     that prints the help and exits 0 (read by regex: Python 3.10 has no

@@ -4,14 +4,14 @@ BLAS kernel.
 OpenBLAS picks a CPU kernel at load time, and its kernels round small
 products differently (some fuse the multiply-adds).  The conductivity
 laminates, the models' ``sigma_star``, ZT, Gamma0, ``block_is_pd`` and the
-link action ``mobius`` (on drawn A and B, and through ``psi_apply``) avoid
-BLAS and LAPACK, so a seeded script hashes to the same digest under every
-kernel the CPU can run.  Its ``block_is_pd`` verdicts are taken on blocks
-whose smallest eigenvalue of B + B^T lies within a few ulp of the cutoff,
-where any change of rounding would show.  Two-phase case 1ai calls
-``mobius`` too but is not hashed: its B, the product ``s1_half @ frame``,
-and the frame itself, from ``eigh`` in ``reduce_pair``, still round by
-kernel.
+link action ``mobius`` (on drawn A and B, and through ``psi_apply`` and
+``covariance``) avoid BLAS and LAPACK, so a seeded script hashes to the same
+digest under every kernel the CPU can run.  Its ``block_is_pd`` verdicts are
+taken on blocks whose smallest eigenvalue of B + B^T lies within a few ulp of
+the cutoff, where any change of rounding would show.  Two-phase case 1ai
+calls ``mobius`` too but is not hashed: its B, the product
+``s1_half @ frame``, and the frame itself, from ``eigh`` in ``reduce_pair``,
+still round by kernel.
 """
 
 import os
@@ -31,6 +31,7 @@ import thermoex
 SCRIPT = """
 import hashlib
 import numpy as np
+from thermoex.exactrel import covariance
 from thermoex.laminate import IteratedRank2Model, RankOneModel, conduct2
 from thermoex.linkgroup import LinkMap, psi_apply
 from thermoex.materials import figure_of_merit
@@ -82,7 +83,8 @@ for _ in range(100):
     L, Ls = spd(4), np.stack([spd(4) for _ in range(3)])
     for value in (psi_apply(m, L), psi_apply(m, Ls),
                   mobius(rng.uniform(-1.0, 1.0, (2, 2)),
-                         rng.uniform(-1.0, 1.0, (2, 2)), L)):
+                         rng.uniform(-1.0, 1.0, (2, 2)), L),
+                  covariance(spd(2), spd(4))):
         digest.update(value.tobytes())
 print(digest.hexdigest(), sum(verdicts), len(verdicts))
 """

@@ -7,7 +7,7 @@ from thermoex.laminate import (Leaf, Mix, laminate2, laminate_tree, conduct2,
                                RankOneModel, IteratedRank2Model,
                                sigma_star_rank1)
 from thermoex.tensor4 import (I2, I4, RPERP, block_is_pd, resolvent,
-                              rotate_block)
+                              rotate_block, unit_normal)
 from thermoex.linkgroup import identity_map, link13_volume_fraction, psi_apply
 from thermoex.twophase import IsoPhase, IsoPhasePair
 from conftest import rand_spd, rand_pd_block, random_tree
@@ -149,28 +149,30 @@ def test_model_embedding_consistency(rng):
 
 
 def test_models_mix_at_their_stored_normals(rng):
-    """A model normalizes each normal once, so ``tensor`` and ``sigma_star``
-    mix at the same normal bits: those of the stored unit normal.  The
-    rank-2 ``sigma_star`` is the float conductivity laminate at that normal,
-    which agrees with the W-form mix of the uncoupled tensors to rounding."""
+    """A model normalizes each normal once and keeps it in ``steps``, so
+    ``tensor`` and ``sigma_star`` mix at the same normal bits: those of the
+    stored unit normal.  Each step of ``sigma_star`` is the float
+    conductivity laminate at that normal, which agrees with the W-form mix
+    of the uncoupled tensors to rounding."""
     L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
     for _ in range(200):
         n, m = rng.standard_normal(2), rng.standard_normal(2)
         one, two = RankOneModel(0.4, n), IteratedRank2Model(0.3, m, 0.6, n)
-        g = np.kron(I2, np.outer(one.n, one.n))
-        want = lam._mix(np.array((L1, L2)), 0.4, g)
-        assert one.tensor(L1, L2).tobytes() == want.tobytes()
-        nn = np.outer(two.n_outer, two.n_outer)
-        want = lam._mix(np.array((two.inner.tensor(L1, L2), L2)), 0.6, np.kron(I2, nn))
-        assert two.tensor(L1, L2).tobytes() == want.tobytes()
+        u = tuple(unit_normal(n).tolist())
+        assert one.steps == ((0.4, u),)
+        assert two.steps == ((0.3, tuple(unit_normal(m).tolist())), (0.6, u))
+        for model in (one, two):
+            want = L1
+            for f, nk in model.steps:
+                want = lam._mix(np.array((want, L2)), f, np.kron(I2, np.outer(nk, nk)))
+            assert model.tensor(L1, L2).tobytes() == want.tobytes()
         h = rng.uniform(0.3, 4.0)
-        s_in = two.inner.sigma_star(h)
+        s_in = RankOneModel(0.3, m).sigma_star(h)
         got = two.sigma_star(h)
-        want = lam._conduct_rows(s_in.tolist(), (h * I2).tolist(), 0.6,
-                                 *two.n_outer.tolist())
+        want = lam._conduct_rows(s_in.tolist(), (h * I2).tolist(), 0.6, *u)
         assert got.tobytes() == np.array(want).tobytes()
         w_form = lam._mix(np.array((uncoupled(s_in), uncoupled(h * I2))), 0.6,
-                          np.kron(I2, nn))[:2, :2]
+                          np.kron(I2, np.outer(u, u)))[:2, :2]
         assert np.abs(got - w_form).max() <= 1e-13 * np.abs(w_form).max()
 
 

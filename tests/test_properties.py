@@ -5,8 +5,9 @@ figure of merit exceeds the largest of its phases'.  And scaling by 2^k,
 which is exact in floating point: a solver with no hidden reference constant
 gives f(2^k x) == 2^k f(x) bit for bit (for ``conduct2`` and
 ``solve_isotropic`` in test_laminate and test_polycrystal).  The 4x4 laminate
-mixes at the reference I, so on phases far from it neither holds (ROADMAP
-item 1, a reference-free 4x4 laminate); those cases are strict xfails.
+mixes each pair at a reference 16^j I near its scale: the bound holds on SI-unit
+phases and scaling by 16^j is exact, but scaling by 2 or 4 is not (ROADMAP item
+1, a reference-free 4x4 laminate); those cases are strict xfails.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from conftest import (draw_model, draw_pair, make_pair, rand_pd_block, rand_pd_k
                       rand_spd, random_tree)
 
 LSTAR_TAGS = ("2c", "2a", "1ai", "1aii", "1cii", "1ci")   # cases with an Lstar
-ITEM1 = "the 4x4 laminate mixes at the reference I (ROADMAP item 1)"
+ITEM1 = "the 4x4 laminate mixes at a reference 16^j I (ROADMAP item 1)"
 
 
 def assert_zt_bound(Lstar, phases):
@@ -65,18 +66,30 @@ def test_zt_bound_polycrystal(rng):
                         [kt_to_block(k0)])
 
 
-@pytest.mark.xfail(strict=True, raises=(AssertionError, ValueError), reason=ITEM1)
+def _si_phase(rng):
+    """A phase in SI units (sigma ~ 1e5 S/m, S ~ 2e-4 V/K, kappa ~ 1.5 W/(m K))
+    at T0 = 300 K, far from I: max|L| is 2e7-5e8."""
+    return canon_from_physical(Material(
+        1e5 * rand_spd(rng), 2e-4 * rng.standard_normal((2, 2)),
+        1.5 * rand_spd(rng), 300.0))
+
+
 def test_zt_bound_laminate2_at_si_scale():
-    """Phases in SI units (sigma ~ 1e5 S/m, S ~ 2e-4 V/K, kappa ~ 1.5 W/(m K))
-    at T0 = 300 K are far from I: their laminate breaks the bound or is not
+    """Mixed at I, not at 16^j I, these laminates break the bound or are not
     PD at all."""
     rng = np.random.default_rng(7)
     for _ in range(200):
-        phases = [canon_from_physical(Material(
-            1e5 * rand_spd(rng), 2e-4 * rng.standard_normal((2, 2)),
-            1.5 * rand_spd(rng), 300.0)) for _ in range(2)]
+        phases = [_si_phase(rng) for _ in range(2)]
         assert_zt_bound(laminate2(*phases, rng.uniform(), rng.standard_normal(2)),
                         phases)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_zt_bound_models_at_si_scale(rank):
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        L1, L2 = _si_phase(rng), _si_phase(rng)
+        assert_zt_bound(draw_model(rng, rank).tensor(L1, L2), [L1, L2])
 
 
 # -- scaling by 2^k --------------------------------------------------------------
@@ -107,7 +120,7 @@ def test_effective_scales_exactly(rng, tag, ks):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the root of 2^k sigma_1 is not 2^(k/2) times that "
-                          "of sigma_1 bit for bit when k is odd")
+                          "of sigma_1 bit for bit when k is odd (ROADMAP item 3)")
 @pytest.mark.parametrize("tag", ["2a", "1aii"])
 def test_effective_scales_exactly_by_odd_powers(rng, tag):
     for _ in range(20):
@@ -120,7 +133,8 @@ def test_effective_scales_exactly_by_odd_powers(rng, tag):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="classify's band 1e-10 (1 + max |entry|) is absolute "
-                          "below unit scale, so every gap there reads as zero")
+                          "below unit scale, so every gap there reads as zero "
+                          "(ROADMAP item 3)")
 @pytest.mark.parametrize("tag", ["2a", "1aii", "1ai", "1cii", "1ci"])
 def test_case_tags_hold_at_small_scale(rng, tag):
     args, micro = draw_pair(rng, tag), draw_model(rng, 1)
@@ -161,13 +175,28 @@ def _releaf(node, tensors):
                node.f, node.n)
 
 
-@pytest.mark.xfail(strict=True, raises=(AssertionError, tp.BranchWarning),
-                   reason=ITEM1)
-@pytest.mark.parametrize("solver", ["laminate2", "laminate_tree", "model1",
-                                    "model2", "1ci"])
-def test_laminate_paths_scale_exactly(rng, solver):
+SOLVERS = ["laminate2", "laminate_tree", "model1", "model2", "1ci"]
+
+
+def _assert_scales_exactly(rng, solver, ks):
     for _ in range(5):
         run = _on_scaled_phases(rng, solver)
         ref = run(0)
-        for k in (-20, -2, 2, 20):
+        for k in ks:
             assert np.array_equal(run(k), 2.0 ** k * ref), k
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_laminate_paths_scale_exactly(rng, solver):
+    """Scaling by 16^j moves each pair's reference 16^j I with it.  1ci runs to
+    2^+-20 only: at 2^-200 classify's absolute band changes its case
+    (test_case_tags_hold_at_small_scale)."""
+    _assert_scales_exactly(rng, solver, (-20, -4, 4, 20) if solver == "1ci"
+                           else (-200, -20, -4, 4, 20, 200))
+
+
+@pytest.mark.xfail(strict=True, raises=(AssertionError, tp.BranchWarning),
+                   reason=ITEM1)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_laminate_paths_scale_exactly_by_2_and_4(rng, solver):
+    _assert_scales_exactly(rng, solver, (-2, -1, 1, 2))

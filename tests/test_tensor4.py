@@ -5,7 +5,7 @@ from thermoex import tensor4
 from thermoex.tensor4 import (I2, I4, RPERP, T4, Z0, Z0SYM, E11, E22, KTensor,
                               phi, psi, cof2, det2, inv2, spd_sqrt_2x2, kt_to_block,
                               kt_from_block, kt_mul, kt_transpose, kt_inverse,
-                              block_inverse, congruence, is_positive_definite,
+                              block_inverse, is_positive_definite,
                               rotate, rotate_block, jordan_star, check_block,
                               block_is_pd, pd2, check_spd2, kron2, DomainError)
 from conftest import rand_herm, rand_kt, rand_pd_kt, rand_pd_block, rand_sym_c
@@ -140,19 +140,6 @@ def test_block_inverse_offdiagonal_fallback():
     assert np.array_equal(block_inverse(B), np.block([[Z, I2 / 2], [I2 / 2, Z]]))
     with pytest.raises(np.linalg.LinAlgError):
         block_inverse(np.zeros((4, 4)))
-
-
-def test_congruence_matches_kron(rng):
-    """(B (x) I) L (B (x) I)^T bit for bit, on one L and on a stack."""
-    for _ in range(20):
-        B = rng.standard_normal((2, 2))
-        BI = np.kron(B, I2)
-        L = rand_pd_block(rng)
-        assert congruence(B, L).tobytes() == (BI @ L @ BI.T).tobytes()
-        Ls = np.stack([rand_pd_block(rng) for _ in range(6)]).reshape(2, 3, 4, 4)
-        out = congruence(B, Ls)
-        assert out.shape == (2, 3, 4, 4)
-        assert out.tobytes() == (BI @ Ls @ BI.T).tobytes()
 
 
 def test_kron2_matches_np_kron_bit_for_bit(rng):
