@@ -184,11 +184,13 @@ def sigma_star_rank1(h, f, n):
 
 class _Stepped:
     """From phase 1, step k of ``steps`` layers the composite so far,
-    fraction f_k, with phase 2 along n_k, normalized once for every method."""
+    fraction f_k, with phase 2 along n_k, normalized once; ``tree`` hands on
+    the normals as given, for ``laminate_tree`` to normalize once."""
 
     def __init__(self, *steps):
         self.steps = tuple((check_fraction(f), tuple(unit_normal(n).tolist()))
                            for f, n in steps)
+        self._given = steps
 
     @property
     def phase1_fraction(self):
@@ -213,7 +215,7 @@ class _Stepped:
 
     def tree(self, L1, L2):
         node = Leaf(L1)
-        for f, n in self.steps:
+        for f, n in self._given:
             node = Mix(node, Leaf(L2), f, n)
         return node
 

@@ -11,17 +11,17 @@ projectively: A and B are normalized to |det| = 1 with a deterministic
 sign convention.  Composition follows the Moebius rule with a
 determinant-of-B twist on the A factor.
 
-A :class:`LinkMap` is put in canonical form on Python floats and keeps
-those entries, so composition and inversion are scalar arithmetic.  Applying
-a map hands the same floats to the one 4x4 kernel of the link action,
-:func:`thermoex.tensor4.mobius`; this module keeps only the 2x2 link algebra.
+A :class:`LinkMap` is its canonical entries, Python floats: composition and
+inversion are scalar arithmetic and build no array, and the 2x2 arrays ``a``
+and ``b`` are built when read.  Applying a map hands the same floats to the
+one 4x4 kernel of the link action, :func:`thermoex.tensor4.mobius`; this
+module keeps only the 2x2 link algebra.
 """
 
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -63,7 +63,7 @@ def _sign_rule(m):
     """m, negated unless its first entry above 1e-12 is positive."""
     for v in m:
         if abs(v) > 1e-12:
-            return m if v > 0 else [-m[0], -m[1], -m[2], -m[3]]
+            return m if v > 0 else (-m[0], -m[1], -m[2], -m[3])
     return m
 
 
@@ -77,10 +77,7 @@ def _canonical(m):
     if not 1e-300 <= d < math.inf:
         raise ValueError("link matrices must be finite and invertible")
     s = math.sqrt(d)
-    return _sign_rule([m[0] / s, m[1] / s, m[2] / s, m[3] / s])
-
-
-_PACK8 = struct.Struct("8d").pack
+    return _sign_rule((m[0] / s, m[1] / s, m[2] / s, m[3] / s))
 
 
 def _link(m, a, b):
@@ -98,44 +95,43 @@ def _link(m, a, b):
 
 
 def _store(m, a, b):
-    """Keep the canonical entries ``a`` and ``b`` on ``m``, with their arrays."""
-    buf = np.frombuffer(_PACK8(*a, *b))      # read-only, as it is made from bytes
-    set_ = object.__setattr__
-    set_(m, "a", buf[:4].reshape(2, 2))
-    set_(m, "b", buf[4:].reshape(2, 2))
-    set_(m, "_a", a)
-    set_(m, "_b", b)
+    """Set the canonical entries ``a`` and ``b``, tuples, on ``m``."""
+    object.__setattr__(m, "_a", a)
+    object.__setattr__(m, "_b", b)
     return m
+
+
+def _array(x):
+    """Read-only 2x2 array of the entries ``x``."""
+    out = np.array(x).reshape(2, 2)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
 class LinkMap:
     """Projective pair (A, B) with |det| = 1 and fixed sign convention.
 
-    The canonical form is computed on Python floats.  Besides the read-only
-    arrays ``a`` and ``b`` a map keeps their entries as floats, which
-    composition, inversion and :func:`psi_apply` work on.  A or B with a
-    non-finite entry, a shape other than 2x2 or a zero determinant raise
-    ``ValueError``.
+    A map is its canonical entries ``_a`` and ``_b``, row-major tuples of
+    Python floats: maps compare and hash by them, and composition, inversion
+    and :func:`psi_apply` work on them.  ``a`` and ``b`` build the read-only
+    2x2 arrays when read.  A or B with a non-finite entry, a shape other than
+    2x2 or a zero determinant raise ``ValueError``.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    _a: list = field(init=False, repr=False, compare=False)
-    _b: list = field(init=False, repr=False, compare=False)
+    A: InitVar[np.ndarray]
+    B: InitVar[np.ndarray]
+    _a: tuple = field(init=False)
+    _b: tuple = field(init=False)
 
-    def __post_init__(self):
-        _link(self, _entries2(self.a, "link matrices"),
-              _entries2(self.b, "link matrices"))
+    def __post_init__(self, A, B):
+        _link(self, _entries2(A, "link matrices"), _entries2(B, "link matrices"))
+
+    a = property(lambda self: _array(self._a), doc="A, read-only 2x2")
+    b = property(lambda self: _array(self._b), doc="B, read-only 2x2")
 
     def __call__(self, L):
         return psi_apply(self, L)
-
-    def __eq__(self, other):    # by the canonical entries, not the arrays
-        return isinstance(other, LinkMap) and (self._a, self._b) == (other._a, other._b)
-
-    def __hash__(self):
-        return hash((*self._a, *self._b))
 
 
 def _from_entries(a, b):
@@ -143,8 +139,8 @@ def _from_entries(a, b):
     +-1 by construction, so only the sign rule is applied: |det| recomputed
     from entries that cancel would put its rounding error into every entry."""
     return _store(object.__new__(LinkMap),
-                  _sign_rule([a[0] + 0.0, a[1] + 0.0, a[2] + 0.0, a[3] + 0.0]),
-                  _sign_rule(list(b)))
+                  _sign_rule((a[0] + 0.0, a[1] + 0.0, a[2] + 0.0, a[3] + 0.0)),
+                  _sign_rule(b))
 
 
 def identity_map():

@@ -50,10 +50,10 @@ class BranchWarning(UserWarning):
 
 @dataclass(frozen=True)
 class IsoPhase:
-    sig: np.ndarray
+    sig: np.ndarray = field(compare=False)       # compared by its floats, abd
     r: float = 0.0
     abd: tuple = field(init=False, repr=False)   # sig's (s11, s12, s22), floats
-    det: float = field(init=False, repr=False)   # det(sig)
+    det: float = field(init=False, repr=False, compare=False)   # det(sig)
 
     def __post_init__(self):
         s = check_spd2(self.sig, "sigma")
@@ -69,13 +69,6 @@ class IsoPhase:
 
     def tensor(self):
         return kron2(self.sig, I2) + self.r * T4
-
-    def __eq__(self, other):    # by the float entries, not the array sig
-        return (isinstance(other, IsoPhase)
-                and (self.abd, self.r) == (other.abd, other.r))
-
-    def __hash__(self):
-        return hash((self.abd, self.r))
 
 
 @dataclass(frozen=True)
@@ -183,11 +176,13 @@ def a0_roots(det_sigma, rho):
 
 
 def classify(pair):
-    """Resolve the case tree; boundary equalities hold within the band ``_BAND``."""
+    """Resolve the case tree.  A boundary equality holds within ``_BAND``
+    times the phases' scale, their largest |entry| of sigma or r (squared
+    for the 1aii split): the band scales with the phases at every scale."""
     p1, p2 = pair.phase1, pair.phase2
     (a1, b1, e1), (a2, b2, e2), r1, r2 = p1.abd, p2.abd, p1.r, p2.r
     red = pair._reduced
-    scale = 1.0 + max(a1, abs(b1), e1, a2, abs(b2), e2, abs(r1), abs(r2))
+    scale = max(a1, abs(b1), e1, a2, abs(b2), e2, abs(r1), abs(r2))
     dr = abs(r1 - r2)
     gap = dr - abs(math.sqrt(p1.det) - math.sqrt(p2.det))
     prop_defect = np.linalg.norm(p2.sig - red.theta * p1.sig)

@@ -3,15 +3,15 @@ BLAS kernel.
 
 OpenBLAS picks a CPU kernel at load time, and its kernels round small
 products differently (some fuse the multiply-adds).  The conductivity
-laminates, the models' ``sigma_star``, ZT, Gamma0, ``block_is_pd`` and the
-link action ``mobius`` (on drawn A and B, and through ``psi_apply`` and
-``covariance``) avoid BLAS and LAPACK, so a seeded script hashes to the same
-digest under every kernel the CPU can run.  Its ``block_is_pd`` verdicts are
-taken on blocks whose smallest eigenvalue of B + B^T lies within a few ulp of
-the cutoff, where any change of rounding would show.  Two-phase case 1ai
-calls ``mobius`` too but is not hashed: its B, the product
-``s1_half @ frame``, and the frame itself, from ``eigh`` in ``reduce_pair``,
-still round by kernel.
+laminates, the models' ``sigma_star``, ZT, Gamma0, ``block_is_pd``, the link
+group's ``psi_compose`` and ``psi_inverse`` and the link action ``mobius`` (on
+drawn A and B, and through ``psi_apply`` and ``covariance``) avoid BLAS and
+LAPACK, so a seeded script hashes to the same digest under every kernel the
+CPU can run.  Its ``block_is_pd`` verdicts are taken on blocks whose smallest
+eigenvalue of B + B^T lies within a few ulp of the cutoff, where any change of
+rounding would show.  Two-phase case 1ai calls ``mobius`` too but is not
+hashed: its B, the product ``s1_half @ frame``, and the frame itself, from
+``eigh`` in ``reduce_pair``, still round by kernel.
 """
 
 import os
@@ -33,7 +33,7 @@ import hashlib
 import numpy as np
 from thermoex.exactrel import covariance
 from thermoex.laminate import IteratedRank2Model, RankOneModel, conduct2
-from thermoex.linkgroup import LinkMap, psi_apply
+from thermoex.linkgroup import LinkMap, psi_apply, psi_compose, psi_inverse
 from thermoex.materials import figure_of_merit
 from thermoex.tensor4 import block_is_pd, gamma0, mobius
 
@@ -81,7 +81,8 @@ digest.update(bytes(verdicts))
 for _ in range(100):
     m = LinkMap(rng.uniform(-1.0, 1.0, (2, 2)), rng.uniform(-1.0, 1.0, (2, 2)))
     L, Ls = spd(4), np.stack([spd(4) for _ in range(3)])
-    for value in (psi_apply(m, L), psi_apply(m, Ls),
+    sq, inv = psi_compose(m, m), psi_inverse(m)
+    for value in (psi_apply(m, L), psi_apply(m, Ls), sq.a, sq.b, inv.a, inv.b,
                   mobius(rng.uniform(-1.0, 1.0, (2, 2)),
                          rng.uniform(-1.0, 1.0, (2, 2)), L),
                   covariance(spd(2), spd(4))):

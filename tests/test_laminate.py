@@ -176,6 +176,18 @@ def test_models_mix_at_their_stored_normals(rng):
         assert np.abs(got - w_form).max() <= 1e-13 * np.abs(w_form).max()
 
 
+def test_model_tree_is_its_tensor_bit_for_bit(rng):
+    """``tree`` keeps each normal as given, so ``laminate_tree`` normalizes it
+    once, as the model did: a unit normal normalized again can move a bit."""
+    for _ in range(300):
+        L1, L2 = rand_pd_block(rng), rand_pd_block(rng)
+        for model in (RankOneModel(rng.uniform(), rng.standard_normal(2)),
+                      IteratedRank2Model(rng.uniform(), rng.standard_normal(2),
+                                         rng.uniform(), rng.standard_normal(2))):
+            assert (laminate_tree(model.tree(L1, L2)).tobytes()
+                    == model.tensor(L1, L2).tobytes())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_tensor_raises(bad):
     """Every laminate and link entry point rejects a NaN or Inf entry in the

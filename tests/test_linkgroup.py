@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 from types import SimpleNamespace
 from decimal import Decimal, localcontext
@@ -601,3 +602,29 @@ def test_linkmap_zero_entries_are_positive_zero():
     assert np.signbit(m.a).tolist() == [[False, False], [True, False]]
     # B is only scaled and, by the sign rule, negated: its zeros flip sign
     assert np.signbit(m.b).tolist() == [[False, False], [True, True]]
+
+
+def test_link_outputs_are_pinned():
+    """One sha256 over 400 seeded maps: A and B of each map, of its composite
+    with the map before and of its inverse, and psi_apply on one block and on
+    a stack of three.  Every input is drawn elementwise and every output is
+    float arithmetic, so the digest depends on no BLAS kernel."""
+    rng = np.random.default_rng(5)
+    digest = hashlib.sha256()
+
+    def spd4():
+        S = rng.uniform(-1.0, 1.0, (4, 4))
+        return S + S.T + 8.0 * np.eye(4)
+
+    prev = lg.identity_map()
+    for _ in range(400):
+        m = rand_map(rng)
+        for k in (m, lg.psi_compose(m, prev), lg.psi_inverse(m)):
+            digest.update(k.a.tobytes())
+            digest.update(k.b.tobytes())
+        L, Ls = spd4(), np.stack([spd4() for _ in range(3)])
+        digest.update(lg.psi_apply(m, L).tobytes())
+        digest.update(lg.psi_apply(m, Ls).tobytes())
+        prev = m
+    assert digest.hexdigest() == ("07c930209069601bc3a8eed4cce559e2"
+                                  "17ca65e8bad90c1598cd580877851dee")

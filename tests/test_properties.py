@@ -95,9 +95,8 @@ def test_zt_bound_models_at_si_scale(rank):
 # -- scaling by 2^k --------------------------------------------------------------
 
 K_ALL = (-200, -20, -1, 1, 20, 200)
-# the SPD root of sigma_1 scales exactly by powers of four only, and the case
-# band is absolute below unit scale (test_case_tags_hold_at_small_scale)
-K_EVEN = (-20, -2, 2, 20, 200)
+# the SPD root of sigma_1 scales exactly by powers of four only
+K_EVEN = (-200, -20, -2, 2, 20, 200)
 
 
 def _scaled_effective(pair_args, micro, k):
@@ -131,10 +130,6 @@ def test_effective_scales_exactly_by_odd_powers(rng, tag):
                                   2.0 ** k * ref.Lstar), k
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="classify's band 1e-10 (1 + max |entry|) is absolute "
-                          "below unit scale, so every gap there reads as zero "
-                          "(ROADMAP item 3)")
 @pytest.mark.parametrize("tag", ["2a", "1aii", "1ai", "1cii", "1ci"])
 def test_case_tags_hold_at_small_scale(rng, tag):
     args, micro = draw_pair(rng, tag), draw_model(rng, 1)
@@ -188,11 +183,8 @@ def _assert_scales_exactly(rng, solver, ks):
 
 @pytest.mark.parametrize("solver", SOLVERS)
 def test_laminate_paths_scale_exactly(rng, solver):
-    """Scaling by 16^j moves each pair's reference 16^j I with it.  1ci runs to
-    2^+-20 only: at 2^-200 classify's absolute band changes its case
-    (test_case_tags_hold_at_small_scale)."""
-    _assert_scales_exactly(rng, solver, (-20, -4, 4, 20) if solver == "1ci"
-                           else (-200, -20, -4, 4, 20, 200))
+    """Scaling by 16^j moves each pair's reference 16^j I with it."""
+    _assert_scales_exactly(rng, solver, (-200, -20, -4, 4, 20, 200))
 
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, tp.BranchWarning),
