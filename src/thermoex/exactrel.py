@@ -134,8 +134,7 @@ def _res9(L, L11, L12, L22, sc):
 def _res13(L, L11, L12, L22, sc):
     res = (np.linalg.norm(L12 - (L11 - I2) @ RPERP)
            + np.linalg.norm(L22 - cof2(L11)))
-    m = L11 - I2 / 2
-    return res / sc, (("L11>I/2", pd2(m, 1e-12, 1.0 + np.abs(m).max())),)
+    return res / sc, (("L11>I/2", pd2(L11 - I2 / 2)),)
 
 
 def _sandwich(mid):
@@ -210,7 +209,7 @@ def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
         return I4.copy()
     for _ in range(100):
         L = w_inverse(spec.algebra.sample_block(rng, s), spec.key_block)
-        if block_is_pd(L, tol=1e-10):
+        if block_is_pd(L):
             return (L + L.T) / 2.0
         s *= 0.7
     raise RuntimeError(f"could not sample a PD member of relation {ident}")

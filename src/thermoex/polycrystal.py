@@ -254,20 +254,17 @@ def solve_isotropic(k0):
         raise TypeError("crystallite must be a KTensor")
     if k0.X.shape != (2, 2) or k0.Y.shape != (2, 2):
         raise ValueError("crystallite must be one operator with 2x2 X and Y")
-    X = k0.X
-    (x00, x01), (x10, x11) = X.tolist()
+    with np.errstate(over="ignore"):     # a block that overflows is not PD
+        if not block_is_pd(kt_to_block(k0)):
+            raise DomainError("crystallite tensor must be positive definite")
+    (x00, x01), (x10, x11) = k0.X.tolist()
     # theta scales as 1/s^2 and Z as s under (X, Y) -> s (X, Y); solving for
     # (X, Y) / s keeps the coefficients of F in floating-point range, and a
     # power of two s scales exactly; s = 2^e with e in [-1073, 1023], so s and
-    # s / 2 are nonzero and finite.  The PD test takes the block / s too, so
-    # the absolute floor of block_is_pd rejects no small crystallite; a Y / s
-    # that overflows is not PD.
+    # s / 2 are nonzero and finite.
     big = max(abs(x00), abs(x01), abs(x10), abs(x11))
     e = min(max(round(math.log2(big)), -1073), 1023) if 0.0 < big < math.inf else 0
     s = 2.0 ** e
-    with np.errstate(over="ignore"):
-        if not block_is_pd(kt_to_block(k0) / s):
-            raise DomainError("crystallite tensor must be positive definite")
     h = s / 2.0        # x / h is (x + x) / s, bit for bit, and cannot overflow
     rhs = [x00.real / h, x11.real / h, x01.real / h, 0.0]   # hvec(X + conj(X)) / s
     w, p, Bm = _z_polys([v / s for v in k0.Y.ravel().tolist()], rhs)

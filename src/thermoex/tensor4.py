@@ -12,9 +12,10 @@ with phi(a+bi) = a*I + b*Rperp and psi(a+bi) = [[a, b], [b, -a]].  Operator
 products are real 4x4 products of the block forms, one matmul for a stack; the
 2x2 kernels are closed form and 4x4 inverses dense numpy.linalg.  Two 4x4
 kernels run on Python floats, with no LAPACK call: the one PD test,
-block_is_pd, an LDL^T pivot test, and the one link action Psi_{A,B}, mobius,
-a Gaussian elimination with partial pivoting followed by the congruence by
-B (x) I.
+block_is_pd, every LDL^T pivot of B + B^T strictly positive, with no tolerance
+or scale (pd2 asks the same of the leading minors of a Hermitian 2x2), and
+the one link action Psi_{A,B}, mobius, a Gaussian elimination with partial
+pivoting followed by the congruence by B (x) I.
 
 Block-matrix convention: the first index of a Kronecker product A (x) B
 is the field-pair slot, the second the spatial slot, i.e.
@@ -98,23 +99,19 @@ def inv2(m):
     return np.array(inv2_rows(m.tolist() if isinstance(m, np.ndarray) else m))
 
 
-def pd2(m, tol=0.0, scale=1.0):
-    """Positive definiteness of a Hermitian 2x2, array or rows, by its minors.
-
-    The cutoffs respect the homogeneity of each minor: tol*scale for the
-    corner entry, tol*scale^2 for the determinant.  Both comparisons are
-    strict, so NaN entries fail the test.  A matrix with max|m| outside
-    [2^-500, 2^500] is tested as m / 4^k with max|m| / 4^k in [1/4, 1), its
-    cutoffs scaled alike, so the determinant neither overflows nor
-    underflows; a power of two scales exactly, so the test is the same.
+def pd2(m):
+    """Positive definiteness of a Hermitian 2x2, array or rows: both leading
+    minors strictly positive, so NaN entries fail.  A matrix with max|m|
+    outside [2^-500, 2^500] is tested as m / 4^k with max|m| / 4^k in
+    [1/4, 1), so the determinant neither overflows nor underflows; a power
+    of two scales exactly, so the test is the same.
     """
     (a, b), (c, d) = m.tolist() if isinstance(m, np.ndarray) else m
     big = max(abs(a), abs(b), abs(c), abs(d))
-    if 2.0 ** -500 <= big <= 2.0 ** 500:
-        return a.real > tol * scale and (a * d - b * c).real > tol * scale ** 2
-    h = 2.0 ** -(math.frexp(big)[1] // 2)    # 1.0 when big is 0, Inf or NaN
-    a, b, c, d, s = (v * h * h for v in (a, b, c, d, float(scale)))
-    return a.real > tol * s and (a * d - b * c).real > tol * s * s
+    if not 2.0 ** -500 <= big <= 2.0 ** 500:
+        h = 2.0 ** -(math.frexp(big)[1] // 2)    # 1.0 when big is 0, Inf or NaN
+        a, b, c, d = (v * h * h for v in (a, b, c, d))
+    return a.real > 0.0 and (a * d - b * c).real > 0.0
 
 
 def check_spd2(m, name="matrix"):
@@ -124,7 +121,7 @@ def check_spd2(m, name="matrix"):
     m = np.asarray(m, dtype=float)
     e = [abs(v) for v in m.ravel().tolist()]
     if m.shape != (2, 2) or math.inf in e \
-            or abs(m[0, 1] - m[1, 0]) > DEFAULT_TOL * (1.0 + max(e)):
+            or abs(m[0, 1] - m[1, 0]) > DEFAULT_TOL * max(e):
         raise ValueError(f"{name} must be a finite symmetric 2x2 matrix")
     m = m - (m - m.T) / 2.0
     if not pd2(m):
@@ -259,7 +256,8 @@ def block_from_parts(L11, L12, L22):
 
 
 def check_block(B):
-    """Validate and symmetrize a 4x4 block tensor."""
+    """Validate and symmetrize a 4x4 block tensor: another shape, a NaN or
+    Inf entry or an asymmetry above DEFAULT_TOL max|B| raise ValueError."""
     B = np.asarray(B, dtype=float)
     if B.shape != (4, 4):
         raise ValueError("block tensor must be 4x4")
@@ -267,7 +265,7 @@ def check_block(B):
     if not big < math.inf:                       # NaN or Inf entries
         raise ValueError("block tensor entries must be finite")
     d = np.abs(B - B.T).max()
-    if d > DEFAULT_TOL * (1.0 + big):
+    if d > DEFAULT_TOL * big:
         raise ValueError(f"block tensor asymmetry {d:.3e} exceeds tolerance")
     return B - (B - B.T) / 2.0          # exact for symmetric B, cannot overflow
 
@@ -298,51 +296,50 @@ def is_positive_definite(k):
     return block_is_pd(kt_to_block(k))
 
 
-def _pd_flat(v, tol):
+def _pd_flat(v):
     """:func:`block_is_pd` of one block given as its 16 entries, row-major."""
-    big = max(map(abs, v))       # Inf with an Inf entry; NaN fails at a pivot
-    if 2.0 ** 1023 <= big < math.inf:            # B + B^T would overflow
+    big = max(map(abs, v))       # NaN entries reach a pivot and fail there
+    if big == math.inf:
+        return False
+    if big >= 2.0 ** 1023:                       # B + B^T would overflow
         v = [x / 2.0 for x in v]
-        big /= 2.0
-    t = 2.0 * tol * (1.0 + big)
     b00, b01, b02, b03, b10, b11, b12, b13, \
         b20, b21, b22, b23, b30, b31, b32, b33 = v
-    a00 = b00 + b00 - t                          # the pivots of S - t I
+    a00 = b00 + b00                              # the pivots of S = B + B^T
     if not a00 > 0.0:
         return False
     c1, c2, c3 = b10 + b01, b20 + b02, b30 + b03
     m1, m2, m3 = c1 / a00, c2 / a00, c3 / a00
-    a11 = b11 + b11 - t - m1 * c1
+    a11 = b11 + b11 - m1 * c1
     if not a11 > 0.0:
         return False
     a21 = b21 + b12 - m2 * c1
     a31 = b31 + b13 - m3 * c1
     n2, n3 = a21 / a11, a31 / a11
-    a22 = b22 + b22 - t - m2 * c2 - n2 * a21
+    a22 = b22 + b22 - m2 * c2 - n2 * a21
     if not a22 > 0.0:
         return False
     a32 = b32 + b23 - m3 * c2 - n3 * a21
-    return b33 + b33 - t - m3 * c3 - n3 * a31 - a32 / a22 * a32 > 0.0
+    return b33 + b33 - m3 * c3 - n3 * a31 - a32 / a22 * a32 > 0.0
 
 
-def block_is_pd(B, tol=1e-12):
-    """Positive definiteness of a real 4x4 block or a (..., 4, 4) stack: all
-    eigenvalues of S = B + B^T exceed t = 2 tol (1 + max|B|), strictly, so the
-    boundary fails, as do NaN and Inf entries.  One block gives a bool.
+def block_is_pd(B):
+    """Positive definiteness of a real 4x4 block or a (..., 4, 4) stack: every
+    pivot of the LDL^T factorization of S = B + B^T, on Python floats, is
+    strictly positive.  The test has no tolerance and no scale: the boundary
+    fails at every scale, as do NaN and Inf entries.  One block gives a bool.
 
-    The test is the LDL^T factorization of S - t I on Python floats: each of
-    its four pivots must be positive.  A NaN entry reaches a pivot and an Inf
-    one makes t infinite, so both fail.  For PD input each Schur complement is
-    bounded by the diagonal, so no pivot overflows.  A finite block with
-    max|B| >= 2^1023, where S would overflow, is halved first, exactly (the 1
-    of its cutoff is not).  A stack runs the same test block by block.
+    A NaN entry reaches a pivot; an Inf one fails up front.  For PD input
+    each Schur complement is bounded by the diagonal, so no pivot overflows.
+    A finite block with max|B| >= 2^1023, where S would overflow, is halved
+    first, exactly.  A stack runs the same test block by block.
     """
     B = np.asarray(B, dtype=float)
     if B.shape[-2:] != (4, 4):
         raise ValueError("block tensor must be 4x4")
     if B.ndim == 2:
-        return _pd_flat(B.ravel().tolist(), tol)
-    return np.array([_pd_flat(v, tol) for v in B.reshape(-1, 16).tolist()],
+        return _pd_flat(B.ravel().tolist())
+    return np.array([_pd_flat(v) for v in B.reshape(-1, 16).tolist()],
                     dtype=bool).reshape(B.shape[:-2])
 
 

@@ -133,7 +133,7 @@ def s_matrices(pair):
     sig2 = lam2 S1 + lam1 S2; undefined for proportional pairs."""
     red = pair._reduced
     s1, s2 = pair.phase1.sig, pair.phase2.sig
-    if abs(red.lam1 - red.lam2) < 1e-12 * (1.0 + red.lam1):
+    if _proportional(red):
         raise DomainError("S matrices are undefined for proportional pairs")
     S1 = (s2 - red.lam1 * s1) / (red.lam2 - red.lam1)
     S2 = (s2 - red.lam2 * s1) / (red.lam1 - red.lam2)
@@ -175,38 +175,44 @@ def a0_roots(det_sigma, rho):
     return (r1, r2)
 
 
+def _proportional(red):
+    """sig2 = theta sig1 in link invariants: lam1 - lam2 <= _BAND lam1."""
+    return red.lam1 - red.lam2 <= _BAND * red.lam1
+
+
 def classify(pair):
-    """Resolve the case tree.  A boundary equality holds within ``_BAND``
-    times the phases' scale, their largest |entry| of sigma or r (squared
-    for the 1aii split): the band scales with the phases at every scale."""
+    """Resolve the case tree in link invariants: a boundary equality holds
+    within ``_BAND`` (sqrt(det sig1) + sqrt(det sig2)), the 1aii split within
+    ``_BAND`` times its square, and proportionality is :func:`_proportional`;
+    a link sig -> B sig B^T, r -> det(B) r scales both sides of each alike."""
     p1, p2 = pair.phase1, pair.phase2
     (a1, b1, e1), (a2, b2, e2), r1, r2 = p1.abd, p2.abd, p1.r, p2.r
     red = pair._reduced
-    scale = max(a1, abs(b1), e1, a2, abs(b2), e2, abs(r1), abs(r2))
+    sd1, sd2 = math.sqrt(p1.det), math.sqrt(p2.det)
+    band = _BAND * (sd1 + sd2)
     dr = abs(r1 - r2)
-    gap = dr - abs(math.sqrt(p1.det) - math.sqrt(p2.det))
-    prop_defect = np.linalg.norm(p2.sig - red.theta * p1.sig)
+    gap = dr - abs(sd1 - sd2)
     scalars = {
         "rho": red.rho, "det_sigma": red.lam1 * red.lam2,
         "lam1": red.lam1, "lam2": red.lam2, "gap": gap,
-        "proportional_defect": prop_defect,
+        "proportional_defect": np.linalg.norm(p2.sig - red.theta * p1.sig),
     }
     roots = a0_roots(red.lam1 * red.lam2, red.rho)
     if roots is not None:
         scalars["a0_roots"] = roots
-    if prop_defect <= _BAND * scale:
-        if abs(gap) <= _BAND * scale:
+    if _proportional(red):
+        if abs(gap) <= band:
             return CaseTag("2c", scalars)
         return CaseTag("2a" if gap < 0 else "2b", scalars)
-    if abs(gap) <= _BAND * scale:
-        if abs(r1 - r2) <= _BAND * scale:
+    if abs(gap) <= band:
+        if dr <= band:
             return CaseTag("1cii", scalars)
         return CaseTag("1ci", scalars)
     if gap > 0:
         return CaseTag("1b", scalars)
     split = dr ** 2 - ((a1 - a2) * (e1 - e2) - (b1 - b2) * (b1 - b2))
     scalars["decoupling_defect"] = split
-    if abs(split) <= _BAND * scale ** 2:
+    if abs(split) <= _BAND * (sd1 + sd2) ** 2:
         return CaseTag("1aii", scalars)
     return CaseTag("1ai", scalars)
 

@@ -102,6 +102,9 @@ def test_solve_isotropic_trivial():
 def test_solve_rejects_bad_input():
     with pytest.raises(ValueError):
         pc.solve_isotropic(KTensor(-I2, np.zeros((2, 2))))
+    # X + Y overflows in the block form: not PD, and no overflow warning
+    with pytest.raises(DomainError, match="positive definite"):
+        pc.solve_isotropic(KTensor(1.5e308 * I2, 1e308 * I2))
     with pytest.raises(TypeError):
         pc.solve_isotropic(np.eye(4))
     # KTensor also holds stacks; the solver takes one crystallite
@@ -235,7 +238,8 @@ def test_theta_outside_the_float_range_raises(k0):
     """theta ~ 1/|X|^2 of a crystallite near either end of the float range is
     not a normal float (inf, subnormal or 0): a DomainError names the scale,
     instead of an inf or subnormal theta or a claim that no root exists.  The
-    last crystallite, near 2^1024, passes the PD test at the capped scale."""
+    last crystallite, near 2^1024, passes the PD test, which has no scale,
+    and fails at the capped scale 2^1023."""
     with pytest.raises(DomainError, match=r"crystallite of scale 2\^"):
         pc.solve_isotropic(k0)
 
@@ -249,9 +253,8 @@ def test_theta_inside_the_float_range_keeps_its_bits(e, theta):
 
 def test_power_of_two_scaling(rng):
     """For a power of two c, theta(c k0) = theta(k0) / c^2 and Z(c k0) =
-    c Z(k0), both exactly: the solver and its PD test run on k0 / s with s a
-    power of two, so small crystallites do not fail the absolute floor of
-    block_is_pd."""
+    c Z(k0), both exactly: the solver runs on k0 / s with s a power of two,
+    and its PD test is strict with no floor, so small crystallites pass it."""
     for _ in range(20):
         k = rand_pd_crystallite(rng)
         ref = pc.solve_isotropic(k)

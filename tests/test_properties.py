@@ -10,14 +10,18 @@ phases and scaling by 16^j is exact, but scaling by 2 or 4 is not (ROADMAP item
 1, a reference-free 4x4 laminate); those cases are strict xfails.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from thermoex import twophase as tp
 from thermoex.laminate import Leaf, Mix, laminate2, laminate_tree
+from thermoex.linkgroup import basis_change, psi_apply
 from thermoex.materials import Material, canon_from_physical, figure_of_merit
 from thermoex.polycrystal import solve_isotropic
-from thermoex.tensor4 import KTensor, kt_to_block
+from thermoex.tensor4 import (I2, T4, DomainError, KTensor, det2, kron2,
+                              kt_from_block, kt_to_block)
 from conftest import (draw_model, draw_pair, make_pair, rand_pd_block, rand_pd_kt,
                       rand_spd, random_tree)
 
@@ -84,6 +88,15 @@ def test_zt_bound_laminate2_at_si_scale():
                         phases)
 
 
+def test_zt_bound_polycrystal_at_si_scale():
+    """solve_isotropic keeps the bound on SI-unit crystallites."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        L = _si_phase(rng)
+        res = solve_isotropic(kt_from_block(L))
+        assert_zt_bound(kt_to_block(KTensor(res.Lstar, np.zeros((2, 2)))), [L])
+
+
 @pytest.mark.parametrize("rank", [1, 2])
 def test_zt_bound_models_at_si_scale(rank):
     rng = np.random.default_rng(7)
@@ -137,13 +150,36 @@ def test_case_tags_hold_at_small_scale(rng, tag):
 
 
 def test_figure_of_merit_is_scale_free(rng):
-    """The same bits from 2^-35, about block_is_pd's absolute floor for a
-    unit-scale L, up to 2^400."""
+    """The same bits from 2^-400 to 2^400: block_is_pd is strict and has no
+    floor, so a small L is PD as its unit-scale image is."""
     for _ in range(20):
         L = rand_pd_block(rng)
         zt = figure_of_merit(L)
-        for k in (-35, -20, -1, 1, 20, 200, 400):
+        for k in (-400, -200, -40, -35, -20, -1, 1, 20, 200, 400):
             assert figure_of_merit(2.0 ** k * L) == zt, k
+
+
+def test_figure_of_merit_accepts_what_iso_phase_accepts():
+    """Under the basis change diag(3e4, 2e-2), whose image has a condition
+    number near 1e12, figure_of_merit and IsoPhase agree on 200 mapped
+    phases, 20 pairs of each of five cases: both accept every PD phase, and
+    both refuse it with its coupling r raised to 1.5 sqrt(det sigma)."""
+    rng = np.random.default_rng(3)
+    B = np.diag([3e4, 2e-2])
+    link, dB = basis_change(B), 3e4 * 2e-2
+    for tag in ("2c", "2a", "1aii", "1ci", "1cii"):
+        for _ in range(20):
+            s1, r1, s2, r2 = draw_pair(rng, tag)
+            for sig, r in ((s1, r1), (s2, r2)):
+                for coupling in (r, 1.5 * np.sqrt(det2(sig))):
+                    L = psi_apply(link, kron2(sig, I2) + coupling * T4)
+                    try:
+                        tp.IsoPhase(B @ sig @ B.T, dB * coupling)
+                    except DomainError:
+                        with pytest.raises(DomainError):
+                            figure_of_merit(L)
+                    else:
+                        assert 0.0 <= figure_of_merit(L) < math.inf
 
 
 def _on_scaled_phases(rng, solver):

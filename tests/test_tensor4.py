@@ -187,20 +187,23 @@ def test_i2_kron_matches_the_broadcast_product(rng):
 
 def test_pd2_beyond_the_float_range_of_the_determinant(rng):
     """max|m| outside [2^-500, 2^500] is tested on m / 4^k: an exact scaling,
-    so det2 neither overflows nor underflows and the answer is unchanged."""
+    so det2 neither overflows nor underflows and the answer is unchanged.
+    The test is strict at every scale: a singular matrix fails at 2^k for k
+    from -1070 to 1020, where I passes."""
     assert pd2(np.array([[1e160, 5e159], [5e159, 2e160]]))
     assert pd2(np.array([[1e-160, 5e-161], [5e-161, 2e-160]]))
     assert not pd2(np.array([[1e160, 2e160], [2e160, 1e160]]))
-    assert pd2(np.array([[1e300, 0.0], [0.0, 1e300]]), 1e-12, 1.0 + 1e300)
+    assert pd2(np.array([[1e300, 0.0], [0.0, 1e300]]))
     assert not pd2(np.full((2, 2), np.nan)) and not pd2(np.zeros((2, 2)))
+    for k in range(-1070, 1021, 10):
+        assert pd2(np.ldexp(I2, k))
+        assert not pd2(np.ldexp(np.ones((2, 2)), k))
     for _ in range(500):
         M = rand_herm(rng) + rng.uniform(-1.0, 2.0) * I2
         for m in (M, M.real):
             want = pd2(m)
             for k in (-500, 500):
                 assert pd2(np.ldexp(1.0, k) * m) == want
-                assert pd2(np.ldexp(1.0, k) * m, 1e-3, np.ldexp(3.0, k)) \
-                    == pd2(m, 1e-3, 3.0)
 
 
 def test_pd_criterion(rng):
@@ -214,12 +217,11 @@ def test_pd_criterion(rng):
         assert is_positive_definite(k) == (w.min() > 0)
 
 
-def schur_pd(k, tol=1e-12):
+def schur_pd(k):
     """Reference PD test in (X, Y) form: X > 0 and its Schur complement
-    X - Y conj(X)^-1 conj(Y) > 0, cut at tol * (1 + max |X|, |Y|)."""
+    X - Y conj(X)^-1 conj(Y) > 0."""
     X, Y = k.X, k.Y
-    s = 1.0 + max(np.abs(X).max(), np.abs(Y).max())
-    return pd2(X, tol, s) and pd2(X - Y @ inv2(X.conj()) @ Y.conj(), tol, s)
+    return pd2(X) and pd2(X - Y @ inv2(X.conj()) @ Y.conj())
 
 
 def test_block_pd_stack_and_bool(rng):
@@ -229,9 +231,8 @@ def test_block_pd_stack_and_bool(rng):
     assert pd.shape == (2, 3) and pd.dtype == bool
     assert 0 < pd.sum() < 6            # both outcomes occur
     for i in np.ndindex(2, 3):
-        for tol in (1e-12, 1e-10):
-            one = block_is_pd(Bs[i], tol)
-            assert type(one) is bool and one == block_is_pd(Bs, tol)[i]
+        one = block_is_pd(Bs[i])
+        assert type(one) is bool and one == pd[i]
     assert type(block_is_pd(-I4)) is bool and block_is_pd(-I4) is False
     empty = block_is_pd(np.zeros((0, 4, 4)))
     assert empty.shape == (0,) and empty.dtype == bool
@@ -239,24 +240,24 @@ def test_block_pd_stack_and_bool(rng):
 
 def test_block_pd_non_finite():
     """A NaN or an Inf of either sign at any of the 16 positions of a PD
-    block fails the test, alone and in a stack, for any tolerance."""
-    base = 3.0 * I4 + 0.25 * np.add.outer(np.arange(4.0), np.arange(4.0)) / 6.0
-    assert block_is_pd(base) is True
-    bad = []
-    for i, j in np.ndindex(4, 4):
-        for v in (np.nan, np.inf, -np.inf):
-            B = base.copy()
-            B[i, j] = v
-            assert block_is_pd(B) is False and block_is_pd(B, tol=0.0) is False
-            bad.append(B)
-    assert block_is_pd(np.stack(bad + [base])).tolist() == [False] * 48 + [True]
+    block 2^k B fails the test, alone and in a stack, at k = -500, 0, 500."""
+    unit = 3.0 * I4 + 0.25 * np.add.outer(np.arange(4.0), np.arange(4.0)) / 6.0
+    for base in (np.ldexp(unit, -500), unit, np.ldexp(unit, 500)):
+        assert block_is_pd(base) is True
+        bad = []
+        for i, j in np.ndindex(4, 4):
+            for v in (np.nan, np.inf, -np.inf):
+                B = base.copy()
+                B[i, j] = v
+                assert block_is_pd(B) is False
+                bad.append(B)
+        assert block_is_pd(np.stack(bad + [base])).tolist() == [False] * 48 + [True]
     nan_pair = I4.copy()
     nan_pair[0, 1] = nan_pair[1, 0] = np.nan
     inf_diag = I4.copy()
     inf_diag[2, 2] = np.inf
     for B in (nan_pair, inf_diag, -inf_diag, np.full((4, 4), np.nan)):
         assert block_is_pd(B) is False
-        assert block_is_pd(B, tol=0.0) is False
     stack = block_is_pd(np.stack([nan_pair, I4, inf_diag, 2 * I4]))
     assert stack.tolist() == [False, True, False, True]
 
@@ -282,7 +283,7 @@ def test_block_pd_matches_schur_form():
           for c in rng.uniform(0.0, 5.0, 10_000)]
     Bs = np.stack([kt_to_block(k) for k in ks])
     w = np.linalg.eigvalsh(Bs)[:, 0]
-    away = np.abs(w) > 1e-6 * (1.0 + np.abs(Bs).max(axis=(1, 2)))
+    away = np.abs(w) > 1e-6 * np.abs(Bs).max(axis=(1, 2))
     pd = block_is_pd(Bs)
     assert away.sum() > 9900 and 0.2 < pd.mean() < 0.8
     for k, got, keep in zip(ks, pd, away):
@@ -292,37 +293,34 @@ def test_block_pd_matches_schur_form():
 
 
 def test_block_pd_matches_eigenvalue_reference():
-    """The pivot test agrees with the smallest eigenvalue w of S = B + B^T
-    against the cutoff t = 2 tol (1 + max|B|) outside the band
-    |w - t| <= 1e-9 max|B|, which holds the rounding of both, for both
-    tolerances in use: on 10^4 seeded blocks per tolerance with scales from
-    2^-500 to 2^500, half of them not symmetric, and on 10^4 symmetric ones
-    shifted to put w within 1e-7 max(t, max|B|) of the cutoff."""
+    """The pivot test agrees with the sign of the smallest eigenvalue w of
+    S = B + B^T outside the band |w| <= 1e-9 max|B|, which holds the rounding
+    of both: on 10^4 seeded blocks with scales from 2^-500 to 2^500, half of
+    them not symmetric, and on 10^4 symmetric ones shifted to put w within
+    1e-7 max|B| of 0."""
     rng = np.random.default_rng(0x24)
     n = 10_000
 
     def scaled(A):
         return np.ldexp(A, rng.integers(-500, 501, (len(A), 1, 1)))
 
-    def reference(B, tol):
+    def reference(B):
         big = np.abs(B).max(axis=(-2, -1))
-        w = np.linalg.eigvalsh(B + np.swapaxes(B, -1, -2))[:, 0]
-        return w, 2.0 * tol * (1.0 + big), big
+        return np.linalg.eigvalsh(B + np.swapaxes(B, -1, -2))[:, 0], big
 
-    for tol in (1e-12, 1e-10):
-        A = rng.standard_normal((n, 4, 4)) + rng.uniform(0.0, 6.0, (n, 1, 1)) * I4
-        A[::2] += np.swapaxes(A[::2], -1, -2)
-        C = scaled(rng.standard_normal((n, 4, 4)))
-        C += np.swapaxes(C, -1, -2)
-        w, t, big = reference(C, tol)
-        shift = (t - w) / 2.0 + rng.uniform(-1.0, 1.0, n) * 1e-7 * np.maximum(t, big)
-        for B in (scaled(A), C + shift[:, None, None] * I4):
-            w, t, big = reference(B, tol)
-            away = np.abs(w - t) > 1e-9 * big
-            pd = block_is_pd(B, tol)
-            assert away.sum() > 0.9 * n and 0.2 < pd[away].mean() < 0.8
-            assert (pd[away] == (w > t)[away]).all()
-            assert [block_is_pd(b, tol) for b in B[:500]] == pd[:500].tolist()
+    A = rng.standard_normal((n, 4, 4)) + rng.uniform(0.0, 6.0, (n, 1, 1)) * I4
+    A[::2] += np.swapaxes(A[::2], -1, -2)
+    C = scaled(rng.standard_normal((n, 4, 4)))
+    C += np.swapaxes(C, -1, -2)
+    w, big = reference(C)
+    shift = -w / 2.0 + rng.uniform(-1.0, 1.0, n) * 1e-7 * big
+    for B in (scaled(A), C + shift[:, None, None] * I4):
+        w, big = reference(B)
+        away = np.abs(w) > 1e-9 * big
+        pd = block_is_pd(B)
+        assert away.sum() > 0.9 * n and 0.2 < pd[away].mean() < 0.8
+        assert (pd[away] == (w > 0.0)[away]).all()
+        assert [block_is_pd(b) for b in B[:500]] == pd[:500].tolist()
 
 
 def test_block_pd_boundary_fails_at_every_scale():
@@ -431,10 +429,15 @@ def test_symmetric_rejects_non_finite(bad, which):
 
 
 def test_check_block():
+    """Asymmetry is measured against max|B|, with no absolute 1: a block at
+    scale 1e-12 whose (0, 1) and (1, 0) entries differ by half of it fails."""
     with pytest.raises(ValueError):
         check_block(np.arange(16.0).reshape(4, 4))
+    with pytest.raises(ValueError):
+        check_block(1e-12 * (I4 + 0.5 * np.eye(4, k=1)))
     B = np.diag([1.0, 2.0, 3.0, 4.0])
     assert np.allclose(check_block(B), B)
+    assert check_block(1e-12 * B).tobytes() == (1e-12 * B).tobytes()
 
 
 @pytest.mark.parametrize("tiny", [5e-324, -5e-324, -0.0])
@@ -501,7 +504,9 @@ def test_domain_error_sites():
     for site in sites:
         with pytest.raises(DomainError):
             site()
-    for bad in (np.eye(3), [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]):
+    # the asymmetry is relative to max|m|: a 50 % asymmetric sigma at 1e-12
+    for bad in (np.eye(3), [[np.inf, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]],
+                [[1e-12, 0.0], [5e-13, 1e-12]]):
         with pytest.raises(ValueError) as info:
             check_spd2(bad)
         assert info.type is ValueError

@@ -436,3 +436,35 @@ def test_two_phase_link_covariance(link, rank):
                    for ph in (p.phase1, p.phase2))
         err = np.abs(got.Lstar - want).max() / np.abs(want).max()
         assert err <= 1e2 * EPS * cond, (tag, err / (EPS * cond))
+
+
+def test_classify_is_link_invariant(rng):
+    """The case tree is resolved in link invariants: under the strongly
+    anisotropic basis changes B = diag(10^a, 10^-b) R(0.3), a, b in
+    {0, 2, 4}, which scale entries by up to 1e8 against det B, 40 pairs per
+    tag keep their tag."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    for tag in ALL_TAGS:
+        for _ in range(40):
+            s1, r1, s2, r2 = draw_pair(rng, tag)
+            for a in (0, 2, 4):
+                for b in (0, 2, 4):
+                    B = np.diag([10.0 ** a, 10.0 ** -b]) @ rot
+                    dB = det2(B)
+                    mapped = make_pair(B @ s1 @ B.T, dB * r1, B @ s2 @ B.T, dB * r2)
+                    assert tp.classify(mapped).tag == tag, (tag, a, b)
+
+
+def test_classify_high_contrast_near_proportional():
+    """sig2 = 1e-4 diag(1, 1 + 1e-6) against sig1 = I is not proportional:
+    lam1 - lam2 = 1e-10 is 1e-6 lam1, far above the band.  The pair is case
+    1ai, and its Lstar is the laminate's to rounding."""
+    micro = RankOneModel(0.5, (0.6, 0.8))
+    pair = tp.IsoPhasePair(tp.IsoPhase(I2, 0.0),
+                           tp.IsoPhase(1e-4 * np.diag([1.0, 1.0 + 1e-6]), 3e-5),
+                           0.5, micro)
+    res = tp.effective(pair)
+    assert res.case.tag == "1ai"
+    want = micro.tensor(pair.phase1.tensor(), pair.phase2.tensor())
+    assert np.abs(res.Lstar - want).max() <= 1e-10 * np.abs(want).max()
