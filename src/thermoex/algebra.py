@@ -242,11 +242,6 @@ class CheckReport:
     max_residual: float
     passed: bool
 
-    def to_json(self):
-        return {"algebra_id": self.algebra_id, "check": self.check,
-                "trials": self.trials, "max_residual": self.max_residual,
-                "pass": self.passed}
-
 
 def _draws(seed, trials, specs):
     """A block stack of samples of each spec, split from one (trials, n)

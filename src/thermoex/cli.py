@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -27,24 +28,18 @@ EXIT_DOMAIN = 3
 
 
 def _fmt(obj):
-    """Render JSON with 17-significant-digit numbers, deterministically."""
+    """Render Python values (dict, list, tuple, str, bool, None, int, float)
+    as JSON, every float with 17 significant digits, deterministically."""
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(k)}: {_fmt(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)) or obj is None:
-        return json.dumps(bool(obj) if obj is not None else None)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        v = float(obj)
-        if not np.isfinite(v):
-            raise DomainError(f"non-finite result {v}")
-        if v == 0.0:
-            v = 0.0          # normalize negative zero
-        return format(v, ".17g")
-    if isinstance(obj, str):
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DomainError(f"non-finite result {obj}")
+        return format(float(obj) + 0.0, ".17g")      # -0.0 + 0.0 is 0.0
+    if isinstance(obj, (bool, int, str)) or obj is None:
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -140,7 +135,9 @@ def cmd_verify_algebras(args):
         reports.append(algebra.CheckReport(
             spec.ident, f"key:{algebra.key_name(key)}", trials, res, res <= 1e-10))
     ok = all(r.passed for r in reports)
-    _emit({"pass": ok, "reports": [r.to_json() for r in reports]}, args.output)
+    rows = [{"algebra_id": r.algebra_id, "check": r.check, "trials": r.trials,
+             "max_residual": r.max_residual, "pass": r.passed} for r in reports]
+    _emit({"pass": ok, "reports": rows}, args.output)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -149,7 +146,10 @@ def cmd_er(args):
     L = _read(args.tensor, _block)
     if not block_is_pd(L):
         raise DomainError("tensor is not positive definite")
-    _emit(er_member(args.er, L).to_json(), args.output)
+    m = er_member(args.er, L)
+    cons = [{"name": n, "ok": bool(v)} for n, v in m.constraints]
+    _emit({"er_id": m.er_id, "member": bool(m.member), "residual": m.residual,
+           "constraints": cons}, args.output)
     return EXIT_OK
 
 
@@ -225,10 +225,12 @@ def _crystallite(data):
 
 def cmd_polycrystal(args):
     from .polycrystal import solve_isotropic
-    out = solve_isotropic(_read(args.tensor, _crystallite)).to_json()
-    if not args.all_roots:
-        out["roots"] = [r for r in out["roots"] if r["feasible"]]
-    _emit(out, args.output)
+    res = solve_isotropic(_read(args.tensor, _crystallite))
+    roots = [{"theta": t, "feasible": fz} for t, fz in res.roots
+             if fz or args.all_roots]
+    _emit({"theta": res.theta, "Lstar": [[v.real, v.imag] for v in res.Lstar.flat],
+           "alpha": res.alpha, "B": res.B.tolist(), "roots": roots,
+           "smallest_root_conjectural": res.smallest_root_conjectural}, args.output)
     return EXIT_OK
 
 

@@ -85,12 +85,6 @@ class MembershipResult:
     residual: float
     constraints: tuple
 
-    def to_json(self):
-        return {"er_id": self.er_id, "member": self.member,
-                "residual": self.residual,
-                "constraints": [{"name": n, "ok": bool(v)}
-                                for n, v in self.constraints]}
-
 
 def lm_par(L, M):
     """Tensor [[L, L M], [M^T L, M^T L M]] + T from a 2x2 pair."""
@@ -199,7 +193,7 @@ def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
     it through the inverse transform, shrinking the scale until the image
     is positive definite (at most 100 attempts).  The element is drawn as a
     4x4 block from the cached basis blocks (:meth:`AlgebraSpec.sample_block`).
-    A NaN or Inf ``scale`` raises ValueError.
+    A NaN or Inf ``scale`` raises ValueError, 100 failed attempts DomainError.
     """
     spec = er_spec(ident)
     if rng is None:
@@ -212,7 +206,7 @@ def er_sample(ident, seed=DEFAULT_SEED, scale=1.0, rng=None):
         if block_is_pd(L):
             return (L + L.T) / 2.0
         s *= 0.7
-    raise RuntimeError(f"could not sample a PD member of relation {ident}")
+    raise DomainError(f"could not sample a PD member of relation {ident}")
 
 
 def covariance(lam, L):

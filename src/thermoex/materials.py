@@ -89,11 +89,23 @@ def figure_of_merit(L):
 
     ``lam`` is the largest eigenvalue of M = L22^-1 L12^T L11^-1 L12, taken as
     tr/2 + sqrt(((m11 - m22) / 2)^2 + m12 m21): it does not cancel at a double one.
+    M is invariant under the congruence by diag(2^-i I, 2^-j I), which brings
+    L11 and L22 to unit scale by exact powers of four, so ZT is unit free.
     """
     L = check_block(L)
     if not block_is_pd(L):
         raise DomainError("tensor must be positive definite")
     (a, b, p, q), (c, d, r, s), (_, _, e, g), (_, _, h, k) = L.tolist()
+    i = math.frexp(a if a > d else d)[1] // 2
+    j = math.frexp(e if e > k else k)[1] // 2
+    if not (-511 <= i <= 511 and -511 <= j <= 511):
+        # every factor stays a normal float: a subnormal diagonal would ask
+        # for 2^1074
+        i, j = min(max(i, -511), 511), min(max(j, -511), 511)
+    x, y = 2.0 ** -i, 2.0 ** -j
+    u, v, w = x * x, y * y, x * y
+    a, b, c, d, e, g, h, k = a * u, b * u, c * u, d * u, e * v, g * v, h * v, k * v
+    p, q, r, s = p * w, q * w, r * w, s * w
     # ((L22^-1 L12^T) L11^-1) L12 on Python floats, each entry multiply-then-add
     (m00, m01), (m10, m11) = _mul2(
         _mul2(_mul2(inv2_rows(((e, g), (h, k))), ((p, r), (q, s))),

@@ -124,16 +124,6 @@ class PolyResult:
     roots: tuple               # (theta, feasible) pairs, ascending
     smallest_root_conjectural: bool = False
 
-    def to_json(self):
-        return {
-            "theta": self.theta,
-            "Lstar": [[v.real, v.imag] for v in self.Lstar.ravel()],
-            "alpha": self.alpha,
-            "B": self.B.tolist(),
-            "roots": [{"theta": t, "feasible": bool(fz)} for t, fz in self.roots],
-            "smallest_root_conjectural": self.smallest_root_conjectural,
-        }
-
 
 def _z_polys(y, rhs):
     """Z(theta) = (I + theta B)^-1 rhs as W(theta) / p(theta), on Python

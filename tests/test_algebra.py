@@ -239,10 +239,14 @@ def test_global_key_zero_violation(rng):
 
 
 def test_report_json():
+    """A closure report carries the fields the verify-algebras rows are
+    written from."""
+    import dataclasses
     rep = alg.check_closure(alg.algebra_by_id(7), trials=10)
-    obj = rep.to_json()
-    assert obj["algebra_id"] == 7 and obj["check"] == "closure"
-    assert set(obj) == {"algebra_id", "check", "trials", "max_residual", "pass"}
+    assert rep.algebra_id == 7 and rep.check == "closure" and rep.trials == 10
+    assert rep.passed is True and isinstance(rep.max_residual, float)
+    assert [f.name for f in dataclasses.fields(rep)] == [
+        "algebra_id", "check", "trials", "max_residual", "passed"]
 
 
 def test_orbit_variants():

@@ -59,10 +59,11 @@ def test_traced_functions_exist():
 
 def test_only_cli_knows_the_file_formats():
     """The JSON schemas of the command line are read and written in ``cli``
-    alone: no other module defines a module-level ``*_json`` function."""
+    alone: no other module defines a ``*_json`` function or method (``to_json``
+    included), at module level or in a class body."""
     pkg = Path(thermoex.__file__).resolve().parent
     found = [f"{name}.{node.name}" for name in MODULES if name != "cli"
-             for node in ast.parse((pkg / f"{name}.py").read_text()).body
+             for node in ast.walk(ast.parse((pkg / f"{name}.py").read_text()))
              if isinstance(node, ast.FunctionDef) and node.name.endswith("_json")]
     assert not found, f"JSON readers or writers outside thermoex.cli: {found}"
 

@@ -435,6 +435,22 @@ def test_zt_value():
     assert abs(json.loads(out)["ZT"] - 1.0 / 3.0) < 1e-12
 
 
+def test_zt_of_a_material_in_large_units(tmp_path):
+    """sigma and kappa scaled by 1e152 print the ZT of the unit material, not
+    0: M is formed after L11 and L22 are brought to unit scale."""
+    zts = []
+    for unit in (1.0, 1e152):
+        path = tmp_path / "material.json"
+        path.write_text(json.dumps({
+            "sigma": [[1.0 * unit, 0.0], [0.0, 2.0 * unit]],
+            "kappa": [[3e-2 * unit, 0.0], [0.0, 1e-2 * unit]],
+            "seebeck": [[1e-4, 0.0], [0.0, 2e-4]], "T0": 300.0}))
+        code, out = run(["zt", str(path)])
+        assert code == cli.EXIT_OK
+        zts.append(json.loads(out)["ZT"])
+    assert 0.0 < zts[0] and abs(zts[1] - zts[0]) <= 1e-12 * zts[0], zts
+
+
 def test_poly_flags():
     _, out_all = run(["polycrystal", "--all-roots",
                       str(DATA / "crystallite_s2.json")])
@@ -467,15 +483,28 @@ def test_verify_algebras_fast(tmp_path):
 
 
 def test_verify_algebras_rows_are_check_reports():
-    """Every row, audits and table lookups alike, is written by
-    CheckReport.to_json."""
-    from thermoex.algebra import CheckReport
+    """Every row, audits and table lookups alike, carries the fields of an
+    ``algebra.CheckReport``, written by ``cli``."""
     code, out = run(["verify-algebras"])
-    keys = set(CheckReport(1, "closure", 2, 0.0, True).to_json())
-    rows = json.loads(out)["reports"]
-    assert code == 0 and {"subalgebra", "key"} <= {r["check"].split(":")[0]
-                                                  for r in rows}
-    assert all(set(r) == keys for r in rows)
+    obj = json.loads(out)
+    rows = obj["reports"]
+    assert code == 0 and list(obj) == ["pass", "reports"]
+    assert {"subalgebra", "key"} <= {r["check"].split(":")[0] for r in rows}
+    assert all(list(r) == ["algebra_id", "check", "trials", "max_residual",
+                           "pass"] for r in rows)
+    assert any(r["algebra_id"] == 7 and r["check"] == "closure" for r in rows)
+
+
+def test_polycrystal_keys():
+    """The polycrystal point, with each root's theta and feasibility."""
+    code, out = run(["polycrystal", "--all-roots",
+                     str(DATA / "crystallite_s2.json")])
+    obj = json.loads(out)
+    assert code == 0
+    assert list(obj) == ["theta", "Lstar", "alpha", "B", "roots",
+                         "smallest_root_conjectural"]
+    assert all(list(r) == ["theta", "feasible"] for r in obj["roots"])
+    assert [len(v) for v in obj["Lstar"]] == [2, 2, 2, 2]
 
 
 def test_verify_algebras_corrupted_catalog(monkeypatch, tmp_path):

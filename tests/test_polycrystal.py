@@ -396,13 +396,6 @@ def test_er22_pullback(rng):
         assert er.er_member(22, Lp, tol=1e-8).member
 
 
-def test_result_json(rng):
-    res = pc.solve_isotropic(KTensor(2 * I2, I2))
-    obj = res.to_json()
-    assert {"theta", "Lstar", "alpha", "B", "roots",
-            "smallest_root_conjectural"} == set(obj)
-
-
 def halton(index, base):
     """Halton low-discrepancy point; index starts at 1."""
     out, f = 0.0, 1.0

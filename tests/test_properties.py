@@ -150,13 +150,28 @@ def test_case_tags_hold_at_small_scale(rng, tag):
 
 
 def test_figure_of_merit_is_scale_free(rng):
-    """The same bits from 2^-400 to 2^400: block_is_pd is strict and has no
-    floor, so a small L is PD as its unit-scale image is."""
+    """The same bits from 2^-1000 to 2^1020: block_is_pd is strict and has no
+    floor, and L11 and L22 are brought to unit scale before M is formed, so
+    neither 2x2 determinant underflows or overflows.  (Below about 2^-1022
+    the draws' own entries go subnormal.)"""
     for _ in range(20):
         L = rand_pd_block(rng)
         zt = figure_of_merit(L)
-        for k in (-400, -200, -40, -35, -20, -1, 1, 20, 200, 400):
+        for k in (-1000, -540, -512, -511, -400, -200, -40, -35, -20, -1, 1, 20,
+                  200, 400, 511, 512, 600, 1000, 1020):
             assert figure_of_merit(2.0 ** k * L) == zt, k
+
+
+def test_figure_of_merit_is_invariant_under_block_congruence(rng):
+    """ZT is unit free: the congruence by diag(2^i I, 2^j I), which scales
+    L11 by 4^i, L12 by 2^(i+j) and L22 by 4^j, keeps its bits."""
+    for _ in range(10):
+        L = rand_pd_block(rng)
+        zt = figure_of_merit(L)
+        for i, j in ((-300, 300), (300, -300), (-300, -250), (250, 300), (-7, 0),
+                     (0, 5), (1, -1), (40, 41), (-150, 150), (200, 0)):
+            D = np.diag([2.0 ** i, 2.0 ** i, 2.0 ** j, 2.0 ** j])
+            assert figure_of_merit(D @ L @ D) == zt, (i, j)
 
 
 def test_figure_of_merit_accepts_what_iso_phase_accepts():

@@ -478,7 +478,7 @@ def test_spd_sqrt(rng):
 def test_domain_error_sites():
     """Well-formed input outside the mathematical domain raises DomainError,
     a ValueError, at each site; malformed input raises plain ValueError."""
-    from thermoex import laminate, materials, polycrystal, twophase as tp
+    from thermoex import exactrel, laminate, materials, polycrystal, twophase as tp
     assert issubclass(DomainError, ValueError)
 
     def pair(r1, r2):
@@ -500,6 +500,7 @@ def test_domain_error_sites():
         lambda: laminate.sigma_star_rank1(-1.0, 0.5, (1.0, 0.0)),
         lambda: polycrystal.solve_isotropic(KTensor(-I2, 0 * I2)),
         lambda: polycrystal.special_quartic(0.5, 2.0),
+        lambda: exactrel.er_sample(7, scale=1e50),       # no PD member found
     ]
     for site in sites:
         with pytest.raises(DomainError):
